@@ -7,6 +7,12 @@ pulls particles together (weighted by ner_weight) to discourage the spread
 a pure sampling procedure would produce. The field is integrated by forward
 Euler; training the score model and simulating the flow alternate for a
 configured number of rounds.
+
+Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
+them as one tiled reduction over the incomplete rows only: the Gram is
+built B = _TILE_ROWS rows at a time and each tile is multiplied at once
+into the stacked right-hand side, so a step holds O(B N) memory and never
+an N x N matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
 # Trajectory Wasserstein entries are recorded only while the exact solver
 # is affordable; MAE is always recorded.
 TRAJECTORY_WASS_LIMIT = metrics_mod.EXACT_SIZE_LIMIT
+
+# Rows of the Gram built at a time in velocity(). Small enough that a tile
+# and its product stay in cache at N ~ 5000; each output row is reduced the
+# same way whatever the height, so results agree across heights.
+_TILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -99,38 +110,6 @@ def masked_score(score: ScoreFn, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _eval_score(score, x) * (1.0 - mask)
 
 
-def _combine_velocity(
-    x: np.ndarray,
-    free: np.ndarray,
-    scores: np.ndarray,
-    g: np.ndarray,
-    h: float,
-    ner_weight: float,
-    mask_kernel_gradient: bool,
-) -> np.ndarray:
-    """Shared tail of the velocity computation given the Gram matrix g.
-
-    With s_j the masked score of row j, row i receives
-
-        v_i = (1/N) * sum_j [ G[i,j] * s_j
-                              - ner_weight * grad_y K(x_i, y)|_{y=x_j} ⊙ free_j ]
-
-    restricted to its own missing coordinates. The RBF kernel gradient
-    expands to ((x_i - x_j)/h^2) G[i,j], so the sum reduces to dense matrix
-    products and never materializes an N x N x D tensor.
-    """
-    n = x.shape[0]
-    smoothed = g @ scores
-    if mask_kernel_gradient:
-        attraction = x * (g @ free) - g @ (x * free)
-    else:
-        attraction = x * g.sum(axis=1, keepdims=True) - g @ x
-    v = (smoothed - (ner_weight / (h * h)) * attraction) / n
-    if not np.all(np.isfinite(v)):
-        raise FloatingPointError("velocity field contains non-finite values")
-    return v * free
-
-
 def velocity(
     x: np.ndarray,
     mask: np.ndarray,
@@ -139,58 +118,58 @@ def velocity(
     ner_weight: float,
     mask_kernel_gradient: bool = True,
 ) -> np.ndarray:
-    """Per-particle velocity, zero on observed coordinates."""
+    """Per-particle velocity, zero on observed coordinates.
+
+    With s_j the masked score of row j and free_j = 1 - mask_j, row i
+    receives
+
+        v_i = (1/N) * sum_j [ G[i,j] * s_j
+                              - ner_weight * grad_y K(x_i, y)|_{y=x_j} ⊙ free_j ]
+
+    restricted to its own missing coordinates. The RBF kernel gradient
+    expands to ((x_i - x_j)/h^2) G[i,j], so the sum needs only the product
+    of G with the stacked right-hand side [S | F | X⊙F]. Rows without a
+    missing cell get zero velocity and, in the default masked mode, add
+    zero to every sum, so only the incomplete rows are evaluated: the score
+    network runs on them alone (it must act row by row), and G is built
+    over them in tiles of _TILE_ROWS rows, each multiplied straight into its
+    slice of the product. Step memory is therefore O(_TILE_ROWS * N), never
+    N x N. With mask_kernel_gradient off the attraction keeps every source
+    row, so the tiles span all N rows with right-hand side [S | 1 | X]. The
+    divisor stays N and the bandwidth is resolved on the full x.
+    """
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != x.shape:
         raise ValueError(f"mask shape {mask.shape} != data shape {x.shape}")
+    n, d = x.shape
     h = resolve_bandwidth(kcfg, x)
     free = 1.0 - mask
-    scores = _eval_score(score, x) * free
-    g = gram(x, x, h)
-    return _combine_velocity(x, free, scores, g, h, ner_weight, mask_kernel_gradient)
-
-
-class _FlowWorkspace:
-    """Reusable N x N buffer for the Euler loop.
-
-    A fresh Gram allocation each step is page-fault bound at desk scale
-    (hundreds of MB per step at N ~ 5000); writing the squared distances
-    and the exponential into one persistent buffer removes that cost. The
-    arithmetic matches gram() up to floating-point association.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.g = np.empty((n, n), dtype=np.float64)
-        self.row_sq = np.empty(n, dtype=np.float64)
-
-    def gram_into(self, x: np.ndarray, h: float) -> np.ndarray:
-        g = self.g
-        np.matmul(x, x.T, out=g)
-        np.einsum("ij,ij->i", x, x, out=self.row_sq)
-        g *= -2.0
-        g += self.row_sq[:, None]
-        g += self.row_sq[None, :]
-        np.maximum(g, 0.0, out=g)
-        g *= -1.0 / (2.0 * h * h)
-        np.exp(g, out=g)
-        return g
-
-
-def _velocity_with_workspace(
-    x: np.ndarray,
-    mask: np.ndarray,
-    score: ScoreFn,
-    kcfg: KernelConfig,
-    ner_weight: float,
-    mask_kernel_gradient: bool,
-    work: _FlowWorkspace,
-) -> np.ndarray:
-    h = resolve_bandwidth(kcfg, x)
-    free = 1.0 - mask
-    scores = _eval_score(score, x) * free
-    g = work.gram_into(x, h)
-    return _combine_velocity(x, free, scores, g, h, ner_weight, mask_kernel_gradient)
+    rows = np.flatnonzero(free.any(axis=1))
+    v = np.zeros_like(x)
+    if rows.size == 0:
+        return v
+    x_rows, free_rows = x[rows], free[rows]
+    scores = _eval_score(score, x_rows) * free_rows
+    if mask_kernel_gradient:
+        x_src = x_rows
+        rhs = np.hstack([scores, free_rows, x_rows * free_rows])
+    else:
+        all_scores = np.zeros_like(x)
+        all_scores[rows] = scores
+        x_src = x
+        rhs = np.hstack([all_scores, np.ones_like(x), x])
+    prod = np.empty((rows.size, 3 * d))
+    for start in range(0, rows.size, _TILE_ROWS):
+        tile = slice(start, start + _TILE_ROWS)
+        np.matmul(gram(x_rows[tile], x_src, h), rhs, out=prod[tile])
+    smoothed, g_free, g_xfree = prod[:, :d], prod[:, d : 2 * d], prod[:, 2 * d :]
+    attraction = x_rows * g_free - g_xfree
+    v_rows = (smoothed - (ner_weight / (h * h)) * attraction) / n
+    if not np.all(np.isfinite(v_rows)):
+        raise FloatingPointError("velocity field contains non-finite values")
+    v[rows] = v_rows * free_rows
+    return v
 
 
 def euler_impute(
@@ -224,11 +203,10 @@ def euler_impute(
         trajectory.append(TrajectoryPoint(step=step, **_trajectory_metrics(truth, x, mask)))
 
     record(step_offset)
-    work = _FlowWorkspace(x.shape[0])
     for step in range(1, wcfg.num_steps + 1):
         try:
-            v = _velocity_with_workspace(
-                x, mask, score, kcfg, wcfg.ner_weight, wcfg.mask_kernel_gradient, work
+            v = velocity(
+                x, mask, score, kcfg, wcfg.ner_weight, wcfg.mask_kernel_gradient
             )
         except FloatingPointError as exc:
             raise FloatingPointError(
@@ -274,8 +252,11 @@ def knewimp(
     particles along the flow. The master seed drives initialization, the
     network draw, and every round's training noise through independent
     child streams. initial_net, when given, replaces the fresh seeded
-    network (checkpoint warm start).
+    network (checkpoint warm start). A dataset without a missing cell is
+    rejected before any training.
     """
+    if not np.any(ds.mask == 0.0):
+        raise ValueError("dataset has no missing cells; nothing to impute")
     seeds = np.random.SeedSequence(seed).spawn(wcfg.num_loops + 2)
     init_seed = int(seeds[0].generate_state(1)[0])
     net_seed = int(seeds[1].generate_state(1)[0])

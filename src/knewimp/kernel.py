@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,13 @@ def median_bandwidth(x: np.ndarray) -> float:
     n = x.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 points")
-    sq = squared_distances(x, x)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
+    sq = pdist(x, "sqeuclidean")
+    k = sq.size // 2
+    if sq.size % 2:
+        med = float(np.sqrt(np.partition(sq, k)[k]))
+    else:
+        lo, hi = np.sqrt(np.partition(sq, (k - 1, k))[k - 1 : k + 1])
+        med = float((lo + hi) / 2.0)
     return max(med / np.sqrt(2.0), 1e-6)
 
 

@@ -86,12 +86,15 @@ def init_network(d: int, hidden: int, seed: int) -> ScoreNetwork:
 
 
 def _swish(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (swish(z), sigmoid(z)); the sigmoid is reused in backprop."""
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
+    """Returns (swish(z), sigmoid(z)); the sigmoid is reused in backprop.
+
+    exp(-z) overflows to inf for z below about -709, which yields the
+    correct limit sigmoid = 0, so the overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        sig = np.exp(-z)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
     return z * sig, sig
 
 

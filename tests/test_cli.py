@@ -106,6 +106,15 @@ class TestImpute:
         obs = masked.mask == 1.0
         assert np.array_equal(imputed.values[obs], masked.values[obs])
 
+    def test_no_missing_cells_is_runtime_error(self, tmp_path, complete_csv, capsys):
+        code = main([
+            "impute", "--input", complete_csv, "--has-header", "--truth", complete_csv,
+            "--output", str(tmp_path / "out.csv"), *FAST,
+        ])
+        assert code == 2
+        assert "no missing cells" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_smoke_path_minimal_flags(self, tmp_path, complete_csv):
         sim = tmp_path / "sim"
         main([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import knewimp.imputer as imputer_mod
 from knewimp.imputer import (
     ImputationResult,
     WgfConfig,
@@ -10,7 +11,7 @@ from knewimp.imputer import (
     mean_impute,
     velocity,
 )
-from knewimp.kernel import KernelConfig
+from knewimp.kernel import KernelConfig, grad_gram_second, median_bandwidth
 from knewimp.score import DsmConfig, forward, init_network, train
 from knewimp.tabular import TabularDataset, from_complete, initialize_missing, standardize
 
@@ -99,6 +100,75 @@ class TestVelocity:
             v = velocity(x, mask, zero_score, KernelConfig(bandwidth=1.5), 1.0)
             stepped = x + 0.05 * v
             assert np.linalg.norm(stepped[0] - stepped[1]) < np.linalg.norm(x[0] - x[1])
+
+
+def reference_velocity(x, mask, net, h, ner_weight, mask_kernel_gradient=True):
+    """The velocity as its literal double sum; independent oracle.
+
+    v_i = (1/N) sum_j [G_ij s_j - ner_weight grad_y K(x_i, x_j) ⊙ f_j] ⊙ f_i,
+    where f = 1 - mask (all ones in the attraction when the kernel gradient
+    is not masked) and s_j is the masked score.
+    """
+    n = x.shape[0]
+    free = 1.0 - mask
+    scores = forward(net, x) * free
+    f_src = free if mask_kernel_gradient else np.ones_like(x)
+    v = np.zeros_like(x)
+    for i in range(n):
+        for j in range(n):
+            diff = x[i] - x[j]
+            g_ij = np.exp(-(diff @ diff) / (2.0 * h * h))
+            v[i] += g_ij * scores[j] - ner_weight * grad_gram_second(x[i], x[j], h) * f_src[j]
+    return v / n * free
+
+
+TILE_HEIGHTS = (1, 7, imputer_mod._TILE_ROWS, 10_000)
+
+
+class TestVelocityOracle:
+    @pytest.mark.parametrize("tile", TILE_HEIGHTS)
+    @pytest.mark.parametrize("mask_kernel_gradient", (True, False))
+    def test_matches_double_sum(self, monkeypatch, tile, mask_kernel_gradient):
+        monkeypatch.setattr(imputer_mod, "_TILE_ROWS", tile)
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            n = int(rng.integers(1, 61))
+            d = int(rng.integers(1, 7))
+            x = rng.standard_normal((n, d))
+            mask = (rng.random((n, d)) > rng.uniform(0.2, 0.8)).astype(float)
+            mask[rng.random(n) < 0.2] = 1.0  # fully observed rows
+            mask[rng.random(n) < 0.2] = 0.0  # fully missing rows
+            net = init_network(d, 16, seed=trial)
+            use_median = n >= 2 and trial % 3 == 0
+            kcfg = KernelConfig(
+                bandwidth=float(rng.uniform(0.4, 2.0)), use_median_heuristic=use_median
+            )
+            h = median_bandwidth(x) if use_median else kcfg.bandwidth
+            lam = float(rng.uniform(0.0, 3.0))
+            v = velocity(x, mask, net, kcfg, lam, mask_kernel_gradient)
+            ref = reference_velocity(x, mask, net, h, lam, mask_kernel_gradient)
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_complete_and_empty_masks(self):
+        x = np.random.default_rng(32).standard_normal((6, 3))
+        net = init_network(3, 8, seed=0)
+        assert np.array_equal(velocity(x, np.ones((6, 3)), net, KCFG, 1.0), np.zeros((6, 3)))
+        ref = reference_velocity(x, np.zeros((6, 3)), net, 1.0, 1.0)
+        v = velocity(x, np.zeros((6, 3)), net, KCFG, 1.0)
+        assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_euler_impute_independent_of_tile_height(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        x0 = rng.standard_normal((40, 3))
+        mask = (rng.random((40, 3)) > 0.4).astype(float)
+        net = init_network(3, 16, seed=34)
+        cfg = WgfConfig(step_size=0.1, num_steps=15, num_loops=1)
+        runs = []
+        for tile in TILE_HEIGHTS:
+            monkeypatch.setattr(imputer_mod, "_TILE_ROWS", tile)
+            runs.append(euler_impute(x0, mask, net, KCFG, cfg)[0])
+        for x in runs[1:]:
+            assert np.abs(x - runs[0]).max() <= 1e-12 * np.abs(runs[0]).max()
 
 
 class TestEulerImpute:
@@ -231,6 +301,17 @@ class TestKnewimp:
         assert steps == sorted(steps)
         assert len(steps) == len(set(steps))
         assert steps[-1] == 160  # two loops of 80 steps
+
+    def test_no_missing_cells_rejected_before_training(self, monkeypatch):
+        truth = np.random.default_rng(13).standard_normal((10, 2))
+        ds = from_complete(truth, np.ones((10, 2)))
+
+        def fail_train(*args, **kwargs):
+            raise AssertionError("trained on a complete table")
+
+        monkeypatch.setattr(imputer_mod, "train", fail_train)
+        with pytest.raises(ValueError, match="no missing cells"):
+            knewimp(ds, seed=0, **self.FAST)
 
     def test_network_rides_along(self):
         ds = make_dataset(seed=7)

@@ -135,6 +135,10 @@ class TestMedianBandwidth:
         for _ in range(10):
             x = rng.standard_normal((int(rng.integers(2, 40)), 3))
             assert median_bandwidth(x) == pytest.approx(brute_median(x), rel=1e-12)
+        # n(n-1)/2 = 1, 3, 6, 10, 15, 21 pairs: odd and even middle counts.
+        for n in range(2, 8):
+            x = rng.standard_normal((n, 3))
+            assert median_bandwidth(x) == pytest.approx(brute_median(x), rel=1e-12)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from knewimp.score import (
     save_network,
     train,
 )
+from knewimp.score import _swish
 
 
 def loss_only(net, x, noise, sigma):
@@ -20,6 +21,29 @@ def loss_only(net, x, noise, sigma):
     out = forward(net, x + noise)
     resid = out + noise / sigma**2
     return 0.5 * (resid * resid).sum() / x.shape[0]
+
+
+def stable_sigmoid(z):
+    """Overflow-free split form: exp is only taken of non-positive values."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+class TestSwish:
+    def test_matches_stable_sigmoid_at_extremes(self):
+        z = np.array([[-800.0, -40.0, 0.0, 40.0, 800.0]])
+        with np.errstate(invalid="raise", divide="raise"):
+            act, sig = _swish(z)
+        ref = stable_sigmoid(z)
+        assert np.all(np.isfinite(act)) and np.all(np.isfinite(sig))
+        np.testing.assert_allclose(sig, ref, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(act, z * ref, rtol=1e-15, atol=0.0)
+        assert sig[0, 0] == 0.0 and sig[0, -1] == 1.0
+
+    def test_matches_stable_sigmoid_on_random_input(self):
+        z = np.random.default_rng(40).standard_normal((50, 20)) * 10.0
+        # Two ulps of 1.0: the forms differ only in rounding order.
+        assert np.abs(_swish(z)[1] - stable_sigmoid(z)).max() <= 2 * np.finfo(float).eps
 
 
 class TestInit:
