@@ -18,14 +18,8 @@ from .imputer import (
     mean_impute,
     velocity,
 )
-from .kernel import KernelConfig, grad_gram_second, gram, median_bandwidth
-from .metrics import (
-    MetricReport,
-    evaluate,
-    mae,
-    wasserstein2,
-    wasserstein2_bruteforce,
-)
+from .kernel import KernelConfig, gram, median_bandwidth
+from .metrics import MetricReport, evaluate, mae, wasserstein2
 from .missingness import (
     Mechanism,
     MissingSpec,
@@ -45,7 +39,6 @@ from .score import (
 from .tabular import (
     StandardizationStats,
     TabularDataset,
-    destandardize,
     from_complete,
     initialize_missing,
     load_csv,
@@ -66,13 +59,11 @@ __all__ = [
     "TrajectoryPoint",
     "WgfConfig",
     "calibrate_bias",
-    "destandardize",
     "dsm_loss_and_grad",
     "euler_impute",
     "evaluate",
     "forward",
     "from_complete",
-    "grad_gram_second",
     "gram",
     "init_network",
     "initialize_missing",
@@ -89,7 +80,6 @@ __all__ = [
     "train",
     "velocity",
     "wasserstein2",
-    "wasserstein2_bruteforce",
     "write_csv",
 ]
 

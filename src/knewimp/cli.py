@@ -51,9 +51,7 @@ DEFAULTS = {
     "hidden": 256,
     "bandwidth": 0.5,
     "median_bandwidth": False,
-    "mask_kernel_gradient": True,
     "record_every": 25,
-    "wass_method": "auto",
     "seed": 0,
     "seeds": "0,1,2,3,4",
     "sizes": "250,500",
@@ -88,13 +86,6 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
         help="recompute the bandwidth from the running point cloud",
     )
     p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument(
-        "--no-kernel-grad-masking",
-        dest="mask_kernel_gradient",
-        action="store_const",
-        const=False,
-        help="apply the full kernel gradient instead of the missing-coordinate part",
-    )
 
 
 def _add_mechanism_options(p: argparse.ArgumentParser) -> None:
@@ -133,7 +124,6 @@ def build_parser() -> _Parser:
     p.add_argument("--imputed", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
-    p.add_argument("--wass-method", dest="wass_method", choices=["auto", "exact", "sinkhorn"])
     p.add_argument("--output", help="report JSON path (stdout if omitted)")
 
     p = sub.add_parser("experiment", help="simulate/impute/evaluate across seeds")
@@ -142,7 +132,6 @@ def build_parser() -> _Parser:
     _add_mechanism_options(p)
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--wass-method", dest="wass_method", choices=["auto", "exact", "sinkhorn"])
     _add_model_options(p)
 
     p = sub.add_parser("benchmark", help="time the two phases over a synthetic grid")
@@ -184,7 +173,6 @@ def _build_configs(args: argparse.Namespace):
         num_steps=_resolve(args, "steps"),
         num_loops=_resolve(args, "loops"),
         record_every=_resolve(args, "record_every"),
-        mask_kernel_gradient=bool(_resolve(args, "mask_kernel_gradient")),
     )
     return dcfg, kcfg, int(_resolve(args, "hidden")), wcfg
 
@@ -197,11 +185,6 @@ def _missing_spec(args: argparse.Namespace, seed: int) -> MissingSpec:
         mcar_overlay_rate=_resolve(args, "overlay_rate"),
         seed=seed,
     )
-
-
-def _standardized(ds: TabularDataset):
-    ds_std, stats = standardize(ds)
-    return ds_std, stats
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -245,10 +228,14 @@ def cmd_impute(args: argparse.Namespace) -> int:
             values=ds.values, mask=ds.mask, truth=truth.values,
             column_names=ds.column_names,
         )
-    ds_std, stats = _standardized(ds)
-    seed = int(_resolve(args, "seed"))
+    ds_std, stats = standardize(ds)
     net0 = load_network(args.load_net) if args.load_net else None
-    result = _run_knewimp(ds_std, dcfg, kcfg, wcfg, hidden, seed, net0, args.save_net)
+    result = knewimp(
+        ds_std, dcfg, kcfg, wcfg, hidden=hidden, seed=int(_resolve(args, "seed")),
+        initial_net=net0,
+    )
+    if args.save_net:
+        save_network(args.save_net, result.network)
     imputed = stats.invert(result.imputed)
     observed = ds.mask == 1.0
     imputed[observed] = ds.values[observed]
@@ -260,24 +247,6 @@ def cmd_impute(args: argparse.Namespace) -> int:
         f"(estimate {result.estimate_seconds:.2f}s, impute {result.impute_seconds:.2f}s)"
     )
     return 0
-
-
-def _run_knewimp(
-    ds_std: TabularDataset,
-    dcfg: DsmConfig,
-    kcfg: KernelConfig,
-    wcfg: WgfConfig,
-    hidden: int,
-    seed: int,
-    net0=None,
-    save_net: Optional[str] = None,
-) -> ImputationResult:
-    result = knewimp(
-        ds_std, dcfg, kcfg, wcfg, hidden=hidden, seed=seed, initial_net=net0
-    )
-    if save_net:
-        save_network(save_net, result.network)
-    return result
 
 
 def _write_trajectory(path: str, result: ImputationResult) -> None:
@@ -306,9 +275,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if mask.shape != truth.values.shape or imputed.values.shape != truth.values.shape:
         raise ValueError("truth, imputed, and mask shapes must match")
     ds = from_complete(truth.values, mask, truth.column_names)
-    ds_std, stats = _standardized(ds)
-    imputed_std = stats.apply(imputed.values)
-    report = metrics_mod.evaluate(ds_std, imputed_std, _resolve(args, "wass_method"))
+    ds_std, stats = standardize(ds)
+    report = metrics_mod.evaluate(ds_std, stats.apply(imputed.values))
     payload = report.to_json()
     if args.output:
         Path(args.output).write_text(payload + "\n", encoding="utf-8")
@@ -317,14 +285,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_seed(truth_ds, args, dcfg, kcfg, wcfg, hidden, seed, wass_method):
+def _experiment_seed(truth_ds, args, dcfg, kcfg, wcfg, hidden, seed):
     spec = _missing_spec(args, seed)
     mask = simulate(truth_ds.values, spec)
     ds = from_complete(truth_ds.values, mask, truth_ds.column_names)
     ds_std, _ = standardize(ds)
     result = knewimp(ds_std, dcfg, kcfg, wcfg, hidden=hidden, seed=seed)
-    report_model = metrics_mod.evaluate(ds_std, result.imputed, wass_method)
-    report_mean = metrics_mod.evaluate(ds_std, mean_impute(ds_std), wass_method)
+    report_model = metrics_mod.evaluate(ds_std, result.imputed)
+    report_mean = metrics_mod.evaluate(ds_std, mean_impute(ds_std))
     return {
         "seed": seed,
         "knewimp": report_model.as_dict(),
@@ -353,7 +321,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in str(_resolve(args, "seeds")).split(",") if s.strip()]
     if not seeds:
         raise ValueError("at least one seed is required")
-    wass_method = _resolve(args, "wass_method")
     truth_ds = load_csv(args.input, has_header=bool(_resolve(args, "has_header")))
     if truth_ds.mask.min() < 1.0:
         raise ValueError(f"{args.input}: experiment input must be complete")
@@ -362,9 +329,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     def run_one(seed: int):
         try:
-            return _experiment_seed(
-                truth_ds, args, dcfg, kcfg, wcfg, hidden, seed, wass_method
-            )
+            return _experiment_seed(truth_ds, args, dcfg, kcfg, wcfg, hidden, seed)
         except Exception as exc:
             raise RuntimeError(f"seed {seed} failed: {exc}") from exc
 

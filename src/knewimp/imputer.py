@@ -26,13 +26,14 @@ import numpy as np
 from . import metrics as metrics_mod
 from .kernel import KernelConfig, gram, resolve_bandwidth
 from .score import DsmConfig, ScoreNetwork, forward, init_network, train
-from .tabular import TabularDataset, initialize_missing
+from .tabular import TabularDataset, initialize_missing, observed_column_means
 
 ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
 
-# Trajectory Wasserstein entries are recorded only while the exact solver
-# is affordable; MAE is always recorded.
-TRAJECTORY_WASS_LIMIT = metrics_mod.EXACT_SIZE_LIMIT
+# Trajectory Wasserstein entries are recorded only up to this many
+# incomplete rows: the exact solver runs on every recorded step and its
+# cost grows cubically with the row count. MAE is always recorded.
+TRAJECTORY_WASS_LIMIT = 512
 
 # Rows of the Gram built at a time in velocity(). Small enough that a tile
 # and its product stay in cache at N ~ 5000; each output row is reduced the
@@ -47,9 +48,7 @@ class WgfConfig:
     ner_weight weighs the particle-attraction (negative-entropy) term;
     step_size and num_steps control the Euler integration; num_loops is the
     number of train-then-simulate rounds; record_every is the trajectory
-    sampling stride. mask_kernel_gradient restricts the kernel gradient to
-    the source particle's missing coordinates (the default); turning it off
-    keeps the full gradient for comparison.
+    sampling stride.
     """
 
     ner_weight: float = 1.0
@@ -57,7 +56,6 @@ class WgfConfig:
     num_steps: int = 500
     num_loops: int = 2
     record_every: int = 25
-    mask_kernel_gradient: bool = True
 
     def __post_init__(self) -> None:
         if self.ner_weight < 0.0:
@@ -116,7 +114,6 @@ def velocity(
     score: ScoreFn,
     kcfg: KernelConfig,
     ner_weight: float,
-    mask_kernel_gradient: bool = True,
 ) -> np.ndarray:
     """Per-particle velocity, zero on observed coordinates.
 
@@ -129,14 +126,12 @@ def velocity(
     restricted to its own missing coordinates. The RBF kernel gradient
     expands to ((x_i - x_j)/h^2) G[i,j], so the sum needs only the product
     of G with the stacked right-hand side [S | F | X⊙F]. Rows without a
-    missing cell get zero velocity and, in the default masked mode, add
-    zero to every sum, so only the incomplete rows are evaluated: the score
-    network runs on them alone (it must act row by row), and G is built
-    over them in tiles of _TILE_ROWS rows, each multiplied straight into its
-    slice of the product. Step memory is therefore O(_TILE_ROWS * N), never
-    N x N. With mask_kernel_gradient off the attraction keeps every source
-    row, so the tiles span all N rows with right-hand side [S | 1 | X]. The
-    divisor stays N and the bandwidth is resolved on the full x.
+    missing cell get zero velocity and add zero to every sum, so only the
+    incomplete rows are evaluated: the score network runs on them alone (it
+    must act row by row), and G is built over them in tiles of _TILE_ROWS
+    rows, each multiplied straight into its slice of the product. Step
+    memory is therefore O(_TILE_ROWS * N), never N x N. The divisor stays N
+    and the bandwidth is resolved on the full x.
     """
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -151,18 +146,11 @@ def velocity(
         return v
     x_rows, free_rows = x[rows], free[rows]
     scores = _eval_score(score, x_rows) * free_rows
-    if mask_kernel_gradient:
-        x_src = x_rows
-        rhs = np.hstack([scores, free_rows, x_rows * free_rows])
-    else:
-        all_scores = np.zeros_like(x)
-        all_scores[rows] = scores
-        x_src = x
-        rhs = np.hstack([all_scores, np.ones_like(x), x])
+    rhs = np.hstack([scores, free_rows, x_rows * free_rows])
     prod = np.empty((rows.size, 3 * d))
     for start in range(0, rows.size, _TILE_ROWS):
         tile = slice(start, start + _TILE_ROWS)
-        np.matmul(gram(x_rows[tile], x_src, h), rhs, out=prod[tile])
+        np.matmul(gram(x_rows[tile], x_rows, h), rhs, out=prod[tile])
     smoothed, g_free, g_xfree = prod[:, :d], prod[:, d : 2 * d], prod[:, 2 * d :]
     attraction = x_rows * g_free - g_xfree
     v_rows = (smoothed - (ner_weight / (h * h)) * attraction) / n
@@ -205,9 +193,7 @@ def euler_impute(
     record(step_offset)
     for step in range(1, wcfg.num_steps + 1):
         try:
-            v = velocity(
-                x, mask, score, kcfg, wcfg.ner_weight, wcfg.mask_kernel_gradient
-            )
+            v = velocity(x, mask, score, kcfg, wcfg.ner_weight)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"flow blew up at step {step_offset + step}: {exc}; "
@@ -232,7 +218,7 @@ def _trajectory_metrics(truth: np.ndarray, x: np.ndarray, mask: np.ndarray) -> d
     rows = missing.any(axis=1)
     m1 = int(rows.sum())
     if 1 <= m1 <= TRAJECTORY_WASS_LIMIT:
-        out["wass"] = metrics_mod.wasserstein2(truth[rows], x[rows], "exact")
+        out["wass"] = metrics_mod.wasserstein2(truth[rows], x[rows])
     return out
 
 
@@ -303,9 +289,5 @@ def knewimp(
 
 def mean_impute(ds: TabularDataset) -> np.ndarray:
     """Baseline: every missing cell gets its column's observed mean."""
-    counts = ds.observed_column_counts()
-    if np.any(counts < 1):
-        bad = int(np.argmin(counts))
-        raise ValueError(f"column {bad} has no observed entries")
-    means = np.nanmean(ds.values, axis=0)
+    means = observed_column_means(ds)
     return np.where(ds.mask == 1.0, ds.values, np.broadcast_to(means, ds.values.shape))

@@ -1,9 +1,9 @@
-"""RBF kernel Gram matrices and their analytic gradients.
+"""RBF kernel Gram matrices and bandwidth selection.
 
 The kernel K(x, y) = exp(-||x - y||^2 / (2 h^2)) supplies the geometry for
-the particle velocity field: Gram matrices smooth per-particle scores, and
-the gradient of K with respect to its second argument drives the attraction
-term between particles.
+the particle velocity field: Gram matrices smooth per-particle scores, and,
+because grad_y K(x, y) = ((x - y) / h^2) K(x, y), the same Gram also
+carries the attraction term between particles.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ def gram(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     return np.exp(squared_distances(x, y) / (-2.0 * bandwidth * bandwidth))
-
-
-def grad_gram_second(x_i: np.ndarray, y_j: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gradient of K(x_i, y) with respect to y, evaluated at y = y_j.
-
-    For the RBF kernel this is ((x_i - y_j) / h^2) * K(x_i, y_j): the kernel
-    increases as y moves toward x_i, so the gradient points from y_j to x_i.
-    """
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    x_i = np.asarray(x_i, dtype=np.float64)
-    y_j = np.asarray(y_j, dtype=np.float64)
-    diff = x_i - y_j
-    k = np.exp((diff * diff).sum() / (-2.0 * bandwidth * bandwidth))
-    return (diff / (bandwidth * bandwidth)) * k
 
 
 def median_bandwidth(x: np.ndarray) -> float:

@@ -3,40 +3,22 @@
 MAE averages absolute errors over the missing cells. The distributional
 metric is the squared 2-Wasserstein distance between the imputed and true
 versions of the rows that contain at least one missing cell, each cloud
-carrying uniform weights. For equal-size uniform measures the exact value
-is a minimum-cost assignment; beyond the size where the cubic solver is
-comfortable, a debiased entropic (Sinkhorn) approximation takes over.
+carrying uniform weights. For equal-size uniform measures its exact value
+is a minimum-cost assignment, which wasserstein2 solves at every size: the
+m x m cost matrix takes O(m^2) memory and the solver cubic time in the
+worst case.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
 from .kernel import squared_distances
 from .tabular import TabularDataset
-
-EXACT_SIZE_LIMIT = 512
-BRUTE_FORCE_LIMIT = 8
-
-SINKHORN_EPSILON_SCALE = 0.01
-SINKHORN_MAX_ITER = 10_000
-SINKHORN_MARGINAL_TOL = 1e-9
-# When iterations stall before the tolerance, the plan is still usable as
-# long as its worst marginal violation stays below this bound.
-SINKHORN_USABLE_VIOLATION = 1e-3
-_SINKHORN_CHECK_EVERY = 25
-_SINKHORN_STALL_IMPROVEMENT = 0.02
-
-
-class SinkhornConvergenceError(RuntimeError):
-    """Raised when Sinkhorn iterations fail to produce a usable plan."""
 
 
 @dataclass(frozen=True)
@@ -47,16 +29,9 @@ class MetricReport:
     wass: float
     m0: int
     m1: int
-    wass_method: str
 
     def as_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "wass": self.wass,
-            "m0": self.m0,
-            "m1": self.m1,
-            "wass_method": self.wass_method,
-        }
+        return {"mae": self.mae, "wass": self.wass, "m0": self.m0, "m1": self.m1}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -79,7 +54,15 @@ def mae(truth: np.ndarray, imputed: np.ndarray, mask: np.ndarray) -> float:
     return float(np.abs(truth[missing] - imputed[missing]).mean())
 
 
-def _exact_cost(a: np.ndarray, b: np.ndarray) -> float:
+def wasserstein2(truth_rows: np.ndarray, imputed_rows: np.ndarray) -> float:
+    """Squared 2-Wasserstein distance between two equal-size uniform clouds,
+    solved exactly as the underlying assignment problem."""
+    a = np.asarray(truth_rows, dtype=np.float64)
+    b = np.asarray(imputed_rows, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"cloud shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise ValueError(f"clouds must be non-empty 2-D arrays, got {a.shape}")
     rows, cols = linear_sum_assignment(squared_distances(a, b))
     # Recompute the matched costs by direct differencing: the BLAS identity
     # used for the full matrix carries round-off that would leave identical
@@ -88,143 +71,7 @@ def _exact_cost(a: np.ndarray, b: np.ndarray) -> float:
     return float((diff * diff).sum(axis=1).mean())
 
 
-def wasserstein2_bruteforce(truth_rows: np.ndarray, imputed_rows: np.ndarray) -> float:
-    """Minimum mean squared pairing cost over all permutations; test oracle."""
-    a = np.asarray(truth_rows, dtype=np.float64)
-    b = np.asarray(imputed_rows, dtype=np.float64)
-    m = a.shape[0]
-    if m > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is limited to m <= {BRUTE_FORCE_LIMIT}, got {m}")
-    cost = squared_distances(a, b)
-    best = math.inf
-    for perm in itertools.permutations(range(m)):
-        total = sum(cost[i, j] for i, j in enumerate(perm))
-        best = min(best, total)
-    return best / m
-
-
-def _round_to_feasible(plan: np.ndarray, marginal: np.ndarray) -> np.ndarray:
-    """Project an almost-feasible plan onto exact uniform marginals."""
-    r = np.minimum(1.0, marginal / np.maximum(plan.sum(axis=1), 1e-300))
-    plan = plan * r[:, None]
-    c = np.minimum(1.0, marginal / np.maximum(plan.sum(axis=0), 1e-300))
-    plan = plan * c[None, :]
-    err_r = marginal - plan.sum(axis=1)
-    err_c = marginal - plan.sum(axis=0)
-    total = np.abs(err_r).sum()
-    if total > 0.0:
-        plan = plan + np.outer(err_r, err_c) / total
-    return plan
-
-
-def _sinkhorn_plan_cost(cost: np.ndarray, epsilon_scale: float) -> float:
-    """Entropic OT cost <plan, cost> between uniform measures.
-
-    Log-domain iterations with an epsilon-scaling warm start; stops on a
-    marginal violation below SINKHORN_MARGINAL_TOL, on stalling, or at the
-    iteration cap. A stalled-but-tight plan is rounded onto the transport
-    polytope; a plan with gross marginal violation raises.
-    """
-    m = cost.shape[0]
-    scale = float(cost.max())
-    if scale <= 0.0:
-        return 0.0
-    cost_n = cost / scale
-    eps_final = epsilon_scale * float(cost_n.mean())
-    marginal = np.full(m, 1.0 / m)
-    log_marginal = np.log(marginal)
-    f = np.zeros(m)
-    g = np.zeros(m)
-
-    def half_steps(eps: float, count: int) -> None:
-        nonlocal f, g
-        for _ in range(count):
-            f = eps * (log_marginal - logsumexp((g[None, :] - cost_n) / eps, axis=1))
-            g = eps * (log_marginal - logsumexp((f[:, None] - cost_n) / eps, axis=0))
-
-    eps = 1.0
-    while eps > eps_final:
-        half_steps(eps, 20)
-        eps /= 2.0
-    eps = eps_final
-
-    violation = np.inf
-    previous = np.inf
-    iterations = 0
-    log_plan = (f[:, None] + g[None, :] - cost_n) / eps
-    while iterations < SINKHORN_MAX_ITER:
-        half_steps(eps, _SINKHORN_CHECK_EVERY)
-        iterations += _SINKHORN_CHECK_EVERY
-        log_plan = (f[:, None] + g[None, :] - cost_n) / eps
-        row_sums = np.exp(logsumexp(log_plan, axis=1))
-        violation = float(np.abs(row_sums - marginal).max())
-        if violation < SINKHORN_MARGINAL_TOL:
-            break
-        stalled = violation > (1.0 - _SINKHORN_STALL_IMPROVEMENT) * previous
-        if stalled and violation < SINKHORN_USABLE_VIOLATION:
-            break
-        previous = violation
-    if not np.isfinite(violation) or violation >= SINKHORN_USABLE_VIOLATION:
-        raise SinkhornConvergenceError(
-            f"marginal violation {violation:.3e} after {iterations} iterations "
-            f"(limit {SINKHORN_USABLE_VIOLATION:.0e})"
-        )
-    plan = np.exp(log_plan)
-    if violation >= SINKHORN_MARGINAL_TOL:
-        plan = _round_to_feasible(plan, marginal)
-    return float((plan * cost).sum())
-
-
-def _sinkhorn_cost(a: np.ndarray, b: np.ndarray, epsilon_scale: float) -> float:
-    """Debiased entropic cost: OT(a, b) - (OT(a, a) + OT(b, b)) / 2.
-
-    The self-transport terms cancel the entropic blur, so the result tracks
-    the exact squared Wasserstein distance far more closely than the raw
-    plan cost does. Clamped at zero.
-    """
-    cross = _sinkhorn_plan_cost(squared_distances(a, b), epsilon_scale)
-    self_a = _sinkhorn_plan_cost(squared_distances(a, a), epsilon_scale)
-    self_b = _sinkhorn_plan_cost(squared_distances(b, b), epsilon_scale)
-    return max(cross - 0.5 * (self_a + self_b), 0.0)
-
-
-def wasserstein2(
-    truth_rows: np.ndarray,
-    imputed_rows: np.ndarray,
-    method: str = "exact",
-    epsilon_scale: float = SINKHORN_EPSILON_SCALE,
-) -> float:
-    """Squared 2-Wasserstein distance between two equal-size uniform clouds.
-
-    method "exact" solves the underlying assignment problem; "sinkhorn"
-    returns the debiased entropic approximation (within ~5% relative at
-    desk scale); "auto" picks exact up to EXACT_SIZE_LIMIT points.
-    """
-    a = np.asarray(truth_rows, dtype=np.float64)
-    b = np.asarray(imputed_rows, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"cloud shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValueError(f"clouds must be non-empty 2-D arrays, got {a.shape}")
-    method = resolve_wass_method(method, a.shape[0])
-    if method == "exact":
-        return _exact_cost(a, b)
-    return _sinkhorn_cost(a, b, epsilon_scale)
-
-
-def resolve_wass_method(method: str, m: int) -> str:
-    if method == "auto":
-        return "exact" if m <= EXACT_SIZE_LIMIT else "sinkhorn"
-    if method not in ("exact", "sinkhorn"):
-        raise ValueError(f"unknown Wasserstein method {method!r}")
-    return method
-
-
-def evaluate(
-    ds: TabularDataset,
-    imputed: np.ndarray,
-    method: str = "auto",
-) -> MetricReport:
+def evaluate(ds: TabularDataset, imputed: np.ndarray) -> MetricReport:
     """Full report against ds.truth: MAE over missing cells, Wasserstein
     over the rows that have at least one missing cell."""
     if ds.truth is None:
@@ -239,12 +86,9 @@ def evaluate(
     if m0 == 0:
         raise ValueError("no missing cells: metrics are undefined")
     incomplete_rows = missing.any(axis=1)
-    m1 = int(incomplete_rows.sum())
-    method = resolve_wass_method(method, m1)
     return MetricReport(
         mae=mae(ds.truth, imputed, ds.mask),
-        wass=wasserstein2(ds.truth[incomplete_rows], imputed[incomplete_rows], method),
+        wass=wasserstein2(ds.truth[incomplete_rows], imputed[incomplete_rows]),
         m0=m0,
-        m1=m1,
-        wass_method=method,
+        m1=int(incomplete_rows.sum()),
     )

@@ -111,9 +111,6 @@ class TabularDataset:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def observed_column_counts(self) -> np.ndarray:
-        return self.mask.sum(axis=0)
-
 
 def from_complete(
     truth: np.ndarray,
@@ -233,12 +230,16 @@ def write_mask_csv(path: str, mask: np.ndarray) -> None:
             writer.writerow([str(int(v)) for v in row])
 
 
+def observed_column_means(ds: TabularDataset) -> np.ndarray:
+    """Per-column mean of the observed cells; every column must have one."""
+    empty = np.flatnonzero(~ds.mask.any(axis=0))
+    if empty.size:
+        raise ValueError(f"column {int(empty[0])} has no observed entries")
+    return np.nanmean(ds.values, axis=0)
+
+
 def _observed_stats(ds: TabularDataset) -> StandardizationStats:
-    counts = ds.observed_column_counts()
-    if np.any(counts < 1):
-        bad = int(np.argmin(counts))
-        raise ValueError(f"column {bad} has no observed entries")
-    mean = np.nanmean(ds.values, axis=0)
+    mean = observed_column_means(ds)
     std = np.empty(ds.n_cols, dtype=np.float64)
     for d in range(ds.n_cols):
         col = ds.values[ds.mask[:, d] == 1.0, d]
@@ -262,13 +263,6 @@ def standardize(ds: TabularDataset) -> tuple[TabularDataset, StandardizationStat
     )
 
 
-def destandardize(ds: TabularDataset, stats: StandardizationStats) -> TabularDataset:
-    """Inverse of standardize for a dataset produced with the same stats."""
-    values = stats.invert(ds.values)
-    truth = stats.invert(ds.truth) if ds.truth is not None else None
-    return replace(ds, values=values, truth=truth)
-
-
 def initialize_missing(
     ds: TabularDataset,
     seed: int,
@@ -280,12 +274,8 @@ def initialize_missing(
     The jitter keeps initial particles distinct so kernel interactions are
     non-degenerate. Deterministic for a fixed seed.
     """
-    counts = ds.observed_column_counts()
-    if np.any(counts < 1):
-        bad = int(np.argmin(counts))
-        raise ValueError(f"column {bad} has no observed entries")
+    means = observed_column_means(ds)
     rng = np.random.default_rng(seed)
-    means = np.nanmean(ds.values, axis=0)
     noise = noise_scale * rng.standard_normal(ds.values.shape)
     filled = np.broadcast_to(means, ds.values.shape) + noise
     return np.where(ds.mask == 1.0, ds.values, filled)

@@ -92,6 +92,14 @@ class TestImpute:
         ])
         return code, out, sim
 
+    def test_kernel_grad_masking_flag_is_usage_error(self, tmp_path, complete_csv):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "impute", "--input", complete_csv, "--has-header",
+                "--output", str(tmp_path / "im.csv"), "--no-kernel-grad-masking",
+            ])
+        assert exc.value.code == 1
+
     def test_output_has_no_missing_cells(self, tmp_path, complete_csv):
         code, out, _ = self.run_pipeline(tmp_path, complete_csv)
         assert code == 0
@@ -171,7 +179,7 @@ class TestEvaluate:
             "--output", report_path,
         ]) == 0
         report = json.loads(read(report_path))
-        assert set(report) == {"mae", "wass", "m0", "m1", "wass_method"}
+        assert set(report) == {"mae", "wass", "m0", "m1"}
         assert report["mae"] == 0.0
         assert report["wass"] == 0.0
 
@@ -194,6 +202,17 @@ class TestEvaluate:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["m0"] > 0
+
+
+    def test_wass_method_flag_is_usage_error(self, tmp_path, complete_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
+                "--has-header", "--mask", str(tmp_path / "mask.csv"),
+                "--wass-method", "exact",
+            ])
+        assert exc.value.code == 1
+        assert "--wass-method" in capsys.readouterr().err
 
 
 class TestExperiment:

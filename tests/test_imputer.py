@@ -11,9 +11,10 @@ from knewimp.imputer import (
     mean_impute,
     velocity,
 )
-from knewimp.kernel import KernelConfig, grad_gram_second, median_bandwidth
+from knewimp.kernel import KernelConfig, median_bandwidth
 from knewimp.score import DsmConfig, forward, init_network, train
 from knewimp.tabular import TabularDataset, from_complete, initialize_missing, standardize
+from oracles import grad_gram_second
 
 KCFG = KernelConfig(bandwidth=1.0)
 
@@ -74,24 +75,6 @@ class TestVelocity:
             v = velocity(x, mask, net, KernelConfig(bandwidth=0.5), ner_weight=1.0)
             assert np.all(v[mask == 1.0] == 0.0)
 
-    def test_source_row_masking_flag(self):
-        # With one particle fully observed, masking the kernel gradient by
-        # the source row removes its pull; the unmasked variant keeps it.
-        x = np.array([[0.0], [2.0]])
-        mask = np.array([[0.0], [1.0]])
-        masked = velocity(x, mask, zero_score, KCFG, 1.0, mask_kernel_gradient=True)
-        unmasked = velocity(x, mask, zero_score, KCFG, 1.0, mask_kernel_gradient=False)
-        assert masked[0, 0] == pytest.approx(0.0, abs=1e-15)
-        assert unmasked[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-12)
-
-    def test_variants_coincide_on_uniform_missingness(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((9, 3))
-        mask = np.zeros((9, 3))
-        a = velocity(x, mask, gaussian_score, KCFG, 0.7, mask_kernel_gradient=True)
-        b = velocity(x, mask, gaussian_score, KCFG, 0.7, mask_kernel_gradient=False)
-        assert a == pytest.approx(b, rel=1e-12)
-
     def test_pairwise_distance_shrinks_under_attraction(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -102,23 +85,21 @@ class TestVelocity:
             assert np.linalg.norm(stepped[0] - stepped[1]) < np.linalg.norm(x[0] - x[1])
 
 
-def reference_velocity(x, mask, net, h, ner_weight, mask_kernel_gradient=True):
+def reference_velocity(x, mask, net, h, ner_weight):
     """The velocity as its literal double sum; independent oracle.
 
     v_i = (1/N) sum_j [G_ij s_j - ner_weight grad_y K(x_i, x_j) ⊙ f_j] ⊙ f_i,
-    where f = 1 - mask (all ones in the attraction when the kernel gradient
-    is not masked) and s_j is the masked score.
+    where f = 1 - mask and s_j is the masked score.
     """
     n = x.shape[0]
     free = 1.0 - mask
     scores = forward(net, x) * free
-    f_src = free if mask_kernel_gradient else np.ones_like(x)
     v = np.zeros_like(x)
     for i in range(n):
         for j in range(n):
             diff = x[i] - x[j]
             g_ij = np.exp(-(diff @ diff) / (2.0 * h * h))
-            v[i] += g_ij * scores[j] - ner_weight * grad_gram_second(x[i], x[j], h) * f_src[j]
+            v[i] += g_ij * scores[j] - ner_weight * grad_gram_second(x[i], x[j], h) * free[j]
     return v / n * free
 
 
@@ -127,8 +108,7 @@ TILE_HEIGHTS = (1, 7, imputer_mod._TILE_ROWS, 10_000)
 
 class TestVelocityOracle:
     @pytest.mark.parametrize("tile", TILE_HEIGHTS)
-    @pytest.mark.parametrize("mask_kernel_gradient", (True, False))
-    def test_matches_double_sum(self, monkeypatch, tile, mask_kernel_gradient):
+    def test_matches_double_sum(self, monkeypatch, tile):
         monkeypatch.setattr(imputer_mod, "_TILE_ROWS", tile)
         rng = np.random.default_rng(31)
         for trial in range(12):
@@ -145,8 +125,8 @@ class TestVelocityOracle:
             )
             h = median_bandwidth(x) if use_median else kcfg.bandwidth
             lam = float(rng.uniform(0.0, 3.0))
-            v = velocity(x, mask, net, kcfg, lam, mask_kernel_gradient)
-            ref = reference_velocity(x, mask, net, h, lam, mask_kernel_gradient)
+            v = velocity(x, mask, net, kcfg, lam)
+            ref = reference_velocity(x, mask, net, h, lam)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_complete_and_empty_masks(self):

@@ -2,16 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from knewimp.metrics import (
-    MetricReport,
-    evaluate,
-    mae,
-    resolve_wass_method,
-    wasserstein2,
-    wasserstein2_bruteforce,
-)
+from knewimp.metrics import MetricReport, evaluate, mae, wasserstein2
 from knewimp.tabular import from_complete
+from oracles import wasserstein2_bruteforce
 
 
 class TestMae:
@@ -68,16 +63,16 @@ class TestExact:
     def test_two_diracs(self):
         a = np.array([[0.0]])
         b = np.array([[2.5]])
-        assert wasserstein2(a, b, "exact") == pytest.approx(6.25)
+        assert wasserstein2(a, b) == pytest.approx(6.25)
 
     def test_identical_clouds(self):
         x = np.random.default_rng(3).standard_normal((10, 3))
-        assert wasserstein2(x, x.copy(), "exact") == 0.0
+        assert wasserstein2(x, x.copy()) == 0.0
 
     def test_interleaved_pairs(self):
         a = np.array([[0.0, 0.0], [2.0, 0.0]])
         b = np.array([[1.0, 0.0], [3.0, 0.0]])
-        assert wasserstein2(a, b, "exact") == pytest.approx(1.0)
+        assert wasserstein2(a, b) == pytest.approx(1.0)
         assert wasserstein2_bruteforce(a, b) == pytest.approx(1.0)
 
     def test_equals_brute_force_on_random_instances(self):
@@ -87,7 +82,7 @@ class TestExact:
             d = int(rng.integers(1, 4))
             a = rng.standard_normal((m, d))
             b = rng.standard_normal((m, d))
-            exact = wasserstein2(a, b, "exact")
+            exact = wasserstein2(a, b)
             brute = wasserstein2_bruteforce(a, b)
             assert abs(exact - brute) <= 1e-9
 
@@ -95,57 +90,27 @@ class TestExact:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 3))
         b = rng.standard_normal((12, 3))
-        assert wasserstein2(a, b, "exact") == pytest.approx(
-            wasserstein2(b, a, "exact"), abs=1e-12
+        assert wasserstein2(a, b) == pytest.approx(
+            wasserstein2(b, a), abs=1e-12
         )
 
     def test_identity_of_indiscernibles(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             a = rng.standard_normal((6, 2))
-            assert wasserstein2(a, np.flipud(a), "exact") == pytest.approx(0.0, abs=1e-12)
+            assert wasserstein2(a, np.flipud(a)) == pytest.approx(0.0, abs=1e-12)
             b = a + rng.standard_normal((6, 2)) * 0.1
-            assert wasserstein2(a, b, "exact") > 0.0
+            assert wasserstein2(a, b) > 0.0
 
     def test_scale_by_power_of_two_is_exact(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((9, 3))
         b = rng.standard_normal((9, 3))
-        assert wasserstein2(2.0 * a, 2.0 * b, "exact") == 4.0 * wasserstein2(a, b, "exact")
+        assert wasserstein2(2.0 * a, 2.0 * b) == 4.0 * wasserstein2(a, b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             wasserstein2(np.zeros((2, 2)), np.zeros((3, 2)))
-
-
-class TestSinkhorn:
-    def test_within_five_percent_of_exact(self):
-        rng = np.random.default_rng(8)
-        for d in (2, 3, 8):
-            a = rng.standard_normal((64, d))
-            b = rng.standard_normal((64, d))
-            exact = wasserstein2(a, b, "exact")
-            approx = wasserstein2(a, b, "sinkhorn")
-            assert abs(approx - exact) / max(exact, 1e-9) <= 0.05
-
-    def test_identical_clouds_near_zero(self):
-        x = np.random.default_rng(9).standard_normal((16, 2))
-        assert wasserstein2(x, x.copy(), "sinkhorn") == pytest.approx(0.0, abs=1e-9)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((8, 2))
-        b = a + 0.01 * rng.standard_normal((8, 2))
-        assert wasserstein2(a, b, "sinkhorn") >= 0.0
-
-
-class TestDispatch:
-    def test_resolve(self):
-        assert resolve_wass_method("auto", 10) == "exact"
-        assert resolve_wass_method("auto", 513) == "sinkhorn"
-        assert resolve_wass_method("exact", 10_000) == "exact"
-        with pytest.raises(ValueError):
-            resolve_wass_method("fancy", 3)
 
 
 class TestEvaluate:
@@ -173,7 +138,7 @@ class TestEvaluate:
         imputed[2, 0] -= 2.0
         report = evaluate(ds, imputed)
         rows = [0, 2]
-        by_hand = wasserstein2(ds.truth[rows], imputed[rows], "exact")
+        by_hand = wasserstein2(ds.truth[rows], imputed[rows])
         assert report.wass == pytest.approx(by_hand, abs=1e-12)
         assert report.m1 == 2
 
@@ -191,8 +156,23 @@ class TestEvaluate:
             evaluate(ds_no_truth, ds.truth)
 
     def test_json_schema(self):
-        report = MetricReport(mae=0.5, wass=0.25, m0=3, m1=2, wass_method="exact")
+        report = MetricReport(mae=0.5, wass=0.25, m0=3, m1=2)
         payload = json.loads(report.to_json())
-        assert set(payload) == {"mae", "wass", "m0", "m1", "wass_method"}
+        assert set(payload) == {"mae", "wass", "m0", "m1"}
         assert payload["mae"] == 0.5
-        assert payload["wass_method"] == "exact"
+
+    def test_large_cloud_is_solved_exactly(self):
+        # 600 incomplete rows: the assignment solver runs at every size, so
+        # the report equals an assignment computed here from scratch.
+        rng = np.random.default_rng(11)
+        n, d = 600, 2
+        truth = rng.standard_normal((n, d))
+        mask = np.ones((n, d))
+        mask[np.arange(n), rng.integers(0, d, n)] = 0.0
+        ds = from_complete(truth, mask)
+        imputed = np.where(mask == 1.0, truth, rng.standard_normal((n, d)))
+        report = evaluate(ds, imputed)
+        cost = ((truth[:, None, :] - imputed[None, :, :]) ** 2).sum(axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        assert report.m1 == n
+        assert abs(report.wass - cost[rows, cols].mean()) <= 1e-12

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from knewimp.imputer import mean_impute
 from knewimp.tabular import (
     CsvFormatError,
     StandardizationStats,
     TabularDataset,
-    destandardize,
     from_complete,
     initialize_missing,
     load_csv,
@@ -143,9 +143,9 @@ class TestStandardize:
         mask[0] = 1.0
         ds = from_complete(truth, mask)
         out, stats = standardize(ds)
-        back = destandardize(out, stats)
+        back = stats.invert(out.values)
         obs = ds.mask == 1.0
-        rel = np.abs(back.values[obs] - ds.values[obs]) / np.maximum(
+        rel = np.abs(back[obs] - ds.values[obs]) / np.maximum(
             np.abs(ds.values[obs]), 1.0
         )
         assert rel.max() < 1e-12
@@ -228,3 +228,15 @@ class TestInitializeMissing:
         ds = TabularDataset(values=values, mask=mask)
         with pytest.raises(ValueError, match="no observed entries"):
             initialize_missing(ds, seed=0)
+
+
+@pytest.mark.parametrize(
+    "fill",
+    (standardize, lambda ds: initialize_missing(ds, seed=0), mean_impute),
+    ids=("standardize", "initialize_missing", "mean_impute"),
+)
+def test_empty_column_is_named(fill):
+    values = np.array([[1.0, np.nan, 2.0], [3.0, np.nan, np.nan]])
+    ds = TabularDataset(values=values, mask=(~np.isnan(values)).astype(float))
+    with pytest.raises(ValueError, match="column 1 has no observed entries"):
+        fill(ds)
