@@ -14,7 +14,6 @@ from .imputer import (
     WgfConfig,
     euler_impute,
     knewimp,
-    masked_score,
     mean_impute,
     velocity,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "knewimp",
     "load_csv",
     "mae",
-    "masked_score",
     "mean_impute",
     "median_bandwidth",
     "simulate_mar",

@@ -2,12 +2,14 @@
 
 Subcommands: simulate (draw a missingness mask over complete data), impute
 (fill a masked CSV), evaluate (score an imputed CSV against ground truth),
-experiment (simulate + impute + evaluate across seeds, with a mean-fill
-baseline), and benchmark (phase timings over a synthetic size grid).
+and experiment (simulate + impute + evaluate across seeds, with a mean-fill
+baseline). Timings come from the benchmark, `python3 bench/run.py`.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/data error. All commands
 are deterministic given their full flag set. A JSON config file may supply
-any flag value; explicit flags win.
+any flag value; explicit flags win. A model or mechanism setting that
+neither sets keeps the default of the object that owns it (DsmConfig,
+KernelConfig, WgfConfig, knewimp(), MissingSpec).
 """
 
 from __future__ import annotations
@@ -37,25 +39,12 @@ from .tabular import (
     write_mask_csv,
 )
 
+# Defaults of the flags that no library object owns.
 DEFAULTS = {
+    "mechanism": "mcar",
     "rate": 0.3,
-    "observed_fraction": 0.3,
-    "overlay_rate": None,
-    "ner_weight": 1.0,
-    "step_size": 0.1,
-    "steps": 500,
-    "loops": 2,
-    "epochs": 200,
-    "sigma": 0.1,
-    "lr": 1e-3,
-    "hidden": 256,
-    "bandwidth": 0.5,
-    "median_bandwidth": False,
-    "record_every": 25,
     "seed": 0,
     "seeds": "0,1,2,3,4",
-    "sizes": "250,500",
-    "dims": "4",
     "has_header": False,
 }
 
@@ -134,14 +123,6 @@ def build_parser() -> _Parser:
     p.add_argument("--output-dir", required=True)
     _add_model_options(p)
 
-    p = sub.add_parser("benchmark", help="time the two phases over a synthetic grid")
-    p.add_argument("--sizes", help="comma-separated row counts")
-    p.add_argument("--dims", help="comma-separated column counts")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", help="timing JSON path (stdout if omitted)")
-    _add_model_options(p)
-
     return parser
 
 
@@ -156,34 +137,40 @@ def _resolve(args: argparse.Namespace, key: str):
     return DEFAULTS.get(key)
 
 
-def _build_configs(args: argparse.Namespace):
-    dcfg = DsmConfig(
-        sigma=_resolve(args, "sigma"),
-        epochs=_resolve(args, "epochs"),
-        lr=_resolve(args, "lr"),
-        seed=_resolve(args, "seed"),
-    )
-    kcfg = KernelConfig(
-        bandwidth=_resolve(args, "bandwidth"),
-        use_median_heuristic=bool(_resolve(args, "median_bandwidth")),
-    )
-    wcfg = WgfConfig(
-        ner_weight=_resolve(args, "ner_weight"),
-        step_size=_resolve(args, "step_size"),
-        num_steps=_resolve(args, "steps"),
-        num_loops=_resolve(args, "loops"),
-        record_every=_resolve(args, "record_every"),
-    )
-    return dcfg, kcfg, int(_resolve(args, "hidden")), wcfg
+def _given(args: argparse.Namespace, **fields: str) -> dict:
+    """{field: value} for each key in fields that a flag or the config file sets."""
+    given = {}
+    for key, field in fields.items():
+        value = _resolve(args, key)
+        if value is not None:
+            given[field] = value
+    return given
+
+
+def _build_configs(args: argparse.Namespace) -> dict:
+    """knewimp() keyword arguments from the model flags; an unset field keeps
+    the default of the object that owns it."""
+    return {
+        "dcfg": DsmConfig(**_given(args, sigma="sigma", epochs="epochs", lr="lr")),
+        "kcfg": KernelConfig(**_given(
+            args, bandwidth="bandwidth", median_bandwidth="use_median_heuristic",
+        )),
+        "wcfg": WgfConfig(**_given(
+            args, ner_weight="ner_weight", step_size="step_size", steps="num_steps",
+            loops="num_loops", record_every="record_every",
+        )),
+        **_given(args, hidden="hidden"),
+    }
 
 
 def _missing_spec(args: argparse.Namespace, seed: int) -> MissingSpec:
     return MissingSpec(
-        mechanism=Mechanism(_resolve(args, "mechanism") or "mcar"),
+        mechanism=Mechanism(_resolve(args, "mechanism")),
         rate=_resolve(args, "rate"),
-        observed_fraction=_resolve(args, "observed_fraction"),
-        mcar_overlay_rate=_resolve(args, "overlay_rate"),
         seed=seed,
+        **_given(
+            args, observed_fraction="observed_fraction", overlay_rate="mcar_overlay_rate",
+        ),
     )
 
 
@@ -220,7 +207,7 @@ def _load_masked_input(args: argparse.Namespace) -> TabularDataset:
 
 
 def cmd_impute(args: argparse.Namespace) -> int:
-    dcfg, kcfg, hidden, wcfg = _build_configs(args)
+    model = _build_configs(args)
     ds = _load_masked_input(args)
     if args.truth:
         truth = load_csv(args.truth, has_header=bool(_resolve(args, "has_header")))
@@ -231,8 +218,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     ds_std, stats = standardize(ds)
     net0 = load_network(args.load_net) if args.load_net else None
     result = knewimp(
-        ds_std, dcfg, kcfg, wcfg, hidden=hidden, seed=int(_resolve(args, "seed")),
-        initial_net=net0,
+        ds_std, **model, seed=int(_resolve(args, "seed")), initial_net=net0
     )
     if args.save_net:
         save_network(args.save_net, result.network)
@@ -285,12 +271,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_seed(truth_ds, args, dcfg, kcfg, wcfg, hidden, seed):
+def _experiment_seed(truth_ds, args, model, seed):
     spec = _missing_spec(args, seed)
     mask = simulate(truth_ds.values, spec)
     ds = from_complete(truth_ds.values, mask, truth_ds.column_names)
     ds_std, _ = standardize(ds)
-    result = knewimp(ds_std, dcfg, kcfg, wcfg, hidden=hidden, seed=seed)
+    result = knewimp(ds_std, **model, seed=seed)
     report_model = metrics_mod.evaluate(ds_std, result.imputed)
     report_mean = metrics_mod.evaluate(ds_std, mean_impute(ds_std))
     return {
@@ -317,7 +303,7 @@ def _aggregate(values: list[float]) -> dict:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    dcfg, kcfg, hidden, wcfg = _build_configs(args)
+    model = _build_configs(args)
     seeds = [int(s) for s in str(_resolve(args, "seeds")).split(",") if s.strip()]
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -329,7 +315,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     def run_one(seed: int):
         try:
-            return _experiment_seed(truth_ds, args, dcfg, kcfg, wcfg, hidden, seed)
+            return _experiment_seed(truth_ds, args, model, seed)
         except Exception as exc:
             raise RuntimeError(f"seed {seed} failed: {exc}") from exc
 
@@ -342,7 +328,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     summary = {
         "input": args.input,
-        "mechanism": _resolve(args, "mechanism") or "mcar",
+        "mechanism": _resolve(args, "mechanism"),
         "rate": _resolve(args, "rate"),
         "seeds": seeds,
         "methods": {
@@ -359,50 +345,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synthetic_matrix(n: int, d: int, seed: int) -> np.ndarray:
-    """Correlated Gaussian benchmark data with an AR(1)-style covariance."""
-    rng = np.random.default_rng(seed)
-    rho = 0.6
-    cov = rho ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-    chol = np.linalg.cholesky(cov)
-    return rng.standard_normal((n, d)) @ chol.T
-
-
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    dcfg, kcfg, hidden, wcfg = _build_configs(args)
-    sizes = [int(s) for s in str(_resolve(args, "sizes")).split(",") if s.strip()]
-    dims = [int(s) for s in str(_resolve(args, "dims")).split(",") if s.strip()]
-    rate = _resolve(args, "rate")
-    seed = int(_resolve(args, "seed"))
-    records = []
-    for n in sizes:
-        for d in dims:
-            truth = _synthetic_matrix(n, d, seed)
-            spec = MissingSpec(mechanism=Mechanism.MCAR, rate=rate, seed=seed)
-            mask = simulate(truth, spec)
-            ds_std, _ = standardize(from_complete(truth, mask))
-            result = knewimp(ds_std, dcfg, kcfg, wcfg, hidden=hidden, seed=seed)
-            records.append({
-                "n": n,
-                "d": d,
-                "estimate_seconds": result.estimate_seconds,
-                "impute_seconds": result.impute_seconds,
-                "estimate_dominates": result.estimate_seconds > result.impute_seconds,
-            })
-    payload = json.dumps(records, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
-        print(payload, end="")
-    return 0
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "impute": cmd_impute,
     "evaluate": cmd_evaluate,
     "experiment": cmd_experiment,
-    "benchmark": cmd_benchmark,
 }
 
 
@@ -434,9 +381,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _validate_flags(parser: _Parser, args: argparse.Namespace) -> None:
     """Range-check numeric flags so bad values exit as usage errors."""
     try:
-        if args.command in ("simulate", "experiment", "benchmark"):
+        if args.command in ("simulate", "experiment"):
             _missing_spec(args, 0)
-        if args.command in ("impute", "experiment", "benchmark"):
+        if args.command in ("impute", "experiment"):
             _build_configs(args)
     except ValueError as exc:
         parser.error(str(exc))

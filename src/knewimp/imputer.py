@@ -99,15 +99,6 @@ def _eval_score(score: ScoreFn, x: np.ndarray) -> np.ndarray:
     return np.asarray(score(x), dtype=np.float64)
 
 
-def masked_score(score: ScoreFn, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Score estimates with observed coordinates zeroed exactly."""
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.shape:
-        raise ValueError(f"mask shape {mask.shape} != data shape {x.shape}")
-    return _eval_score(score, x) * (1.0 - mask)
-
-
 def velocity(
     x: np.ndarray,
     mask: np.ndarray,

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .score import sigmoid
+
 MAX_MASK_ATTEMPTS = 100
 
 
@@ -58,15 +60,6 @@ class MissingSpec:
         return self.rate if self.mcar_overlay_rate is None else self.mcar_overlay_rate
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def calibrate_bias(logits: np.ndarray, target_rate: float, tol: float = 1e-6) -> float:
     """Bias b with mean(sigmoid(logits + b)) within tol of target_rate.
 
@@ -78,7 +71,7 @@ def calibrate_bias(logits: np.ndarray, target_rate: float, tol: float = 1e-6) ->
     logits = np.asarray(logits, dtype=np.float64).ravel()
 
     def mean_prob(b: float) -> float:
-        return float(_sigmoid(logits + b).mean())
+        return float(sigmoid(logits + b).mean())
 
     lo, hi = -1.0, 1.0
     while mean_prob(lo) > target_rate:
@@ -136,7 +129,7 @@ def _mar_attempt(
     weights = weight_scale * rng.standard_normal((k, maskable_cols.size))
     logits = inputs @ weights
     bias = calibrate_bias(logits, spec.rate)
-    prob_missing = _sigmoid(logits + bias)
+    prob_missing = sigmoid(logits + bias)
     draws = rng.random((n, maskable_cols.size))
     mask = np.ones((n, d), dtype=np.float64)
     mask[:, maskable_cols] = (draws >= prob_missing).astype(np.float64)
@@ -144,9 +137,14 @@ def _mar_attempt(
 
 
 def _guarded(build, seed: int) -> np.ndarray:
-    """Redraw with an incremented seed until no column is fully missing."""
-    for attempt in range(MAX_MASK_ATTEMPTS):
-        mask = build(seed + attempt)
+    """Redraw until no column is fully missing.
+
+    Every attempt draws from one generator seeded once, so a retry continues
+    that seed's stream instead of repeating the next seed's first draw.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_MASK_ATTEMPTS):
+        mask = build(rng)
         if np.all(mask.sum(axis=0) >= 1.0):
             return mask
         last = mask
@@ -170,8 +168,8 @@ def simulate_mar(
     """
     truth = _check_complete(truth)
 
-    def build(seed: int) -> np.ndarray:
-        mask, _ = _mar_attempt(truth, spec, np.random.default_rng(seed), weight_scale)
+    def build(rng: np.random.Generator) -> np.ndarray:
+        mask, _ = _mar_attempt(truth, spec, rng, weight_scale)
         return mask
 
     return _guarded(build, spec.seed)
@@ -187,8 +185,7 @@ def simulate_mnar(
     that are themselves unobserved."""
     truth = _check_complete(truth)
 
-    def build(seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
+    def build(rng: np.random.Generator) -> np.ndarray:
         mask, observed_cols = _mar_attempt(truth, spec, rng, weight_scale)
         overlay_draws = rng.random((truth.shape[0], observed_cols.size))
         overlay = (overlay_draws >= spec.overlay_rate).astype(np.float64)

@@ -27,9 +27,6 @@ class DsmConfig:
     sigma: float = 0.1
     epochs: int = 200
     lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -85,8 +82,8 @@ def init_network(d: int, hidden: int, seed: int) -> ScoreNetwork:
     return ScoreNetwork(weights=weights, biases=biases)
 
 
-def _swish(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (swish(z), sigmoid(z)); the sigmoid is reused in backprop.
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)), elementwise.
 
     exp(-z) overflows to inf for z below about -709, which yields the
     correct limit sigmoid = 0, so the overflow warning is silenced.
@@ -95,6 +92,12 @@ def _swish(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sig = np.exp(-z)
     sig += 1.0
     np.reciprocal(sig, out=sig)
+    return sig
+
+
+def _swish(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (swish(z), sigmoid(z)); the sigmoid is reused in backprop."""
+    sig = sigmoid(z)
     return z * sig, sig
 
 
@@ -213,7 +216,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     net = net.copy()
     params = net.parameters()
-    opt = Adam(params, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = Adam(params, cfg.lr)
     history: list[float] = []
     for epoch in range(cfg.epochs):
         noise = cfg.sigma * rng.standard_normal(x.shape)

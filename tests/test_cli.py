@@ -1,9 +1,13 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from knewimp.cli import main
+from knewimp.cli import _build_configs, build_parser, main
+from knewimp.imputer import WgfConfig, knewimp
+from knewimp.kernel import KernelConfig
+from knewimp.score import DsmConfig
 from knewimp.tabular import load_csv, load_mask_csv, write_csv
 
 FAST = [
@@ -260,20 +264,19 @@ class TestExperiment:
         assert read(out_serial / "summary.json") == read(out_parallel / "summary.json")
 
 
-class TestBenchmark:
-    def test_grid_records(self, tmp_path, capsys):
-        out = str(tmp_path / "bench.json")
-        assert main([
-            "benchmark", "--sizes", "40,60", "--dims", "3",
-            "--steps", "5", "--epochs", "5", "--loops", "1",
-            "--hidden", "8", "--seed", "0", "--output", out,
-        ]) == 0
-        records = json.loads(read(out))
-        assert len(records) == 2
-        for record in records:
-            assert record["estimate_seconds"] > 0.0
-            assert record["impute_seconds"] > 0.0
-            assert isinstance(record["estimate_dominates"], bool)
+class TestRetiredBenchmark:
+    def test_benchmark_subcommand_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--sizes", "40", "--output", str(tmp_path / "b.json")])
+        assert exc.value.code == 1
+
+
+class TestModelDefaults:
+    def test_flagless_impute_uses_owner_defaults(self):
+        args = build_parser().parse_args(["impute", "--input", "a.csv", "--output", "b.csv"])
+        model = _build_configs(args)
+        assert model == {"dcfg": DsmConfig(), "kcfg": KernelConfig(), "wcfg": WgfConfig()}
+        assert inspect.signature(knewimp).parameters["hidden"].default == 256
 
 
 class TestConfigFile:
@@ -295,3 +298,25 @@ class TestConfigFile:
         ]) == 0
         mask_b = load_mask_csv(str(out_b / "mask.csv"))
         assert 1.0 - mask_b.mean() < 0.25  # flag overrides config
+
+    def test_config_model_key_and_flag_precedence(self, tmp_path, complete_csv):
+        sim = tmp_path / "sim"
+        main([
+            "simulate", "--input", complete_csv, "--has-header",
+            "--rate", "0.3", "--seed", "9", "--output-dir", str(sim),
+        ])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 3}), encoding="utf-8")
+        fast = ["--loops", "1", "--epochs", "2", "--hidden", "8"]
+
+        def last_step(extra):
+            traj = tmp_path / "traj.csv"
+            assert main([
+                "--config", str(cfg), "impute", "--input", str(sim / "masked.csv"),
+                "--has-header", "--truth", complete_csv, "--trajectory", str(traj),
+                "--output", str(tmp_path / "im.csv"), *fast, *extra,
+            ]) == 0
+            return int(read(traj).strip().splitlines()[-1].split(",")[0])
+
+        assert last_step([]) == 3  # config steps replace the default 500
+        assert last_step(["--steps", "4"]) == 4  # flag overrides config

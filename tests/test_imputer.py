@@ -7,7 +7,6 @@ from knewimp.imputer import (
     WgfConfig,
     euler_impute,
     knewimp,
-    masked_score,
     mean_impute,
     velocity,
 )
@@ -27,31 +26,13 @@ def gaussian_score(x):
     return -x
 
 
-class TestMaskedScore:
-    def test_observed_coordinates_zeroed(self):
-        score = lambda x: np.array([[0.5, -0.2]])
-        out = masked_score(score, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
-        assert out.tolist() == [[0.0, -0.2]]
-
-    def test_all_observed_gives_zero_matrix(self):
-        net = init_network(3, 8, seed=0)
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        out = masked_score(net, x, np.ones((4, 3)))
-        assert np.all(out == 0.0)
-
-    def test_all_missing_gives_raw_forward(self):
-        net = init_network(3, 8, seed=1)
-        x = np.random.default_rng(1).standard_normal((4, 3))
-        assert np.array_equal(masked_score(net, x, np.zeros((4, 3))), forward(net, x))
-
-
 class TestVelocity:
     def test_single_particle_equals_masked_score(self):
         net = init_network(2, 8, seed=2)
         x = np.array([[0.7, -0.3]])
         mask = np.array([[0.0, 0.0]])
         v = velocity(x, mask, net, KCFG, ner_weight=3.0)
-        assert v == pytest.approx(masked_score(net, x, mask), rel=1e-14)
+        assert v == pytest.approx(forward(net, x), rel=1e-14)
 
     def test_two_particle_attraction_value(self):
         # Zero score, two free 1-D particles at 0 and 2, h=1: each particle

@@ -4,6 +4,7 @@ import pytest
 from knewimp.missingness import (
     Mechanism,
     MissingSpec,
+    _mar_attempt,
     calibrate_bias,
     simulate,
     simulate_mar,
@@ -128,6 +129,23 @@ class TestMar:
         truth[0, 0] = np.nan
         with pytest.raises(ValueError, match="complete"):
             simulate_mar(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=0))
+
+    def test_retry_does_not_repeat_next_seed(self):
+        # On 10 rows at rate 0.75 a maskable column often goes fully missing,
+        # so many seeds need a second draw; it must not be seed s+1's first.
+        truth = make_truth(n=10, d=4, seed=10)
+        rate = 0.75
+
+        def first_draw(seed):
+            spec = MissingSpec(Mechanism.MAR, rate=rate, seed=seed)
+            mask, _ = _mar_attempt(truth, spec, np.random.default_rng(seed), 1.0)
+            return mask
+
+        retried = [s for s in range(200) if (first_draw(s).max(axis=0) == 0.0).any()]
+        assert len(retried) >= 5
+        for s in retried:
+            mask = simulate_mar(truth, MissingSpec(Mechanism.MAR, rate=rate, seed=s))
+            assert not np.array_equal(mask, first_draw(s + 1))
 
 
 class TestMnar:
