@@ -7,9 +7,10 @@ baseline). Timings come from the benchmark, `python3 bench/run.py`.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/data error. All commands
 are deterministic given their full flag set. A JSON config file may supply
-any flag value; explicit flags win. A model or mechanism setting that
-neither sets keeps the default of the object that owns it (DsmConfig,
-KernelConfig, WgfConfig, knewimp(), MissingSpec).
+any flag value, keyed by the flag's destination name and checked like the
+flag; explicit flags win. A model or mechanism setting that neither sets
+keeps the default of the object that owns it (DsmConfig, KernelConfig,
+WgfConfig, knewimp(), MissingSpec).
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ DEFAULTS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
+
+    commands: dict[str, argparse.ArgumentParser]  # subcommand parsers, top level only
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -97,8 +100,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output-dir", default=".", help="where mask.csv/masked.csv go")
 
     p = sub.add_parser("impute", help="fill the missing cells of a CSV")
-    p.add_argument("--input", required=True, help="CSV with missing cells")
-    p.add_argument("--mask", help="0/1 mask CSV (inferred from empty cells if omitted)")
+    p.add_argument("--input", required=True, help="CSV whose empty cells are missing")
     p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
     p.add_argument("--output", required=True, help="imputed CSV path")
     p.add_argument("--trajectory", help="per-step metric CSV (needs --truth)")
@@ -123,6 +125,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output-dir", required=True)
     _add_model_options(p)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -135,6 +138,40 @@ def _resolve(args: argparse.Namespace, key: str):
     if key in config:
         return config[key]
     return DEFAULTS.get(key)
+
+
+def _check_config(parser: _Parser, config: dict) -> dict:
+    """The config values, each converted as if typed after its flag.
+
+    A key is the destination name of a flag of any subcommand (ner_weight
+    for --lambda), so one file can serve several subcommands. A switch takes
+    JSON true or false. A bad key or value is a usage error naming the key.
+    """
+    flags = {a.dest: a for sub in parser.commands.values() for a in sub._actions
+             if a.option_strings and a.dest != "help"}
+    dests = {f: a.dest for a in flags.values() for f in a.option_strings}
+    checked = {}
+    for key, value in config.items():
+        action = flags.get(key)
+        if action is None:
+            dest = dests.get("--" + key)
+            hint = f"; the key of --{key} is {dest!r}" if dest else ""
+            parser.error(f"config key {key!r} names no flag{hint}")
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                parser.error(f"config key {key!r} ({flag}) must be true or false")
+            checked[key] = value
+            continue
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ValueError
+            checked[key] = (action.type or str)(str(value))
+        except ValueError:
+            parser.error(f"config key {key!r}: invalid {flag} value {value!r}")
+        if action.choices is not None and checked[key] not in action.choices:
+            parser.error(f"config key {key!r}: {flag} takes one of {action.choices}")
+    return checked
 
 
 def _given(args: argparse.Namespace, **fields: str) -> dict:
@@ -191,26 +228,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_masked_input(args: argparse.Namespace) -> TabularDataset:
-    ds = load_csv(args.input, has_header=bool(_resolve(args, "has_header")))
-    if args.mask:
-        mask = load_mask_csv(args.mask)
-        if mask.shape != ds.values.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match data shape {ds.values.shape}"
-            )
-        values = np.where(mask == 1.0, ds.values, np.nan)
-        if np.isnan(values[mask == 1.0]).any():
-            raise ValueError("mask marks cells observed that are missing in the data")
-        ds = TabularDataset(values=values, mask=mask, column_names=ds.column_names)
-    return ds
-
-
 def cmd_impute(args: argparse.Namespace) -> int:
     model = _build_configs(args)
-    ds = _load_masked_input(args)
+    has_header = bool(_resolve(args, "has_header"))
+    ds = load_csv(args.input, has_header=has_header)
     if args.truth:
-        truth = load_csv(args.truth, has_header=bool(_resolve(args, "has_header")))
+        truth = load_csv(args.truth, has_header=has_header)
         ds = TabularDataset(
             values=ds.values, mask=ds.mask, truth=truth.values,
             column_names=ds.column_names,
@@ -244,7 +267,7 @@ def _write_trajectory(path: str, result: ImputationResult) -> None:
         for point in result.trajectory:
             writer.writerow([
                 point.step,
-                "" if point.mae is None else repr(point.mae),
+                repr(point.mae),
                 "" if point.wass is None else repr(point.wass),
             ])
 
@@ -366,7 +389,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not isinstance(config, dict):
             print("knewimp: config file must hold a JSON object", file=sys.stderr)
             return 2
-    args._config = config
+    args._config = _check_config(parser, config)
     try:
         _validate_flags(parser, args)
         return _COMMANDS[args.command](args)

@@ -18,7 +18,7 @@ an N x N matrix.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -72,8 +72,10 @@ class WgfConfig:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
+    """Metrics at one step; wass is None past TRAJECTORY_WASS_LIMIT incomplete rows."""
+
     step: int
-    mae: Optional[float] = None
+    mae: float
     wass: Optional[float] = None
 
 
@@ -250,9 +252,8 @@ def knewimp(
     estimate_seconds = 0.0
     impute_seconds = 0.0
     for loop in range(wcfg.num_loops):
-        loop_cfg = replace(dcfg, seed=int(seeds[loop + 2].generate_state(1)[0]))
         t0 = time.perf_counter()
-        net, _ = train(net, x, loop_cfg)
+        net, _ = train(net, x, dcfg, seed=int(seeds[loop + 2].generate_state(1)[0]))
         estimate_seconds += time.perf_counter() - t0
 
         t0 = time.perf_counter()

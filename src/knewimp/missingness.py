@@ -60,8 +60,8 @@ class MissingSpec:
         return self.rate if self.mcar_overlay_rate is None else self.mcar_overlay_rate
 
 
-def calibrate_bias(logits: np.ndarray, target_rate: float, tol: float = 1e-6) -> float:
-    """Bias b with mean(sigmoid(logits + b)) within tol of target_rate.
+def calibrate_bias(logits: np.ndarray, target_rate: float) -> float:
+    """Bias b with mean(sigmoid(logits + b)) within 1e-6 of target_rate.
 
     mean sigmoid is strictly increasing in b, so a bracketing bisection
     always succeeds for target_rate in (0, 1).
@@ -80,9 +80,10 @@ def calibrate_bias(logits: np.ndarray, target_rate: float, tol: float = 1e-6) ->
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if abs(mean_prob(mid) - target_rate) <= tol:
+        rate = mean_prob(mid)
+        if abs(rate - target_rate) <= 1e-6:
             return mid
-        if mean_prob(mid) < target_rate:
+        if rate < target_rate:
             lo = mid
         else:
             hi = mid
@@ -113,7 +114,6 @@ def _mar_attempt(
     truth: np.ndarray,
     spec: MissingSpec,
     rng: np.random.Generator,
-    weight_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One MAR draw; returns (mask, indices of fully observed columns)."""
     n, d = truth.shape
@@ -126,7 +126,7 @@ def _mar_attempt(
     observed_cols = rng.choice(d, size=k, replace=False)
     maskable_cols = np.setdiff1d(np.arange(d), observed_cols)
     inputs = _standardize_columns(truth[:, observed_cols])
-    weights = weight_scale * rng.standard_normal((k, maskable_cols.size))
+    weights = rng.standard_normal((k, maskable_cols.size))
     logits = inputs @ weights
     bias = calibrate_bias(logits, spec.rate)
     prob_missing = sigmoid(logits + bias)
@@ -155,38 +155,31 @@ def _guarded(build, seed: int) -> np.ndarray:
     )
 
 
-def simulate_mar(
-    truth: np.ndarray,
-    spec: MissingSpec,
-    weight_scale: float = 1.0,
-) -> np.ndarray:
+def simulate_mar(truth: np.ndarray, spec: MissingSpec) -> np.ndarray:
     """MAR mask: k = ceil(observed_fraction * D) columns stay fully observed,
     the rest go missing through a logistic model of those columns.
 
-    weight_scale scales the logistic weights; 0 collapses the model to MCAR
-    at spec.rate on the maskable cells.
+    The model's inputs are the observed columns standardized; its weights
+    are standard normal, one per (observed, maskable) column pair, and its
+    bias is calibrated so the mean missing probability is spec.rate.
     """
     truth = _check_complete(truth)
 
     def build(rng: np.random.Generator) -> np.ndarray:
-        mask, _ = _mar_attempt(truth, spec, rng, weight_scale)
+        mask, _ = _mar_attempt(truth, spec, rng)
         return mask
 
     return _guarded(build, spec.seed)
 
 
-def simulate_mnar(
-    truth: np.ndarray,
-    spec: MissingSpec,
-    weight_scale: float = 1.0,
-) -> np.ndarray:
+def simulate_mnar(truth: np.ndarray, spec: MissingSpec) -> np.ndarray:
     """MNAR mask: the MAR construction, with the logistic-input columns then
     hidden by an independent MCAR overlay so missingness depends on values
     that are themselves unobserved."""
     truth = _check_complete(truth)
 
     def build(rng: np.random.Generator) -> np.ndarray:
-        mask, observed_cols = _mar_attempt(truth, spec, rng, weight_scale)
+        mask, observed_cols = _mar_attempt(truth, spec, rng)
         overlay_draws = rng.random((truth.shape[0], observed_cols.size))
         overlay = (overlay_draws >= spec.overlay_rate).astype(np.float64)
         mask[:, observed_cols] = np.minimum(mask[:, observed_cols], overlay)

@@ -27,7 +27,6 @@ class DsmConfig:
     sigma: float = 0.1
     epochs: int = 200
     lr: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.sigma > 0.0:
@@ -172,18 +171,10 @@ def dsm_loss_and_grad(
 class Adam:
     """Adam with bias correction over a fixed list of parameter arrays."""
 
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[np.ndarray], lr: float) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -204,16 +195,18 @@ def train(
     net: ScoreNetwork,
     x: np.ndarray,
     cfg: DsmConfig,
+    seed: int,
 ) -> tuple[ScoreNetwork, list[float]]:
     """Full-batch DSM training with fresh noise each epoch.
 
     Returns an updated copy of the network and the per-epoch loss history;
-    the input network is left untouched. Deterministic per cfg.seed.
+    the input network is left untouched. seed drives the noise draws, so
+    the result is deterministic per (net, x, cfg, seed).
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("training data contains non-finite values")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     net = net.copy()
     params = net.parameters()
     opt = Adam(params, cfg.lr)

@@ -16,7 +16,7 @@ import numpy as np
 
 STD_FLOOR = 1e-12
 
-# Tokens accepted as "missing" on input regardless of the configured one.
+# Cell texts read as missing, compared after strip() and lower().
 _MISSING_TOKENS = {"", "nan"}
 
 
@@ -104,10 +104,6 @@ class TabularDataset:
             )
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_cols(self) -> int:
         return self.values.shape[1]
 
@@ -125,9 +121,9 @@ def from_complete(
     return TabularDataset(values=values, mask=mask, truth=truth, column_names=names)
 
 
-def _parse_cell(cell: str, missing_token: str, row: int, col: int) -> float:
+def _parse_cell(cell: str, row: int, col: int) -> float:
     text = cell.strip()
-    if text == missing_token or text.lower() in _MISSING_TOKENS:
+    if text.lower() in _MISSING_TOKENS:
         return np.nan
     try:
         value = float(text)
@@ -140,11 +136,7 @@ def _parse_cell(cell: str, missing_token: str, row: int, col: int) -> float:
     return value
 
 
-def load_csv(
-    path: str,
-    has_header: bool = False,
-    missing_token: str = "",
-) -> TabularDataset:
+def load_csv(path: str, has_header: bool = False) -> TabularDataset:
     """Read a numeric CSV; empty/NaN cells become missing entries.
 
     Rows are 1-indexed in error messages, counted after the header.
@@ -168,7 +160,7 @@ def load_csv(
                 f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
             )
         for j, cell in enumerate(row):
-            data[i, j] = _parse_cell(cell, missing_token, i + 1, j + 1)
+            data[i, j] = _parse_cell(cell, i + 1, j + 1)
     mask = (~np.isnan(data)).astype(np.float64)
     return TabularDataset(values=data, mask=mask, column_names=names)
 
@@ -263,19 +255,16 @@ def standardize(ds: TabularDataset) -> tuple[TabularDataset, StandardizationStat
     )
 
 
-def initialize_missing(
-    ds: TabularDataset,
-    seed: int,
-    noise_scale: float = 0.1,
-) -> np.ndarray:
+def initialize_missing(ds: TabularDataset, seed: int) -> np.ndarray:
     """Dense starting matrix: observed cells verbatim, missing cells set to
-    the observed column mean plus N(0, noise_scale^2) jitter.
+    the observed column mean plus N(0, 0.1^2) jitter.
 
     The jitter keeps initial particles distinct so kernel interactions are
-    non-degenerate. Deterministic for a fixed seed.
+    non-degenerate; on standardized data it is a tenth of a column's spread.
+    Deterministic for a fixed seed.
     """
     means = observed_column_means(ds)
     rng = np.random.default_rng(seed)
-    noise = noise_scale * rng.standard_normal(ds.values.shape)
+    noise = 0.1 * rng.standard_normal(ds.values.shape)
     filled = np.broadcast_to(means, ds.values.shape) + noise
     return np.where(ds.mask == 1.0, ds.values, filled)

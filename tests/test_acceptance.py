@@ -146,7 +146,7 @@ def test_criterion_4_masking_invariants():
     ds, _ = standardize(from_complete(truth, mask))
     result = knewimp(
         ds,
-        DsmConfig(epochs=40, seed=1),
+        DsmConfig(epochs=40),
         DEFAULT_KCFG,
         WgfConfig(num_steps=60, num_loops=2),
         hidden=32,

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from knewimp.cli import _build_configs, build_parser, main
+from knewimp.cli import _build_configs, _check_config, build_parser, main
 from knewimp.imputer import WgfConfig, knewimp
 from knewimp.kernel import KernelConfig
 from knewimp.score import DsmConfig
@@ -101,6 +101,16 @@ class TestImpute:
             main([
                 "impute", "--input", complete_csv, "--has-header",
                 "--output", str(tmp_path / "im.csv"), "--no-kernel-grad-masking",
+            ])
+        assert exc.value.code == 1
+
+    def test_mask_flag_is_usage_error(self, tmp_path, complete_csv):
+        # impute reads its mask from the empty cells of --input.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "impute", "--input", complete_csv, "--has-header",
+                "--output", str(tmp_path / "im.csv"),
+                "--mask", str(tmp_path / "m.csv"),
             ])
         assert exc.value.code == 1
 
@@ -320,3 +330,35 @@ class TestConfigFile:
 
         assert last_step([]) == 3  # config steps replace the default 500
         assert last_step(["--steps", "4"]) == 4  # flag overrides config
+
+    @pytest.mark.parametrize("config, key", [
+        ({"steps": 2.5}, "steps"),
+        ({"stepz": 3}, "stepz"),
+        ({"lambda": 0.5}, "lambda"),
+        ({"has_header": "no"}, "has_header"),
+    ], ids=["non-integer", "unknown-key", "flag-spelling", "non-boolean-switch"])
+    def test_bad_config_key_or_value_is_usage_error(
+        self, tmp_path, complete_csv, capsys, config, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--config", str(cfg), "impute", "--input", complete_csv,
+                "--output", str(tmp_path / "im.csv"),
+            ])
+        assert exc.value.code == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "im.csv").exists()
+
+    def test_config_values_read_as_flags(self):
+        config = {
+            "steps": "3", "lr": 1, "median_bandwidth": True, "has_header": False,
+            "rate": 0.5, "mechanism": "mar",
+        }
+        checked = _check_config(build_parser(), config)
+        assert checked == {
+            "steps": 3, "lr": 1.0, "median_bandwidth": True, "has_header": False,
+            "rate": 0.5, "mechanism": "mar",
+        }
+        assert type(checked["steps"]) is int and type(checked["lr"]) is float

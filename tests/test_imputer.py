@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -204,7 +209,7 @@ def make_dataset(n=120, rho=0.8, rate=0.3, seed=0):
 
 class TestKnewimp:
     FAST = dict(
-        dcfg=DsmConfig(epochs=60, seed=0),
+        dcfg=DsmConfig(epochs=60),
         kcfg=KernelConfig(bandwidth=0.5),
         wcfg=WgfConfig(step_size=0.1, num_steps=80, num_loops=2, record_every=20),
         hidden=32,
@@ -236,9 +241,7 @@ class TestKnewimp:
         seeds = np.random.SeedSequence(seed).spawn(3)
         x = initialize_missing(ds, seed=seeds[0].generate_state(1)[0])
         net = init_network(ds.n_cols, 32, seed=seeds[1].generate_state(1)[0])
-        from dataclasses import replace
-
-        net, _ = train(net, x, replace(cfg["dcfg"], seed=seeds[2].generate_state(1)[0]))
+        net, _ = train(net, x, cfg["dcfg"], seed=seeds[2].generate_state(1)[0])
         x, _ = euler_impute(x, ds.mask, net, cfg["kcfg"], cfg["wcfg"], truth=ds.truth)
         assert np.array_equal(result.imputed, x)
 
@@ -279,6 +282,49 @@ class TestKnewimp:
         result = knewimp(ds, seed=4, **self.FAST)
         assert result.network is not None
         assert result.network.input_dim == ds.n_cols
+
+
+# One small knewimp() run, its imputed matrix saved to argv[1]; argv[2] == "1"
+# turns on the median bandwidth.
+_BLAS_RUN = """
+import sys
+import numpy as np
+from knewimp import DsmConfig, KernelConfig, WgfConfig, knewimp
+from knewimp.tabular import from_complete, standardize
+
+rng = np.random.default_rng(0)
+truth = rng.standard_normal((700, 8)) @ rng.standard_normal((8, 8))
+mask = (rng.random(truth.shape) >= 0.3).astype(float)
+ds, _ = standardize(from_complete(truth, mask))
+result = knewimp(
+    ds,
+    DsmConfig(epochs=5),
+    KernelConfig(use_median_heuristic=sys.argv[2] == "1"),
+    WgfConfig(num_steps=5, num_loops=2),
+    hidden=256,
+    seed=1,
+)
+np.save(sys.argv[1], result.imputed)
+"""
+
+
+class TestThreadDeterminism:
+    @pytest.mark.parametrize("median", ["0", "1"])
+    def test_blas_thread_count(self, tmp_path, median):
+        # Multithreaded BLAS may split sums differently, so the runs agree to
+        # round-off (the benchmark's 1e-9 relative), not bit for bit.
+        src = str(Path(imputer_mod.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        imputed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"threads{threads}.npy"
+            subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out), median],
+                           env=env, check=True, timeout=300)
+            imputed.append(np.load(out))
+        one, two = imputed
+        assert np.abs(one - two).max() <= 1e-9 * max(np.abs(one).max(), 1.0)
 
 
 class TestMeanImpute:

@@ -101,18 +101,6 @@ class TestMar:
         missing = 1.0 - mask[:, maskable].mean()
         assert 0.27 <= missing <= 0.33
 
-    def test_zero_weights_reduce_to_mcar(self):
-        spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.3, seed=11)
-        truth = make_truth(n=30_000, d=10, seed=3)
-        mask = simulate_mar(truth, spec, weight_scale=0.0)
-        maskable_cols = np.where(mask.min(axis=0) < 1.0)[0]
-        sub = mask[:, maskable_cols]
-        missing = 1.0 - sub.mean()
-        assert 0.27 <= missing <= 0.33
-        # constant probability: per-column rates agree tightly
-        per_col = 1.0 - sub.mean(axis=0)
-        assert per_col.max() - per_col.min() < 0.03
-
     def test_deterministic(self):
         spec = MissingSpec(Mechanism.MAR, rate=0.4, seed=6)
         truth = make_truth(seed=5)
@@ -138,7 +126,7 @@ class TestMar:
 
         def first_draw(seed):
             spec = MissingSpec(Mechanism.MAR, rate=rate, seed=seed)
-            mask, _ = _mar_attempt(truth, spec, np.random.default_rng(seed), 1.0)
+            mask, _ = _mar_attempt(truth, spec, np.random.default_rng(seed))
             return mask
 
         retried = [s for s in range(200) if (first_draw(s).max(axis=0) == 0.0).any()]

@@ -180,21 +180,21 @@ class TestTrain:
         cov = np.array([[1.0, 0.6], [0.6, 1.0]])
         x = rng.standard_normal((200, 2)) @ np.linalg.cholesky(cov).T
         net = init_network(2, 32, seed=8)
-        _, history = train(net, x, DsmConfig(epochs=200, seed=3))
+        _, history = train(net, x, DsmConfig(epochs=200), seed=3)
         assert np.mean(history[-10:]) < np.mean(history[:10])
 
     def test_deterministic_history(self):
         x = np.random.default_rng(7).standard_normal((50, 3))
         net = init_network(3, 8, seed=1)
-        _, h1 = train(net, x, DsmConfig(epochs=20, seed=9))
-        _, h2 = train(net, x, DsmConfig(epochs=20, seed=9))
+        _, h1 = train(net, x, DsmConfig(epochs=20), seed=9)
+        _, h2 = train(net, x, DsmConfig(epochs=20), seed=9)
         assert h1 == h2
 
     def test_input_network_untouched(self):
         x = np.random.default_rng(8).standard_normal((30, 2))
         net = init_network(2, 8, seed=2)
         snapshot = [w.copy() for w in net.weights]
-        train(net, x, DsmConfig(epochs=5, seed=0))
+        train(net, x, DsmConfig(epochs=5), seed=0)
         for w, s in zip(net.weights, snapshot):
             assert np.array_equal(w, s)
 
@@ -202,13 +202,13 @@ class TestTrain:
         x = np.random.default_rng(9).standard_normal((10, 2)) * 1e160
         net = init_network(2, 4, seed=0)
         with pytest.raises(TrainingDivergence, match="epoch 0"):
-            train(net, x, DsmConfig(epochs=3, seed=0))
+            train(net, x, DsmConfig(epochs=3), seed=0)
 
     def test_non_finite_data_rejected(self):
         net = init_network(2, 4, seed=0)
         bad = np.array([[1.0, np.inf]])
         with pytest.raises(ValueError):
-            train(net, bad, DsmConfig(epochs=1, seed=0))
+            train(net, bad, DsmConfig(epochs=1), seed=0)
 
 
 class TestCheckpoint:
