@@ -187,6 +187,15 @@ class TestInitializeMissing:
         values[mask == 0.0] = np.nan
         return TabularDataset(values=values, mask=mask)
 
+    def test_zero_noise_gives_column_means(self):
+        # Once the seed's N(0, 0.1^2) jitter is taken off, every missing
+        # cell sits exactly on its observed column mean.
+        ds = self.make()
+        x = initialize_missing(ds, seed=0)
+        jitter = 0.1 * np.random.default_rng(0).standard_normal(ds.values.shape)
+        assert x[2, 0] - jitter[2, 0] == pytest.approx(2.0)   # mean of {1, 3}
+        assert x[1, 1] - jitter[1, 1] == pytest.approx(20.0)  # mean of {10, 30}
+
     def test_observed_copied_verbatim(self):
         ds = self.make()
         x = initialize_missing(ds, seed=3)
