@@ -49,6 +49,13 @@ DEFAULTS = {
     "has_header": False,
 }
 
+# Path flags: each command reads these from its arguments, never through
+# _resolve, so a config file may not supply them.
+_PATH_KEYS = frozenset({
+    "input", "output", "output_dir", "mask", "truth", "trajectory", "save_net",
+    "load_net", "imputed",
+})
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -145,7 +152,8 @@ def _check_config(parser: _Parser, config: dict) -> dict:
 
     A key is the destination name of a flag of any subcommand (ner_weight
     for --lambda), so one file can serve several subcommands. A switch takes
-    JSON true or false. A bad key or value is a usage error naming the key.
+    JSON true or false. A path key, or a bad key or value, is a usage error
+    naming the key.
     """
     flags = {a.dest: a for sub in parser.commands.values() for a in sub._actions
              if a.option_strings and a.dest != "help"}
@@ -158,6 +166,8 @@ def _check_config(parser: _Parser, config: dict) -> dict:
             hint = f"; the key of --{key} is {dest!r}" if dest else ""
             parser.error(f"config key {key!r} names no flag{hint}")
         flag = action.option_strings[0]
+        if key in _PATH_KEYS:
+            parser.error(f"config key {key!r} is a path: give it as the flag {flag}")
         if action.nargs == 0:
             if not isinstance(value, bool):
                 parser.error(f"config key {key!r} ({flag}) must be true or false")
@@ -395,7 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit:
         raise
-    except (ValueError, RuntimeError, FloatingPointError, OSError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, OSError, MemoryError) as exc:
         origin = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"knewimp {args.command} ({origin}): {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,10 @@ Euler; training the score model and simulating the flow alternate for a
 configured number of rounds.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
-them as one tiled reduction over the incomplete rows only: the Gram is
-built B = _TILE_ROWS rows at a time and each tile is multiplied at once
-into the stacked right-hand side, so a step holds O(B N) memory and never
-an N x N matrix.
+them as one tiled reduction over the incomplete rows only: kernel.gram
+writes B = _TILE_ROWS rows of the Gram at a time into one B x N buffer that
+every tile of the step reuses, and each tile is multiplied at once into the
+stacked right-hand side, so a step holds O(B N) memory, never N x N.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def velocity(
     missing cell get zero velocity and add zero to every sum, so only the
     incomplete rows are evaluated: the score network runs on them alone (it
     must act row by row), and G is built over them in tiles of _TILE_ROWS
-    rows, each multiplied straight into its slice of the product. Step
-    memory is therefore O(_TILE_ROWS * N), never N x N. The divisor stays N
-    and the bandwidth is resolved on the full x.
+    rows, each written into one reused buffer and multiplied straight into
+    its slice of the product. Step memory is O(_TILE_ROWS * N), never N x N;
+    the divisor stays N and the bandwidth is resolved on the full x.
     """
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -141,9 +141,11 @@ def velocity(
     scores = _eval_score(score, x_rows) * free_rows
     rhs = np.hstack([scores, free_rows, x_rows * free_rows])
     prod = np.empty((rows.size, 3 * d))
+    tile_buf = np.empty((min(_TILE_ROWS, rows.size), rows.size))
     for start in range(0, rows.size, _TILE_ROWS):
         tile = slice(start, start + _TILE_ROWS)
-        np.matmul(gram(x_rows[tile], x_rows, h), rhs, out=prod[tile])
+        g = gram(x_rows[tile], x_rows, h, out=tile_buf[: rows[tile].size])
+        np.matmul(g, rhs, out=prod[tile])
     smoothed, g_free, g_xfree = prod[:, :d], prod[:, d : 2 * d], prod[:, 2 * d :]
     attraction = x_rows * g_free - g_xfree
     v_rows = (smoothed - (ner_weight / (h * h)) * attraction) / n

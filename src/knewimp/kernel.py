@@ -4,11 +4,16 @@ The kernel K(x, y) = exp(-||x - y||^2 / (2 h^2)) supplies the geometry for
 the particle velocity field: Gram matrices smooth per-particle scores, and,
 because grad_y K(x, y) = ((x - y) / h^2) K(x, y), the same Gram also
 carries the attraction term between particles.
+
+gram() is the one Gram: a single matrix product gives the scaled squared
+distances, which are clamped and exponentiated in place, inside a buffer
+the caller may pass (the flow reuses one per step).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -31,11 +36,16 @@ class KernelConfig:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
 
-def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, shape (N, M).
+def gram(
+    x: np.ndarray, y: np.ndarray, bandwidth: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """RBF Gram matrix G[i, j] = exp(-||x_i - y_j||^2 / (2 h^2)), shape (N, M).
 
-    Uses the expanded-square identity so the whole computation is three
-    BLAS-friendly products; clamps tiny negative round-off at zero.
+    With c = -1/(2 h^2), the one product [-2c x | c||x||^2 | 1] @
+    [y | 1 | c||y||^2]^T of inner size D + 2 is c ||x_i - y_j||^2. It goes
+    into out, which is then clamped at 0 against round-off and exponentiated
+    in place. out, when given, must be a C-contiguous float64 (N, M) array,
+    and it is returned; otherwise a new array is.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -43,19 +53,18 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"point clouds must be 2-D with equal width, got {x.shape} and {y.shape}"
         )
-    sq = (
-        (x * x).sum(axis=1)[:, None]
-        + (y * y).sum(axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
-    return np.maximum(sq, 0.0)
-
-
-def gram(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
-    """RBF Gram matrix G[i, j] = exp(-||x_i - y_j||^2 / (2 h^2))."""
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    return np.exp(squared_distances(x, y) / (-2.0 * bandwidth * bandwidth))
+    c = -0.5 / (bandwidth * bandwidth)
+    x_norms = c * (x * x).sum(axis=1, keepdims=True)
+    y_norms = c * (y * y).sum(axis=1, keepdims=True)
+    out = np.matmul(
+        np.hstack([(-2.0 * c) * x, x_norms, np.ones_like(x_norms)]),
+        np.hstack([y, np.ones_like(y_norms), y_norms]).T,
+        out=out,
+    )
+    np.minimum(out, 0.0, out=out)
+    return np.exp(out, out=out)
 
 
 def median_bandwidth(x: np.ndarray) -> float:

@@ -6,18 +6,20 @@ versions of the rows that contain at least one missing cell, each cloud
 carrying uniform weights. For equal-size uniform measures its exact value
 is a minimum-cost assignment, which wasserstein2 solves at every size: the
 m x m cost matrix takes O(m^2) memory and the solver cubic time in the
-worst case.
+worst case. A cost matrix larger than the machine's physical memory is
+refused with MemoryError before it is allocated.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
-from .kernel import squared_distances
 from .tabular import TabularDataset
 
 
@@ -63,12 +65,16 @@ def wasserstein2(truth_rows: np.ndarray, imputed_rows: np.ndarray) -> float:
         raise ValueError(f"cloud shapes differ: {a.shape} vs {b.shape}")
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError(f"clouds must be non-empty 2-D arrays, got {a.shape}")
-    rows, cols = linear_sum_assignment(squared_distances(a, b))
-    # Recompute the matched costs by direct differencing: the BLAS identity
-    # used for the full matrix carries round-off that would leave identical
-    # clouds at ~1e-16 instead of exactly zero.
-    diff = a[rows] - b[cols]
-    return float((diff * diff).sum(axis=1).mean())
+    m = a.shape[0]
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * m * m > memory:
+        raise MemoryError(
+            f"exact W2 over {m} rows needs a {m} x {m} cost matrix of "
+            f"{8 * m * m} bytes; this machine has {memory} bytes of memory"
+        )
+    cost = cdist(a, b, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
 
 
 def evaluate(ds: TabularDataset, imputed: np.ndarray) -> MetricReport:

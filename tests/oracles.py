@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 
-from knewimp.kernel import squared_distances
-
 BRUTE_FORCE_LIMIT = 8
 
 
@@ -32,7 +30,7 @@ def wasserstein2_bruteforce(truth_rows, imputed_rows):
     m = a.shape[0]
     if m > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is limited to m <= {BRUTE_FORCE_LIMIT}, got {m}")
-    cost = squared_distances(a, b)
+    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     best = math.inf
     for perm in itertools.permutations(range(m)):
         total = sum(cost[i, j] for i, j in enumerate(perm))

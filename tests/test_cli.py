@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 
 import numpy as np
 import pytest
@@ -197,6 +198,24 @@ class TestEvaluate:
         assert report["mae"] == 0.0
         assert report["wass"] == 0.0
 
+    def test_w2_larger_than_memory_is_runtime_error(
+        self, tmp_path, complete_csv, capsys, monkeypatch
+    ):
+        sim = tmp_path / "sim"
+        main([
+            "simulate", "--input", complete_csv, "--has-header",
+            "--rate", "0.3", "--seed", "7", "--output-dir", str(sim),
+        ])
+        memory = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        assert main([
+            "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
+            "--has-header", "--mask", str(sim / "mask.csv"),
+            "--output", str(tmp_path / "report.json"),
+        ]) == 2
+        assert "cost matrix" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_mask_file_is_runtime_error(self, tmp_path, complete_csv):
         assert main([
             "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
@@ -350,6 +369,26 @@ class TestConfigFile:
         assert exc.value.code == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "im.csv").exists()
+
+    @pytest.mark.parametrize("key", [
+        "input", "output", "output_dir", "mask", "truth", "trajectory", "save_net",
+        "load_net", "imputed",
+    ])
+    def test_path_key_is_usage_error(
+        self, tmp_path, complete_csv, capsys, monkeypatch, key
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(tmp_path / "elsewhere")}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "simulate", "--input", complete_csv, "--has-header"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "--" + key.replace("_", "-") in err
+        assert list(work.iterdir()) == []
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_config_values_read_as_flags(self):
         config = {

@@ -6,7 +6,6 @@ from knewimp.kernel import (
     gram,
     median_bandwidth,
     resolve_bandwidth,
-    squared_distances,
 )
 from oracles import grad_gram_second
 
@@ -75,6 +74,36 @@ class TestGram:
             g = gram(x, x, 0.5)
             eigmin = np.linalg.eigvalsh(g).min()
             assert eigmin >= -1e-8
+
+
+class TestGramContract:
+    def test_out_is_filled_and_returned(self):
+        rng = np.random.default_rng(41)
+        x, y = rng.standard_normal((5, 3)), rng.standard_normal((7, 3))
+        buf = np.full((5, 7), np.nan)
+        assert gram(x, y, 0.8, out=buf) is buf
+        assert np.array_equal(buf, gram(x, y, 0.8))
+
+    def test_matches_literal_definition(self):
+        rng = np.random.default_rng(43)
+        for d in range(1, 17):
+            for offset in (0.0, 1.0, 2.0, 3.0):
+                x = rng.standard_normal((int(rng.integers(1, 30)), d)) + offset
+                y = rng.standard_normal((int(rng.integers(1, 30)), d)) + offset
+                h = float(rng.uniform(0.5, 2.0))
+                for a, b in ((x, y), (x, x)):
+                    diff = a[:, None, :] - b[None, :, :]
+                    literal = np.exp(-(diff * diff).sum(axis=2) / (2.0 * h * h))
+                    assert np.abs(gram(a, b, h) - literal).max() <= 1e-12
+
+    def test_entries_in_unit_interval(self):
+        # Far from the origin the expanded square cancels ~1e3 against ~1e3,
+        # so without the clamp a diagonal entry can come out above 1.
+        rng = np.random.default_rng(47)
+        for d in (1, 5, 11, 16):
+            x = rng.standard_normal((40, d)) + 10.0
+            for g in (gram(x, x, 0.5), gram(x, rng.standard_normal((9, d)), 0.5)):
+                assert g.min() >= 0.0 and g.max() <= 1.0
 
 
 class TestGradGramSecond:
@@ -151,12 +180,6 @@ def brute_median(x):
         for j in range(i + 1, len(x)):
             dists.append(np.linalg.norm(x[i] - x[j]))
     return max(float(np.median(dists)) / np.sqrt(2.0), 1e-6)
-
-
-def test_squared_distances_clamped_nonnegative():
-    rng = np.random.default_rng(21)
-    x = rng.standard_normal((30, 5)) * 1e-8
-    assert squared_distances(x, x).min() >= 0.0
 
 
 def test_resolve_bandwidth():

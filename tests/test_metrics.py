@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ class TestExact:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             wasserstein2(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    def test_cost_matrix_larger_than_memory_fails_first(self, monkeypatch):
+        # 10 pages of 4096 B hold an m x m float64 cost matrix up to m = 71.
+        memory = {"SC_PHYS_PAGES": 10, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        a = np.zeros((72, 2))
+        with pytest.raises(MemoryError, match=r"72 rows .* 41472 bytes"):
+            wasserstein2(a, a)
+        assert wasserstein2(a[:71], a[:71]) == 0.0
 
 
 class TestEvaluate:
