@@ -75,11 +75,13 @@ def median_bandwidth(x: np.ndarray) -> float:
         raise ValueError("median bandwidth needs at least 2 points")
     sq = pdist(x, "sqeuclidean")
     k = sq.size // 2
+    # One in-place partition at k: sq[k] is the upper middle, and the lower
+    # middle of an even count is the largest value left of it.
+    sq.partition(k)
     if sq.size % 2:
-        med = float(np.sqrt(np.partition(sq, k)[k]))
+        med = float(np.sqrt(sq[k]))
     else:
-        lo, hi = np.sqrt(np.partition(sq, (k - 1, k))[k - 1 : k + 1])
-        med = float((lo + hi) / 2.0)
+        med = float((np.sqrt(sq[:k].max()) + np.sqrt(sq[k])) / 2.0)
     return max(med / np.sqrt(2.0), 1e-6)
 
 

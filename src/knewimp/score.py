@@ -6,12 +6,19 @@ scale sigma and regresses the network output at the noised point onto the
 conditional score -noise / sigma^2. Gradients are computed by hand so the
 whole stack stays in float64 numpy and can be checked against finite
 differences.
+
+The forward and backward passes write into preallocated buffers with
+in-place ufuncs and matmul(out=), in the operation order of the plain
+expressions, so results are bit-identical to them. train() allocates one
+set of buffers per call and reuses it every epoch; forward() runs in three
+(N, H) buffers of its own. Buffers never outlive the call that made them,
+so concurrent calls share nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,43 +88,89 @@ def init_network(d: int, hidden: int, seed: int) -> ScoreNetwork:
     return ScoreNetwork(weights=weights, biases=biases)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-z)), elementwise.
 
     exp(-z) overflows to inf for z below about -709, which yields the
-    correct limit sigmoid = 0, so the overflow warning is silenced.
+    correct limit sigmoid = 0, so the overflow warning is silenced. out,
+    when given, must be a float64 array of z's shape, and it is filled and
+    returned (it may be z itself); otherwise a new array is.
     """
+    if out is None:
+        out = np.empty(np.shape(z))
+    np.negative(z, out=out)
     with np.errstate(over="ignore"):
-        sig = np.exp(-z)
-    sig += 1.0
-    np.reciprocal(sig, out=sig)
-    return sig
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
-def _swish(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (swish(z), sigmoid(z)); the sigmoid is reused in backprop."""
-    sig = sigmoid(z)
-    return z * sig, sig
+def _forward(
+    net: ScoreNetwork,
+    x: np.ndarray,
+    act: Sequence[np.ndarray],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One forward pass that writes each hidden pre-activation z, its
+    sigmoid s and its Swish a = z * s into the (N, H) buffers
+    act = (z1, s1, a1, z2, s2, a2), and the output into out (a new (N, D)
+    array without it), which it returns.
+
+    Each value is formed in the same operation order as x @ W + b and
+    z * sigmoid(z), so the result is bit-identical to the allocating form.
+    Buffers may alias where a value is dead before the next is written:
+    forward() passes z1 is a1, s1 is s2 and z2 is a2.
+    """
+    z1, s1, a1, z2, s2, a2 = act
+    w, b = net.weights, net.biases
+    np.matmul(x, w[0], out=z1)
+    z1 += b[0]
+    sigmoid(z1, out=s1)
+    np.multiply(z1, s1, out=a1)
+    np.matmul(a1, w[1], out=z2)
+    z2 += b[1]
+    sigmoid(z2, out=s2)
+    np.multiply(z2, s2, out=a2)
+    out = np.matmul(a2, w[2], out=out)
+    out += b[2]
+    return out
 
 
-def _forward_trace(net: ScoreNetwork, x: np.ndarray):
-    z1 = x @ net.weights[0] + net.biases[0]
-    a1, s1 = _swish(z1)
-    z2 = a1 @ net.weights[1] + net.biases[1]
-    a2, s2 = _swish(z2)
-    out = a2 @ net.weights[2] + net.biases[2]
-    return out, (z1, s1, a1, z2, s2, a2)
+def _swish_grad(z: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+    """out = s * (1 + z * (1 - s)), the derivative of z * sigmoid(z)."""
+    np.subtract(1.0, s, out=out)
+    out *= z
+    out += 1.0
+    out *= s
 
 
 def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
-    """Row-wise score estimates for a batch x of shape (N, D)."""
+    """Row-wise score estimates for a batch x of shape (N, D).
+
+    The hidden layers run in three (N, H) buffers allocated for this call.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"expected (N, {net.input_dim}) input, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("network input contains non-finite values")
-    out, _ = _forward_trace(net, x)
-    return out
+    shape = (x.shape[0], net.weights[0].shape[1])
+    za, s, zb = np.empty(shape), np.empty(shape), np.empty(shape)
+    return _forward(net, x, (za, s, za, zb, s, zb))
+
+
+class _DsmBuffers:
+    """Every array one DSM loss-and-gradient evaluation writes, for one
+    network shape and batch size. train() allocates one per call and reuses
+    it every epoch; it is never shared between calls."""
+
+    def __init__(self, net: ScoreNetwork, n: int) -> None:
+        d, h = net.input_dim, net.weights[0].shape[1]
+        self.x_noised, self.target, self.out = (np.empty((n, d)) for _ in range(3))
+        self.act = tuple(np.empty((n, h)) for _ in range(6))
+        self.back = np.empty((n, h))
+        self.g_w = [np.empty_like(w) for w in net.weights]
+        self.g_b = [np.empty_like(b) for b in net.biases]
 
 
 def dsm_loss_and_grad(
@@ -125,6 +178,7 @@ def dsm_loss_and_grad(
     x_clean: np.ndarray,
     noise: np.ndarray,
     sigma: float,
+    buffers: Optional[_DsmBuffers] = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """DSM loss and its exact parameter gradients.
 
@@ -134,7 +188,9 @@ def dsm_loss_and_grad(
         loss = 1/2 * mean_i || f(x_i + e_i) + e_i / sigma^2 ||^2
 
     Returns (loss, weight gradients, bias gradients), index-aligned with
-    net.weights / net.biases.
+    net.weights / net.biases. buffers, when given, must match the network
+    and batch; the pass then allocates nothing (N, H)-sized, and the
+    returned gradients are its arrays, overwritten by the next call.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -143,33 +199,46 @@ def dsm_loss_and_grad(
     if noise.shape != x_clean.shape:
         raise ValueError(f"noise shape {noise.shape} != data shape {x_clean.shape}")
     n = x_clean.shape[0]
-    x_noised = x_clean + noise
-    target = -noise / (sigma * sigma)
+    buf = _DsmBuffers(net, n) if buffers is None else buffers
+    x_noised, target, back = buf.x_noised, buf.target, buf.back
+    z1, s1, a1, z2, s2, a2 = buf.act
+    np.add(x_clean, noise, out=x_noised)
+    np.negative(noise, out=target)
+    target /= sigma * sigma
     # Overflow here is the divergence signal itself; it is detected on the
     # loss value, so the transient warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        out, (z1, s1, a1, z2, s2, a2) = _forward_trace(net, x_noised)
-        resid = out - target
-        loss = float(0.5 * (resid * resid).sum() / n)
+        resid = _forward(net, x_noised, buf.act, out=buf.out)
+        resid -= target
+        loss = float(0.5 * np.multiply(resid, resid, out=target).sum() / n)
     if not np.isfinite(loss):
         raise TrainingDivergence("DSM loss is not finite")
 
-    d_out = resid / n
-    g_w3 = a2.T @ d_out
-    g_b3 = d_out.sum(axis=0)
-    d_a2 = d_out @ net.weights[2].T
-    d_z2 = d_a2 * (s2 * (1.0 + z2 * (1.0 - s2)))
-    g_w2 = a1.T @ d_z2
-    g_b2 = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ net.weights[1].T
-    d_z1 = d_a1 * (s1 * (1.0 + z1 * (1.0 - s1)))
-    g_w1 = x_noised.T @ d_z1
-    g_b1 = d_z1.sum(axis=0)
-    return loss, [g_w1, g_w2, g_w3], [g_b1, g_b2, g_b3]
+    # Each swish derivative goes into the activation buffer the backward
+    # pass no longer needs; back holds d_z2, then z2 holds d_z1.
+    g_w, g_b, w = buf.g_w, buf.g_b, net.weights
+    d_out = np.divide(resid, n, out=resid)
+    np.matmul(a2.T, d_out, out=g_w[2])
+    np.sum(d_out, axis=0, out=g_b[2])
+    _swish_grad(z2, s2, out=a2)
+    np.matmul(d_out, w[2].T, out=back)
+    back *= a2
+    np.matmul(a1.T, back, out=g_w[1])
+    np.sum(back, axis=0, out=g_b[1])
+    _swish_grad(z1, s1, out=a1)
+    np.matmul(back, w[1].T, out=z2)
+    z2 *= a1
+    np.matmul(x_noised.T, z2, out=g_w[0])
+    np.sum(z2, axis=0, out=g_b[0])
+    return loss, g_w, g_b
 
 
 class Adam:
-    """Adam with bias correction over a fixed list of parameter arrays."""
+    """Adam with bias correction over a fixed list of parameter arrays.
+
+    Each step runs in place in two scratch arrays per parameter, allocated
+    here, in the same operation order as the textbook update.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -178,17 +247,27 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 def train(
@@ -201,7 +280,9 @@ def train(
 
     Returns an updated copy of the network and the per-epoch loss history;
     the input network is left untouched. seed drives the noise draws, so
-    the result is deterministic per (net, x, cfg, seed).
+    the result is deterministic per (net, x, cfg, seed). The noise, the
+    activations and the gradients live in buffers allocated once per call
+    and reused every epoch.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -210,11 +291,14 @@ def train(
     net = net.copy()
     params = net.parameters()
     opt = Adam(params, cfg.lr)
+    buffers = _DsmBuffers(net, x.shape[0])
+    noise = np.empty(x.shape)
     history: list[float] = []
     for epoch in range(cfg.epochs):
-        noise = cfg.sigma * rng.standard_normal(x.shape)
+        rng.standard_normal(out=noise)
+        noise *= cfg.sigma
         try:
-            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, cfg.sigma)
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, cfg.sigma, buffers)
         except TrainingDivergence as exc:
             raise TrainingDivergence(f"training diverged at epoch {epoch}") from exc
         history.append(loss)

@@ -36,3 +36,56 @@ def wasserstein2_bruteforce(truth_rows, imputed_rows):
         total = sum(cost[i, j] for i, j in enumerate(perm))
         best = min(best, total)
     return best / m
+
+
+def _swish(z):
+    """(z * sigmoid(z), sigmoid(z)), each a new array."""
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-z))
+    return z * sig, sig
+
+
+def forward_trace(net, x):
+    """The score network's forward pass as plain expressions, one new array
+    per operation; returns the output and the hidden activations."""
+    z1 = x @ net.weights[0] + net.biases[0]
+    a1, s1 = _swish(z1)
+    z2 = a1 @ net.weights[1] + net.biases[1]
+    a2, s2 = _swish(z2)
+    out = a2 @ net.weights[2] + net.biases[2]
+    return out, (z1, s1, a1, z2, s2, a2)
+
+
+def dsm_loss_and_grad(net, x_clean, noise, sigma):
+    """DSM loss and hand-derived gradients, each value a new array."""
+    n = x_clean.shape[0]
+    x_noised = x_clean + noise
+    target = -noise / (sigma * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, (z1, s1, a1, z2, s2, a2) = forward_trace(net, x_noised)
+        resid = out - target
+        loss = float(0.5 * (resid * resid).sum() / n)
+    d_out = resid / n
+    g_w3 = a2.T @ d_out
+    g_b3 = d_out.sum(axis=0)
+    d_a2 = d_out @ net.weights[2].T
+    d_z2 = d_a2 * (s2 * (1.0 + z2 * (1.0 - s2)))
+    g_w2 = a1.T @ d_z2
+    g_b2 = d_z2.sum(axis=0)
+    d_a1 = d_z2 @ net.weights[1].T
+    d_z1 = d_a1 * (s1 * (1.0 + z1 * (1.0 - s1)))
+    g_w1 = x_noised.T @ d_z1
+    g_b1 = d_z1.sum(axis=0)
+    return loss, [g_w1, g_w2, g_w3], [g_b1, g_b2, g_b3]
+
+
+def adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (1-based) with bias correction; updates params, m and v."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= beta1
+        m_i += (1.0 - beta1) * g
+        v_i *= beta2
+        v_i += (1.0 - beta2) * g * g
+        p -= lr * (m_i / c1) / (np.sqrt(v_i / c2) + eps)

@@ -168,6 +168,21 @@ class TestMedianBandwidth:
         for n in range(2, 8):
             x = rng.standard_normal((n, 3))
             assert median_bandwidth(x) == pytest.approx(brute_median(x), rel=1e-12)
+        # Tied distances: points 0..3 on a line give 1, 1, 1, 2, 2, 3 (two
+        # unequal middles among ties); an integer 4 x 4 grid (120 pairs) and
+        # rounded clouds with repeated rows tie throughout.
+        grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+        tied = [np.arange(4.0)[:, None], grid]
+        for n in (9, 14, 21):
+            x = np.round(rng.standard_normal((n, 2)))
+            tied.append(np.vstack([x, x[: n // 3]]))
+        for x in tied:
+            assert median_bandwidth(x) == pytest.approx(brute_median(x), rel=1e-12)
+        # 780 pairs each; with numpy's introselect these clouds leave the
+        # lower middle elsewhere than just left of the kth value.
+        for seed in (75, 171, 219):
+            x = np.random.default_rng(seed).standard_normal((40, 3))
+            assert median_bandwidth(x) == pytest.approx(brute_median(x), rel=1e-12)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):

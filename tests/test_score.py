@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import oracles
 from knewimp.score import (
     Adam,
     DsmConfig,
@@ -11,9 +15,9 @@ from knewimp.score import (
     init_network,
     load_network,
     save_network,
+    sigmoid,
     train,
 )
-from knewimp.score import _swish
 
 
 def loss_only(net, x, noise, sigma):
@@ -29,21 +33,33 @@ def stable_sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-class TestSwish:
+class TestSigmoid:
     def test_matches_stable_sigmoid_at_extremes(self):
         z = np.array([[-800.0, -40.0, 0.0, 40.0, 800.0]])
+        buf = np.empty_like(z)
         with np.errstate(invalid="raise", divide="raise"):
-            act, sig = _swish(z)
+            sig = sigmoid(z)
+            filled = sigmoid(z, out=buf)
         ref = stable_sigmoid(z)
-        assert np.all(np.isfinite(act)) and np.all(np.isfinite(sig))
+        assert np.all(np.isfinite(sig))
         np.testing.assert_allclose(sig, ref, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(act, z * ref, rtol=1e-15, atol=0.0)
         assert sig[0, 0] == 0.0 and sig[0, -1] == 1.0
+        assert np.array_equal(filled, sig)
 
     def test_matches_stable_sigmoid_on_random_input(self):
         z = np.random.default_rng(40).standard_normal((50, 20)) * 10.0
         # Two ulps of 1.0: the forms differ only in rounding order.
-        assert np.abs(_swish(z)[1] - stable_sigmoid(z)).max() <= 2 * np.finfo(float).eps
+        assert np.abs(sigmoid(z) - stable_sigmoid(z)).max() <= 2 * np.finfo(float).eps
+
+    def test_out_is_filled_and_returned(self):
+        z = np.random.default_rng(41).standard_normal((6, 5)) * 10.0
+        expected = sigmoid(z)
+        buf = np.full_like(z, np.nan)
+        assert sigmoid(z, out=buf) is buf
+        assert np.array_equal(buf, expected)
+        # In place over its own input.
+        assert sigmoid(z, out=z) is z
+        assert np.array_equal(z, expected)
 
 
 class TestInit:
@@ -229,3 +245,106 @@ class TestCheckpoint:
         save_network(path, net)
         x = np.random.default_rng(10).standard_normal((7, 4))
         assert np.array_equal(forward(load_network(path), x), forward(net, x))
+
+
+def random_network(rng, d, hidden):
+    """A network with nonzero biases, so every bias path is exercised."""
+    net = init_network(d, hidden, seed=int(rng.integers(1 << 30)))
+    for b in net.biases:
+        b[:] = rng.standard_normal(b.shape)
+    return net
+
+
+class TestBitExactOracle:
+    """The buffered forward, backward and Adam step against the allocating
+    expressions in oracles.py: same operations in the same order, so equal
+    bit for bit, not merely close."""
+
+    def test_loss_and_gradients(self):
+        rng = np.random.default_rng(50)
+        for _ in range(60):
+            n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
+            net = random_network(rng, d, hidden)
+            x = 2.0 * rng.standard_normal((n, d))
+            noise = 0.1 * rng.standard_normal((n, d))
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
+            ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(net, x, noise, 0.1)
+            assert loss == ref_loss
+            for g, ref in zip(g_w + g_b, ref_w + ref_b):
+                assert g.shape == ref.shape and np.array_equal(g, ref)
+
+    def test_forward(self):
+        rng = np.random.default_rng(51)
+        for _ in range(60):
+            n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
+            net = random_network(rng, d, hidden)
+            x = 3.0 * rng.standard_normal((n, d))
+            assert np.array_equal(forward(net, x), oracles.forward_trace(net, x)[0])
+
+    def test_adam_step(self):
+        rng = np.random.default_rng(52)
+        shapes = [(16, 9), (9,), (1,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        ref_params = [p.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 8):
+            grads = [rng.standard_normal(s) for s in shapes]
+            opt.step(params, grads)
+            oracles.adam_step(ref_params, grads, m, v, t, lr=0.01)
+        for p, ref in zip(params + opt.m + opt.v, ref_params + m + v):
+            assert np.array_equal(p, ref)
+
+    def test_train_matches_literal_loop(self):
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((40, 3))
+        net = random_network(rng, 3, 16)
+        cfg = DsmConfig(epochs=5)
+        trained, history = train(net, x, cfg, seed=11)
+
+        ref = net.copy()
+        params = ref.parameters()
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        noise_rng = np.random.default_rng(11)
+        ref_history = []
+        for t in range(1, cfg.epochs + 1):
+            noise = cfg.sigma * noise_rng.standard_normal(x.shape)
+            loss, g_w, g_b = oracles.dsm_loss_and_grad(ref, x, noise, cfg.sigma)
+            ref_history.append(loss)
+            oracles.adam_step(params, g_w + g_b, m, v, t, cfg.lr)
+        assert history == ref_history
+        for p, r in zip(trained.parameters(), params):
+            assert np.array_equal(p, r)
+
+
+def test_concurrent_training_matches_serial():
+    """train() calls running at once share no buffers: each equals its
+    serial result bit for bit. Four threads on two or more cores, with a
+    short switch interval, interleave the epochs of same-shaped runs."""
+    rng = np.random.default_rng(54)
+    net = init_network(4, 32, seed=3)
+    cfg = DsmConfig(epochs=40)
+    data = [rng.standard_normal((120, 4)) * (1 + k) for k in range(4)]
+    serial = [train(net, x, cfg, seed=k) for k, x in enumerate(data)]
+    results = [None] * len(data)
+
+    def run(k):
+        results[k] = train(net, data[k], cfg, seed=k)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(data))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (got_net, got_hist), (want_net, want_hist) in zip(results, serial):
+        assert got_hist == want_hist
+        for a, b in zip(got_net.parameters(), want_net.parameters()):
+            assert np.array_equal(a, b)
