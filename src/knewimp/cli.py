@@ -8,9 +8,10 @@ baseline). Timings come from the benchmark, `python3 bench/run.py`.
 Exit codes: 0 success, 1 usage error, 2 runtime/data error. All commands
 are deterministic given their full flag set. A JSON config file may supply
 any flag value, keyed by the flag's destination name and checked like the
-flag; explicit flags win. A model or mechanism setting that neither sets
-keeps the default of the object that owns it (DsmConfig, KernelConfig,
-WgfConfig, knewimp(), MissingSpec).
+flag. A typed flag beats the config file, which beats the flag's default.
+A model or mechanism setting that neither sets keeps the default of the
+object that owns it (DsmConfig, KernelConfig, WgfConfig, knewimp(),
+MissingSpec).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +33,6 @@ from .kernel import KernelConfig
 from .missingness import Mechanism, MissingSpec, simulate
 from .score import DsmConfig, load_network, save_network
 from .tabular import (
-    TabularDataset,
     from_complete,
     load_csv,
     load_mask_csv,
@@ -40,17 +41,7 @@ from .tabular import (
     write_mask_csv,
 )
 
-# Defaults of the flags that no library object owns.
-DEFAULTS = {
-    "mechanism": "mcar",
-    "rate": 0.3,
-    "seed": 0,
-    "seeds": "0,1,2,3,4",
-    "has_header": False,
-}
-
-# Path flags: each command reads these from its arguments, never through
-# _resolve, so a config file may not supply them.
+# Path flags: a config file may not supply them.
 _PATH_KEYS = frozenset({
     "input", "output", "output_dir", "mask", "truth", "trajectory", "save_net",
     "load_net", "imputed",
@@ -88,8 +79,8 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mechanism_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mechanism", choices=[m.value for m in Mechanism])
-    p.add_argument("--rate", type=float)
+    p.add_argument("--mechanism", default="mcar", choices=[m.value for m in Mechanism])
+    p.add_argument("--rate", type=float, default=0.3)
     p.add_argument("--observed-fraction", dest="observed_fraction", type=float)
     p.add_argument("--overlay-rate", dest="overlay_rate", type=float)
 
@@ -101,50 +92,39 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="draw a missingness mask")
     p.add_argument("--input", required=True, help="complete numeric CSV")
-    p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
+    p.add_argument("--has-header", dest="has_header", action="store_true")
     _add_mechanism_options(p)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".", help="where mask.csv/masked.csv go")
 
     p = sub.add_parser("impute", help="fill the missing cells of a CSV")
     p.add_argument("--input", required=True, help="CSV whose empty cells are missing")
-    p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
+    p.add_argument("--has-header", dest="has_header", action="store_true")
     p.add_argument("--output", required=True, help="imputed CSV path")
     p.add_argument("--trajectory", help="per-step metric CSV (needs --truth)")
     p.add_argument("--truth", help="complete CSV for trajectory metrics")
     p.add_argument("--save-net", dest="save_net", help="score network checkpoint out")
     p.add_argument("--load-net", dest="load_net", help="warm-start checkpoint in")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     _add_model_options(p)
 
     p = sub.add_parser("evaluate", help="score an imputed CSV against ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--imputed", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
+    p.add_argument("--has-header", dest="has_header", action="store_true")
     p.add_argument("--output", help="report JSON path (stdout if omitted)")
 
     p = sub.add_parser("experiment", help="simulate/impute/evaluate across seeds")
     p.add_argument("--input", required=True, help="complete numeric CSV")
-    p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
+    p.add_argument("--has-header", dest="has_header", action="store_true")
     _add_mechanism_options(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
     p.add_argument("--output-dir", required=True)
     _add_model_options(p)
 
     parser.commands = sub.choices
     return parser
-
-
-def _resolve(args: argparse.Namespace, key: str):
-    """Flag value, then config-file value, then built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key)
 
 
 def _check_config(parser: _Parser, config: dict) -> dict:
@@ -184,48 +164,44 @@ def _check_config(parser: _Parser, config: dict) -> dict:
     return checked
 
 
-def _given(args: argparse.Namespace, **fields: str) -> dict:
-    """{field: value} for each key in fields that a flag or the config file sets."""
-    given = {}
-    for key, field in fields.items():
-        value = _resolve(args, key)
-        if value is not None:
-            given[field] = value
-    return given
+def _given(**fields) -> dict:
+    """The fields that a flag or the config file sets (not None)."""
+    return {field: value for field, value in fields.items() if value is not None}
 
 
 def _build_configs(args: argparse.Namespace) -> dict:
     """knewimp() keyword arguments from the model flags; an unset field keeps
     the default of the object that owns it."""
     return {
-        "dcfg": DsmConfig(**_given(args, sigma="sigma", epochs="epochs", lr="lr")),
+        "dcfg": DsmConfig(**_given(sigma=args.sigma, epochs=args.epochs, lr=args.lr)),
         "kcfg": KernelConfig(**_given(
-            args, bandwidth="bandwidth", median_bandwidth="use_median_heuristic",
+            bandwidth=args.bandwidth, use_median_heuristic=args.median_bandwidth,
         )),
         "wcfg": WgfConfig(**_given(
-            args, ner_weight="ner_weight", step_size="step_size", steps="num_steps",
-            loops="num_loops", record_every="record_every",
+            ner_weight=args.ner_weight, step_size=args.step_size, num_steps=args.steps,
+            num_loops=args.loops, record_every=args.record_every,
         )),
-        **_given(args, hidden="hidden"),
+        **_given(hidden=args.hidden),
     }
 
 
 def _missing_spec(args: argparse.Namespace, seed: int) -> MissingSpec:
     return MissingSpec(
-        mechanism=Mechanism(_resolve(args, "mechanism")),
-        rate=_resolve(args, "rate"),
+        mechanism=Mechanism(args.mechanism),
+        rate=args.rate,
         seed=seed,
         **_given(
-            args, observed_fraction="observed_fraction", overlay_rate="mcar_overlay_rate",
+            observed_fraction=args.observed_fraction,
+            mcar_overlay_rate=args.overlay_rate,
         ),
     )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    ds = load_csv(args.input, has_header=bool(_resolve(args, "has_header")))
+    ds = load_csv(args.input, has_header=args.has_header)
     if ds.mask.min() < 1.0:
         raise ValueError(f"{args.input}: input must be complete to simulate masks")
-    spec = _missing_spec(args, int(_resolve(args, "seed")))
+    spec = _missing_spec(args, args.seed)
     mask = simulate(ds.values, spec)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,19 +216,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_impute(args: argparse.Namespace) -> int:
     model = _build_configs(args)
-    has_header = bool(_resolve(args, "has_header"))
-    ds = load_csv(args.input, has_header=has_header)
+    ds = load_csv(args.input, has_header=args.has_header)
     if args.truth:
-        truth = load_csv(args.truth, has_header=has_header)
-        ds = TabularDataset(
-            values=ds.values, mask=ds.mask, truth=truth.values,
-            column_names=ds.column_names,
-        )
+        truth = load_csv(args.truth, has_header=args.has_header)
+        ds = replace(ds, truth=truth.values)
     ds_std, stats = standardize(ds)
     net0 = load_network(args.load_net) if args.load_net else None
-    result = knewimp(
-        ds_std, **model, seed=int(_resolve(args, "seed")), initial_net=net0
-    )
+    result = knewimp(ds_std, **model, seed=args.seed, initial_net=net0)
     if args.save_net:
         save_network(args.save_net, result.network)
     imputed = stats.invert(result.imputed)
@@ -283,9 +253,8 @@ def _write_trajectory(path: str, result: ImputationResult) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    has_header = bool(_resolve(args, "has_header"))
-    truth = load_csv(args.truth, has_header=has_header)
-    imputed = load_csv(args.imputed, has_header=has_header)
+    truth = load_csv(args.truth, has_header=args.has_header)
+    imputed = load_csv(args.imputed, has_header=args.has_header)
     mask = load_mask_csv(args.mask)
     if truth.mask.min() < 1.0:
         raise ValueError(f"{args.truth}: truth CSV must be complete")
@@ -323,12 +292,6 @@ def _experiment_seed(truth_ds, args, model, seed):
     }
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("KNEWIMP_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, limit))
-
-
 def _aggregate(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -337,10 +300,10 @@ def _aggregate(values: list[float]) -> dict:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     model = _build_configs(args)
-    seeds = [int(s) for s in str(_resolve(args, "seeds")).split(",") if s.strip()]
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ValueError("at least one seed is required")
-    truth_ds = load_csv(args.input, has_header=bool(_resolve(args, "has_header")))
+    truth_ds = load_csv(args.input, has_header=args.has_header)
     if truth_ds.mask.min() < 1.0:
         raise ValueError(f"{args.input}: experiment input must be complete")
     out = Path(args.output_dir)
@@ -352,7 +315,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         except Exception as exc:
             raise RuntimeError(f"seed {seed} failed: {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(seeds), os.cpu_count() or 1)) as pool:
         reports = list(pool.map(run_one, seeds))
 
     for report in reports:
@@ -361,8 +324,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     summary = {
         "input": args.input,
-        "mechanism": _resolve(args, "mechanism"),
-        "rate": _resolve(args, "rate"),
+        "mechanism": args.mechanism,
+        "rate": args.rate,
         "seeds": seeds,
         "methods": {
             name: {
@@ -389,7 +352,6 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {}
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -399,7 +361,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not isinstance(config, dict):
             print("knewimp: config file must hold a JSON object", file=sys.stderr)
             return 2
-    args._config = _check_config(parser, config)
+        # Config values become flag defaults, so a typed flag still wins.
+        parser.commands[args.command].set_defaults(**_check_config(parser, config))
+        args = parser.parse_args(argv)
     try:
         _validate_flags(parser, args)
         return _COMMANDS[args.command](args)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -121,29 +121,35 @@ def from_complete(
     return TabularDataset(values=values, mask=mask, truth=truth, column_names=names)
 
 
-def _parse_cell(cell: str, row: int, col: int) -> float:
-    text = cell.strip()
+def _parse_cell(text: str) -> float:
+    """A data cell: a finite number, or NaN for a missing token."""
     if text.lower() in _MISSING_TOKENS:
         return np.nan
     try:
         value = float(text)
     except ValueError:
-        raise CsvFormatError(
-            f"cell at row {row}, column {col} is not numeric: {text!r}"
-        ) from None
+        raise CsvFormatError("is not numeric") from None
     if not np.isfinite(value):
-        raise CsvFormatError(f"cell at row {row}, column {col} is not finite: {text!r}")
+        raise CsvFormatError("is not finite")
     return value
 
 
-def load_csv(path: str, has_header: bool = False) -> TabularDataset:
-    """Read a numeric CSV; empty/NaN cells become missing entries.
+def _parse_mask_cell(text: str) -> float:
+    if text not in ("0", "1"):
+        raise CsvFormatError("must be 0 or 1")
+    return float(text)
 
-    Rows are 1-indexed in error messages, counted after the header.
+
+def _read_cells(
+    path: str, has_header: bool, parse: Callable[[str], float]
+) -> tuple[Optional[list[str]], np.ndarray]:
+    """(header names or None, matrix of parse(cell.strip()) over the data rows).
+
+    Rows and columns are 1-indexed in error messages, rows counted after the
+    header; every error names the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     names: Optional[list[str]] = None
     if has_header:
         if not rows:
@@ -160,7 +166,19 @@ def load_csv(path: str, has_header: bool = False) -> TabularDataset:
                 f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
             )
         for j, cell in enumerate(row):
-            data[i, j] = _parse_cell(cell, i + 1, j + 1)
+            text = cell.strip()
+            try:
+                data[i, j] = parse(text)
+            except CsvFormatError as exc:
+                raise CsvFormatError(
+                    f"{path}: cell at row {i + 1}, column {j + 1} {exc}: {text!r}"
+                ) from None
+    return names, data
+
+
+def load_csv(path: str, has_header: bool = False) -> TabularDataset:
+    """Read a numeric CSV; empty/NaN cells become missing entries."""
+    names, data = _read_cells(path, has_header, _parse_cell)
     mask = (~np.isnan(data)).astype(np.float64)
     return TabularDataset(values=data, mask=mask, column_names=names)
 
@@ -191,27 +209,8 @@ def write_csv(
 
 
 def load_mask_csv(path: str) -> np.ndarray:
-    """Read a 0/1 mask CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise CsvFormatError(f"{path}: empty mask file")
-    width = len(rows[0])
-    mask = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise CsvFormatError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if text not in ("0", "1"):
-                raise CsvFormatError(
-                    f"{path}: mask cell at row {i + 1}, column {j + 1} "
-                    f"must be 0 or 1, got {text!r}"
-                )
-            mask[i, j] = float(text)
-    return mask
+    """Read a 0/1 mask CSV (no header)."""
+    return _read_cells(path, False, _parse_mask_cell)[1]
 
 
 def write_mask_csv(path: str, mask: np.ndarray) -> None:

@@ -285,10 +285,10 @@ class TestExperiment:
         _, out_b = self.run(tmp_path, complete_csv, "5,6", "detB")
         assert read(out_a / "summary.json") == read(out_b / "summary.json")
 
-    def test_thread_cap_env_var(self, tmp_path, complete_csv, monkeypatch):
-        monkeypatch.setenv("KNEWIMP_THREADS", "1")
+    def test_serial_and_parallel_seeds_agree(self, tmp_path, complete_csv, monkeypatch):
+        monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 1)
         _, out_serial = self.run(tmp_path, complete_csv, "7,8", "serial")
-        monkeypatch.setenv("KNEWIMP_THREADS", "2")
+        monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 2)
         _, out_parallel = self.run(tmp_path, complete_csv, "7,8", "parallel")
         assert read(out_serial / "summary.json") == read(out_parallel / "summary.json")
 
@@ -306,6 +306,20 @@ class TestModelDefaults:
         model = _build_configs(args)
         assert model == {"dcfg": DsmConfig(), "kcfg": KernelConfig(), "wcfg": WgfConfig()}
         assert inspect.signature(knewimp).parameters["hidden"].default == 256
+
+
+class TestParserDefaults:
+    def test_simulate_defaults_live_on_flags(self):
+        args = build_parser().parse_args(["simulate", "--input", "a.csv"])
+        assert args.mechanism == "mcar"
+        assert args.rate == 0.3
+        assert args.seed == 0
+        assert args.has_header is False
+
+    def test_experiment_seeds_default(self):
+        args = build_parser().parse_args(["experiment", "--input", "a.csv", "--output-dir", "o"])
+        assert args.seeds == "0,1,2,3,4"
+        assert args.has_header is False
 
 
 class TestConfigFile:
@@ -327,6 +341,19 @@ class TestConfigFile:
         ]) == 0
         mask_b = load_mask_csv(str(out_b / "mask.csv"))
         assert 1.0 - mask_b.mean() < 0.25  # flag overrides config
+        # A key of another subcommand is allowed, and a config switch stands in
+        # for its flag: the header is honoured without --has-header.
+        cfg.write_text(json.dumps({
+            "rate": 0.5, "seed": 11, "seeds": "1,2", "has_header": True,
+        }), encoding="utf-8")
+        out_c = tmp_path / "cfgC"
+        assert main([
+            "--config", str(cfg), "simulate", "--input", complete_csv,
+            "--output-dir", str(out_c),
+        ]) == 0
+        assert read(out_c / "mask.csv") == read(out_a / "mask.csv")
+        assert read(out_c / "masked.csv") == read(out_a / "masked.csv")
+        assert read(out_c / "masked.csv").startswith("u,v\n")
 
     def test_config_model_key_and_flag_precedence(self, tmp_path, complete_csv):
         sim = tmp_path / "sim"

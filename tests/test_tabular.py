@@ -38,6 +38,11 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="row 1, column 2"):
             load_csv(write(tmp_path, "1.0,xy\n"))
 
+    def test_cell_error_names_file(self, tmp_path):
+        path = write(tmp_path, "a\n1\ninf\n")
+        with pytest.raises(CsvFormatError, match=r"data\.csv: cell at row 2, column 1 is not finite"):
+            load_csv(path, has_header=True)
+
     def test_nan_tokens_accepted(self, tmp_path):
         ds = load_csv(write(tmp_path, "NaN,nan\n1,2\n"))
         assert ds.mask[0].tolist() == [0.0, 0.0]
@@ -82,6 +87,15 @@ class TestCsvRoundTrip:
         path = write(tmp_path, "0,2\n", "m.csv")
         with pytest.raises(CsvFormatError, match="must be 0 or 1"):
             load_mask_csv(path)
+
+    def test_mask_errors_name_file_and_cell(self, tmp_path):
+        path = write(tmp_path, "0,1\n1,x\n", "m.csv")
+        with pytest.raises(CsvFormatError, match=r"m\.csv: cell at row 2, column 2 must be 0 or 1"):
+            load_mask_csv(path)
+        with pytest.raises(CsvFormatError, match=r"m\.csv: row 2 has 1 cells"):
+            load_mask_csv(write(tmp_path, "0,1\n1\n", "m.csv"))
+        with pytest.raises(CsvFormatError, match=r"m\.csv: no data rows"):
+            load_mask_csv(write(tmp_path, "", "m.csv"))
 
 
 class TestDatasetInvariants:
