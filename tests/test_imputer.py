@@ -285,7 +285,9 @@ class TestKnewimp:
 
 
 # One small knewimp() run, its imputed matrix saved to argv[1]; argv[2] == "1"
-# turns on the median bandwidth.
+# turns on the median bandwidth. With 1200 rows (1121 of them incomplete),
+# training and the flow's score forward both run over two chunks of
+# score._CHUNK_ROWS = 1024.
 _BLAS_RUN = """
 import sys
 import numpy as np
@@ -293,7 +295,7 @@ from knewimp import DsmConfig, KernelConfig, WgfConfig, knewimp
 from knewimp.tabular import from_complete, standardize
 
 rng = np.random.default_rng(0)
-truth = rng.standard_normal((700, 8)) @ rng.standard_normal((8, 8))
+truth = rng.standard_normal((1200, 8)) @ rng.standard_normal((8, 8))
 mask = (rng.random(truth.shape) >= 0.3).astype(float)
 ds, _ = standardize(from_complete(truth, mask))
 result = knewimp(

@@ -1,10 +1,13 @@
 import sys
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from knewimp import score as score_mod
 from knewimp.score import (
     Adam,
     DsmConfig,
@@ -167,6 +170,11 @@ class TestDsmLossAndGrad:
         with pytest.raises(ValueError):
             dsm_loss_and_grad(net, np.zeros((2, 3)), np.zeros((3, 3)), 0.1)
 
+    def test_empty_batch_rejected(self):
+        net = init_network(3, 8, seed=0)
+        with pytest.raises(ValueError, match="at least one row"):
+            dsm_loss_and_grad(net, np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
@@ -319,10 +327,140 @@ class TestBitExactOracle:
             assert np.array_equal(p, r)
 
 
-def test_concurrent_training_matches_serial():
-    """train() calls running at once share no buffers: each equals its
-    serial result bit for bit. Four threads on two or more cores, with a
-    short switch interval, interleave the epochs of same-shaped runs."""
+class TestChunking:
+    """Rows run in chunks of score._CHUNK_ROWS. Against the full-batch
+    formulas in oracles.py the result is bit-identical when one chunk covers
+    the batch, and equal to round-off when the gradients are summed over
+    several chunks."""
+
+    RTOL = 1e-12
+
+    @classmethod
+    def close(cls, got, want):
+        """Largest difference within RTOL of want's largest magnitude."""
+        scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
+        return float(np.abs(got - want).max()) <= cls.RTOL * scale
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    def test_loss_and_gradients(self, monkeypatch, chunk):
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(60 + chunk)
+        for _ in range(25):
+            n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
+            net = random_network(rng, d, hidden)
+            x = 2.0 * rng.standard_normal((n, d))
+            noise = 0.1 * rng.standard_normal((n, d))
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
+            ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(net, x, noise, 0.1)
+            pairs = list(zip(g_w + g_b, ref_w + ref_b))
+            assert all(g.shape == ref.shape for g, ref in pairs)
+            if n <= chunk:
+                assert loss == ref_loss
+                assert all(np.array_equal(g, ref) for g, ref in pairs)
+            else:
+                assert loss == pytest.approx(ref_loss, rel=self.RTOL, abs=0.0)
+                assert all(self.close(g, ref) for g, ref in pairs)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    def test_forward(self, monkeypatch, chunk):
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(70 + chunk)
+        for _ in range(25):
+            n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
+            net = random_network(rng, d, hidden)
+            x = 3.0 * rng.standard_normal((n, d))
+            got, want = forward(net, x), oracles.forward_trace(net, x)[0]
+            if n <= chunk:
+                assert np.array_equal(got, want)
+            else:
+                assert got.shape == want.shape and self.close(got, want)
+
+    def test_train_agrees_across_chunk_heights(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal((45, 3))
+        net = random_network(rng, 3, 16)
+        runs = []
+        for chunk in (1, 7, 45):
+            monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
+            runs.append(train(net, x, DsmConfig(epochs=5), seed=12))
+        (ref_net, ref_hist), *others = runs
+        for got_net, got_hist in others:
+            np.testing.assert_allclose(got_hist, ref_hist, rtol=self.RTOL, atol=0.0)
+            for p, ref in zip(got_net.parameters(), ref_net.parameters()):
+                assert self.close(p, ref)
+
+    def test_buffers_for_another_network_rejected(self):
+        x = np.zeros((10, 3))
+        buffers = score_mod._DsmBuffers(init_network(3, 8, seed=0), 10)
+        with pytest.raises(ValueError, match=r"\(10, 10, 3, 8\).*\(10, 10, 3, 16\)"):
+            dsm_loss_and_grad(init_network(3, 16, seed=0), x, x, 0.1, buffers)
+
+    def test_buffers_for_another_chunk_height_rejected(self, monkeypatch):
+        net = init_network(3, 8, seed=0)
+        x = np.zeros((20, 3))
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
+        buffers = score_mod._DsmBuffers(net, 20)
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 8)
+        with pytest.raises(ValueError, match=r"\(20, 7, 3, 8\).*\(20, 8, 3, 8\)"):
+            dsm_loss_and_grad(net, x, x, 0.1, buffers)
+
+    def test_divergence_in_last_chunk_only(self, monkeypatch):
+        # Rows 14-19 form the third chunk of 7; the first two train finitely.
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
+        x = np.random.default_rng(81).standard_normal((20, 2))
+        x[14:] *= 1e160
+        net = init_network(2, 4, seed=0)
+        # The backward pass never runs on the overflowed chunk, so nothing
+        # warns on the way to the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergence) as info:
+                train(net, x, DsmConfig(epochs=3), seed=0)
+        assert str(info.value) == "training diverged at epoch 0"
+
+
+class TestMemory:
+    """Hidden-layer memory is bounded by the chunk height, not by N: at
+    5000 rows and 256 hidden units one N x H float64 array alone is 10 MB."""
+
+    N, D, H = 5000, 8, 256
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def setup_method(self):
+        self.net = init_network(self.D, self.H, seed=0)
+        self.x = np.random.default_rng(90).standard_normal((self.N, self.D))
+        self.params = sum(p.size for p in self.net.parameters())
+        self.chunk_h = min(self.N, score_mod._CHUNK_ROWS) * self.H
+        assert self.chunk_h < self.N * self.H
+
+    def test_train_peak(self):
+        # Seven chunk-high activation and backprop buffers, the noise, the
+        # noised input, target and output chunks, and the network copy,
+        # Adam state and gradients (each a parameter-sized array).
+        cfg = DsmConfig(epochs=2)
+        peak = self.peak_bytes(lambda: train(self.net, self.x, cfg, seed=0))
+        bound = 8 * (8 * self.chunk_h + 4 * self.N * self.D + 10 * self.params)
+        assert peak <= bound, (peak, bound)
+
+    def test_forward_peak(self):
+        # Three chunk-high hidden buffers and the (N, D) output.
+        peak = self.peak_bytes(lambda: forward(self.net, self.x))
+        bound = 8 * (4 * self.chunk_h + 2 * self.N * self.D)
+        assert peak <= bound, (peak, bound)
+
+
+def _check_concurrent_training():
+    """Four threads on two or more cores, with a short switch interval,
+    interleave the epochs of same-shaped runs; each must equal its serial
+    result bit for bit."""
     rng = np.random.default_rng(54)
     net = init_network(4, 32, seed=3)
     cfg = DsmConfig(epochs=40)
@@ -348,3 +486,15 @@ def test_concurrent_training_matches_serial():
         assert got_hist == want_hist
         for a, b in zip(got_net.parameters(), want_net.parameters()):
             assert np.array_equal(a, b)
+
+
+def test_concurrent_training_matches_serial():
+    """train() calls running at once share no buffers."""
+    _check_concurrent_training()
+
+
+def test_concurrent_multi_chunk_training_matches_serial(monkeypatch):
+    """The same with 120 rows in chunks of 50, so each call also shares no
+    per-chunk gradient scratch."""
+    monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 50)
+    _check_concurrent_training()
