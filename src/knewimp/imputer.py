@@ -9,10 +9,13 @@ Euler; training the score model and simulating the flow alternate for a
 configured number of rounds.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
-them as one tiled reduction over the incomplete rows only: kernel.gram
-writes B = _TILE_ROWS rows of the Gram at a time into one B x N buffer that
-every tile of the step reuses, and each tile is multiplied at once into the
-stacked right-hand side, so a step holds O(B N) memory, never N x N.
+them as one tiled reduction over the incomplete rows only. The Gram is
+symmetric, so kernel.gram writes only its upper-triangular tiles: B =
+_TILE_ROWS rows at a time, from the tile's diagonal block to the last
+column, into one B x N buffer that every tile of the step reuses. Each tile
+is used twice, once for its own rows and once, transposed, for the rows
+below it, so every Gram entry is computed once and a step holds O(B N)
+memory, never N x N.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ import numpy as np
 from . import metrics as metrics_mod
 from .kernel import KernelConfig, gram, resolve_bandwidth
 from .score import DsmConfig, ScoreNetwork, forward, init_network, train
-from .tabular import TabularDataset, initialize_missing, observed_column_means
+from .tabular import (
+    TabularDataset,
+    checked_mask,
+    initialize_missing,
+    observed_column_means,
+)
 
 ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
 
@@ -36,8 +44,9 @@ ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
 TRAJECTORY_WASS_LIMIT = 512
 
 # Rows of the Gram built at a time in velocity(). Small enough that a tile
-# and its product stay in cache at N ~ 5000; each output row is reduced the
-# same way whatever the height, so results agree across heights.
+# and its products stay in cache at N ~ 5000. Up to this many incomplete
+# rows there is one tile; past it, a row's sum is split between tiles, so
+# results agree across heights to round-off.
 _TILE_ROWS = 256
 
 
@@ -122,30 +131,44 @@ def velocity(
     missing cell get zero velocity and add zero to every sum, so only the
     incomplete rows are evaluated: the score network runs on them alone (it
     must act row by row), and G is built over them in tiles of _TILE_ROWS
-    rows, each written into one reused buffer and multiplied straight into
-    its slice of the product. Step memory is O(_TILE_ROWS * N), never N x N;
-    the divisor stays N and the bandwidth is resolved on the full x.
+    rows. Tile [s:e] holds only G[s:e, s:], the diagonal block and the
+    columns to its right, in one reused buffer. G is symmetric, so the tile
+    serves two products:
+
+    - G[s:e, s:] @ rhs[s:] gives rows s:e of the product their sum over
+      columns s and up;
+    - rhs[s:e]^T @ G[s:e, s:] is, past the diagonal block, G[e:, s:e] @
+      rhs[s:e] transposed: the rows below the tile summed over its columns.
+
+    The second is written with the small 3D x B operand on the left: the
+    equivalent G[:, b:]^T @ rhs[s:e] makes a threaded BLAS pack the tall
+    transposed tile, which costs time and memory. Step memory is
+    O(_TILE_ROWS * N), never N x N; the divisor stays N and the bandwidth is
+    resolved on the full x. The mask must hold only 0 and 1.
     """
     x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.shape:
-        raise ValueError(f"mask shape {mask.shape} != data shape {x.shape}")
+    mask = checked_mask(mask, x.shape)
     n, d = x.shape
     h = resolve_bandwidth(kcfg, x)
-    free = 1.0 - mask
-    rows = np.flatnonzero(free.any(axis=1))
+    rows = np.flatnonzero((mask == 0.0).any(axis=1))
     v = np.zeros_like(x)
-    if rows.size == 0:
+    m = rows.size
+    if m == 0:
         return v
-    x_rows, free_rows = x[rows], free[rows]
-    scores = _eval_score(score, x_rows) * free_rows
-    rhs = np.hstack([scores, free_rows, x_rows * free_rows])
-    prod = np.empty((rows.size, 3 * d))
-    tile_buf = np.empty((min(_TILE_ROWS, rows.size), rows.size))
-    for start in range(0, rows.size, _TILE_ROWS):
-        tile = slice(start, start + _TILE_ROWS)
-        g = gram(x_rows[tile], x_rows, h, out=tile_buf[: rows[tile].size])
-        np.matmul(g, rhs, out=prod[tile])
+    x_rows, free_rows = x[rows], 1.0 - mask[rows]
+    rhs = np.hstack([_eval_score(score, x_rows) * free_rows, free_rows, x_rows * free_rows])
+    prod = np.empty((m, 3 * d))
+    tile_buf = np.empty(min(_TILE_ROWS, m) * m)
+    tile_t = np.empty(3 * d * m)
+    # Bottom tile first: a tile's own product then writes rows that no tile
+    # has touched, and its transposed product adds into rows already written.
+    for s in reversed(range(0, m, _TILE_ROWS)):
+        e = min(s + _TILE_ROWS, m)
+        b, w = e - s, m - s
+        g = gram(x_rows[s:e], x_rows[s:], h, out=tile_buf[: b * w].reshape(b, w))
+        np.matmul(g, rhs[s:], out=prod[s:e])
+        g_t = np.matmul(rhs[s:e].T, g, out=tile_t[: 3 * d * w].reshape(3 * d, w))
+        prod[e:] += g_t[:, b:].T
     smoothed, g_free, g_xfree = prod[:, :d], prod[:, d : 2 * d], prod[:, 2 * d :]
     attraction = x_rows * g_free - g_xfree
     v_rows = (smoothed - (ner_weight / (h * h)) * attraction) / n
@@ -173,7 +196,7 @@ def euler_impute(
     """
     x0 = np.asarray(x0, dtype=np.float64)
     x = x0.copy()
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = checked_mask(mask, x0.shape)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial matrix contains non-finite values")
     observed = mask == 1.0

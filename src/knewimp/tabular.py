@@ -64,6 +64,17 @@ class StandardizationStats:
             )
 
 
+def checked_mask(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """mask as float64, after checking that it has the given shape and only
+    0/1 entries."""
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != shape:
+        raise ValueError(f"mask shape {mask.shape} != values shape {shape}")
+    if not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ValueError("mask entries must be 0 or 1")
+    return mask
+
+
 @dataclass(frozen=True)
 class TabularDataset:
     """N x D numeric table with observation mask and optional ground truth.
@@ -80,13 +91,9 @@ class TabularDataset:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"values must be a non-empty 2-D matrix, got {values.shape}")
-        if mask.shape != values.shape:
-            raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
+        mask = checked_mask(self.mask, values.shape)
         if not np.array_equal(np.isnan(values), mask == 0.0):
             raise ValueError("values must be NaN exactly where mask == 0")
         object.__setattr__(self, "values", values)

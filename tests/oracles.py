@@ -23,6 +23,23 @@ def grad_gram_second(x_i, y_j, bandwidth):
     return (diff / (bandwidth * bandwidth)) * k
 
 
+def dense_velocity(x, mask, scores, bandwidth, ner_weight):
+    """The flow velocity from the full N x N Gram and the N x N x D array of
+    pairwise kernel gradients, summed over every row j at once.
+
+    v_i = (1/N) sum_j [G_ij s_j - ner_weight grad_y K(x_i, x_j) ⊙ f_j] ⊙ f_i,
+    with f = 1 - mask and s the score at x, masked by f.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    free = 1.0 - np.asarray(mask, dtype=np.float64)
+    h2 = bandwidth * bandwidth
+    diff = x[:, None, :] - x[None, :, :]
+    g = np.exp((diff * diff).sum(axis=2) / (-2.0 * h2))
+    smoothed = g @ (np.asarray(scores, dtype=np.float64) * free)
+    attraction = ((diff / h2) * g[:, :, None] * free[None, :, :]).sum(axis=1)
+    return (smoothed - ner_weight * attraction) / x.shape[0] * free
+
+
 def wasserstein2_bruteforce(truth_rows, imputed_rows):
     """Minimum mean squared pairing cost over all permutations."""
     a = np.asarray(truth_rows, dtype=np.float64)

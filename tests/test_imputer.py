@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from knewimp.imputer import (
 from knewimp.kernel import KernelConfig, median_bandwidth
 from knewimp.score import DsmConfig, forward, init_network, train
 from knewimp.tabular import TabularDataset, from_complete, initialize_missing, standardize
-from oracles import grad_gram_second
+from oracles import dense_velocity, grad_gram_second
 
 KCFG = KernelConfig(bandwidth=1.0)
 
@@ -135,6 +136,62 @@ class TestVelocityOracle:
             runs.append(euler_impute(x0, mask, net, KCFG, cfg)[0])
         for x in runs[1:]:
             assert np.abs(x - runs[0]).max() <= 1e-12 * np.abs(runs[0]).max()
+
+
+def incomplete_rows_table(m, n_complete, d, seed):
+    """n_complete fully observed rows, then m rows with at least one missing
+    cell each."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m + n_complete, d))
+    mask = (rng.random(x.shape) > 0.4).astype(float)
+    mask[:n_complete] = 1.0
+    mask[n_complete + np.arange(m), rng.integers(0, d, m)] = 0.0
+    return x, mask
+
+
+class TestVelocityAcrossTiles:
+    """The default tile height over one tile, a tile plus one row, and a
+    ragged last tile, against the dense N x N oracle."""
+
+    @pytest.mark.parametrize("m", [256, 257, 601])
+    def test_matches_dense_oracle(self, m):
+        assert imputer_mod._TILE_ROWS == 256
+        x, mask = incomplete_rows_table(m, 23, 5, seed=m)
+        net = init_network(5, 16, seed=m)
+        for kcfg in (KernelConfig(bandwidth=1.5), KernelConfig(use_median_heuristic=True)):
+            h = median_bandwidth(x) if kcfg.use_median_heuristic else kcfg.bandwidth
+            v = velocity(x, mask, net, kcfg, 0.7)
+            ref = dense_velocity(x, mask, forward(net, x), h, 0.7)
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_step_memory_is_tile_rows_plus_linear(self):
+        # Every array a step holds, but the one Gram tile, is a small multiple
+        # of D doubles per incomplete row; an m x m array or a copy of a
+        # tall tile would break the bound. BLAS packing buffers are not traced.
+        d, k = 4, 24
+        x, mask = incomplete_rows_table(2000, 0, d, seed=3)
+        tracemalloc.start()
+        try:
+            velocity(x, mask, gaussian_score, KernelConfig(bandwidth=1.5), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (imputer_mod._TILE_ROWS + k * d) * 2000
+
+
+class TestMaskEntries:
+    @pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, "shape"])
+    def test_bad_mask_rejected(self, bad):
+        x = np.random.default_rng(14).standard_normal((4, 2))
+        mask = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        if bad == "shape":
+            mask, match = mask[:3], "mask shape"
+        else:
+            mask[2, 1], match = bad, "0 or 1"
+        with pytest.raises(ValueError, match=match):
+            velocity(x, mask, zero_score, KCFG, 1.0)
+        with pytest.raises(ValueError, match=match):
+            euler_impute(x, mask, zero_score, KCFG, WgfConfig(num_steps=2, num_loops=1))
 
 
 class TestEulerImpute:
