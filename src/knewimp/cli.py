@@ -376,7 +376,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _validate_flags(parser: _Parser, args: argparse.Namespace) -> None:
-    """Range-check numeric flags so bad values exit as usage errors."""
+    """Range-check numeric flags and check flag pairs, so bad values exit
+    as usage errors before any file is read."""
+    if args.command == "impute" and args.trajectory and not args.truth:
+        parser.error("--trajectory needs --truth: trajectory metrics compare against it")
     try:
         if args.command in ("simulate", "experiment"):
             _missing_spec(args, 0)

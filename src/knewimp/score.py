@@ -14,9 +14,11 @@ expressions. Hidden-layer memory is therefore O(_CHUNK_ROWS * H) whatever
 N is. Up to _CHUNK_ROWS rows there is one chunk and results are
 bit-identical to the plain expressions; past it the gradients are summed
 chunk by chunk and agree with them to round-off. train() allocates one set
-of buffers per call and reuses it every epoch; forward() runs in three
-chunk-high buffers of its own. Buffers never outlive the call that made
-them, so concurrent calls share nothing.
+of buffers per call and reuses it every epoch: six chunk-high (rows, H)
+buffers hold the forward activations, and the backward pass writes each
+of its values into one of them that is dead by then. forward() runs in
+three chunk-high buffers of its own. Buffers never outlive the call that
+made them, so concurrent calls share nothing.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Rows per forward/backward chunk. Large enough that the GEMMs stay
-# efficient (256-row chunks made a 1000 x 16 epoch about 8% slower).
-_CHUNK_ROWS = 1024
+# Rows per forward/backward chunk. Median DSM epoch over 12 interleaved
+# rounds (H = 256, 2-core VM, OpenBLAS 0.3.31) at 1024 / 512 / 256 rows:
+# 22.1 / 21.1 / 21.8 ms at 1000 x 16 and 100.1 / 91.0 / 93.6 ms at
+# 4898 x 11. 512 was the fastest at both shapes, with half the chunk-high
+# buffers of 1024.
+_CHUNK_ROWS = 512
 
 
 class TrainingDivergence(RuntimeError):
@@ -179,17 +184,18 @@ def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
 class _DsmBuffers:
     """Every array one DSM loss-and-gradient evaluation writes, for one
     network shape and batch size N. Row buffers are min(N, _CHUNK_ROWS)
-    high; when N needs more than one chunk, a second gradient set holds
-    each later chunk's gradients before they are added in. train()
-    allocates one per call and reuses it every epoch; it is never shared
-    between calls."""
+    high: three (rows, D) ones for the noised input, target and output, and
+    the six (rows, H) activations, which _dsm_chunk's backward pass reuses
+    for its own values. When N needs more than one chunk, a second gradient
+    set holds each later chunk's gradients before they are added in.
+    train() allocates one per call and reuses it every epoch; it is never
+    shared between calls."""
 
     def __init__(self, net: ScoreNetwork, n: int) -> None:
         self.shape = _buffer_shape(net, n)
         rows, d, h = self.shape[1:]
         self.x_noised, self.target, self.out = (np.empty((rows, d)) for _ in range(3))
         self.act = tuple(np.empty((rows, h)) for _ in range(6))
-        self.back = np.empty((rows, h))
         self.g_w = [np.empty_like(w) for w in net.weights]
         self.g_b = [np.empty_like(b) for b in net.biases]
         self.scratch = None
@@ -222,7 +228,7 @@ def _dsm_chunk(
     g_b. A non-finite sum is returned before the backward pass runs.
     """
     m = x_clean.shape[0]
-    x_noised, target, back = buf.x_noised[:m], buf.target[:m], buf.back[:m]
+    x_noised, target = buf.x_noised[:m], buf.target[:m]
     act = tuple(a[:m] for a in buf.act)
     z1, s1, a1, z2, s2, a2 = act
     np.add(x_clean, noise, out=x_noised)
@@ -237,22 +243,24 @@ def _dsm_chunk(
     if not np.isfinite(sq):
         return sq
 
-    # Each swish derivative goes into the activation buffer the backward
-    # pass no longer needs; back holds d_z2, then z2 holds d_z1.
+    # Every backward value goes into an activation buffer that is dead by
+    # then: swish'(z2) into a2 once g_w[2] has read it, d_z2 into z2 and
+    # d_z1 into s2 once swish'(z2) has read both, swish'(z1) into a1 once
+    # g_w[1] has read it.
     w = net.weights
     d_out = np.divide(resid, n, out=resid)
     np.matmul(a2.T, d_out, out=g_w[2])
     np.sum(d_out, axis=0, out=g_b[2])
     _swish_grad(z2, s2, out=a2)
-    np.matmul(d_out, w[2].T, out=back)
-    back *= a2
-    np.matmul(a1.T, back, out=g_w[1])
-    np.sum(back, axis=0, out=g_b[1])
+    d_z2 = np.matmul(d_out, w[2].T, out=z2)
+    d_z2 *= a2
+    np.matmul(a1.T, d_z2, out=g_w[1])
+    np.sum(d_z2, axis=0, out=g_b[1])
     _swish_grad(z1, s1, out=a1)
-    np.matmul(back, w[1].T, out=z2)
-    z2 *= a1
-    np.matmul(x_noised.T, z2, out=g_w[0])
-    np.sum(z2, axis=0, out=g_b[0])
+    d_z1 = np.matmul(d_z2, w[1].T, out=s2)
+    d_z1 *= a1
+    np.matmul(x_noised.T, d_z1, out=g_w[0])
+    np.sum(d_z1, axis=0, out=g_b[0])
     return sq
 
 

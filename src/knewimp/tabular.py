@@ -9,6 +9,7 @@ operations return new objects and never mutate their inputs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -136,7 +137,7 @@ def _parse_cell(text: str) -> float:
         value = float(text)
     except ValueError:
         raise CsvFormatError("is not numeric") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise CsvFormatError("is not finite")
     return value
 

@@ -179,6 +179,19 @@ class TestImpute:
         assert lines[0] == "step,mae,wass"
         assert len(lines) > 2
 
+    def test_trajectory_without_truth_is_usage_error(self, tmp_path, capsys):
+        # Refused before any file is read: the input does not even exist.
+        traj, out = tmp_path / "traj.csv", tmp_path / "im.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "impute", "--input", str(tmp_path / "absent.csv"),
+                "--output", str(out), "--trajectory", str(traj), *FAST,
+            ])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--trajectory" in err and "--truth" in err
+        assert not traj.exists() and not out.exists()
+
 
 class TestEvaluate:
     def test_perfect_imputation_zero_metrics(self, tmp_path, complete_csv):

@@ -343,8 +343,8 @@ class TestKnewimp:
 
 # One small knewimp() run, its imputed matrix saved to argv[1]; argv[2] == "1"
 # turns on the median bandwidth. With 1200 rows (1121 of them incomplete),
-# training and the flow's score forward both run over two chunks of
-# score._CHUNK_ROWS = 1024.
+# training and the flow's score forward both run over more than one chunk
+# of score._CHUNK_ROWS (three at 512 rows).
 _BLAS_RUN = """
 import sys
 import numpy as np
