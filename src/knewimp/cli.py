@@ -365,7 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.commands[args.command].set_defaults(**_check_config(parser, config))
         args = parser.parse_args(argv)
     try:
-        _validate_flags(parser, args)
+        _validate_flags(parser.commands[args.command], args)
         return _COMMANDS[args.command](args)
     except SystemExit:
         raise
@@ -375,9 +375,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
-def _validate_flags(parser: _Parser, args: argparse.Namespace) -> None:
+def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Range-check numeric flags and check flag pairs, so bad values exit
-    as usage errors before any file is read."""
+    as usage errors before any file is read. parser is the subcommand's, so
+    the error shows that command's usage, as argparse's own errors do."""
     if args.command == "impute" and args.trajectory and not args.truth:
         parser.error("--trajectory needs --truth: trajectory metrics compare against it")
     try:

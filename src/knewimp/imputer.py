@@ -9,9 +9,11 @@ Euler; training the score model and simulating the flow alternate for a
 configured number of rounds.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
-them as one tiled reduction over the incomplete rows only. The Gram is
-symmetric, so kernel.gram writes only its upper-triangular tiles: B =
-_TILE_ROWS rows at a time, from the tile's diagonal block to the last
+them as one tiled reduction over the incomplete rows only. The attraction
+is folded into the score block, so one Gram product with a 2D-wide
+right-hand side gives both terms. The Gram operands are built once per
+step; the Gram is symmetric, so only its upper-triangular tiles are built:
+B = _TILE_ROWS rows at a time, from the tile's diagonal block to the last
 column, into one B x N buffer that every tile of the step reuses. Each tile
 is used twice, once for its own rows and once, transposed, for the rows
 below it, so every Gram entry is computed once and a step holds O(B N)
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import metrics as metrics_mod
-from .kernel import KernelConfig, gram, resolve_bandwidth
+from .kernel import KernelConfig, _gram_operands, _gram_tile, resolve_bandwidth
 from .score import DsmConfig, ScoreNetwork, forward, init_network, train
 from .tabular import (
     TabularDataset,
@@ -43,10 +45,14 @@ ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
 # cost grows cubically with the row count. MAE is always recorded.
 TRAJECTORY_WASS_LIMIT = 512
 
-# Rows of the Gram built at a time in velocity(). Small enough that a tile
-# and its products stay in cache at N ~ 5000. Up to this many incomplete
-# rows there is one tile; past it, a row's sum is split between tiles, so
-# results agree across heights to round-off.
+# Rows of the Gram built at a time in velocity(). A tile is not cache-sized
+# (256 x 4800 doubles is 9.8 MB); the height only trades per-tile overhead
+# against tile memory. velocity() at 4898 x 11 (4789 incomplete rows, cheap
+# score, 12 interleaved rounds on a 2-core VM) took 1.16 / 1.04 / 1 / 1.01
+# times as long at 64 / 128 / 256 / 512 rows, so 256 is the smallest height
+# without a loss. Up to this many incomplete rows there is one tile; past
+# it, a row's sum is split between tiles, so results agree across heights
+# to round-off.
 _TILE_ROWS = 256
 
 
@@ -126,21 +132,31 @@ def velocity(
                               - ner_weight * grad_y K(x_i, y)|_{y=x_j} ⊙ free_j ]
 
     restricted to its own missing coordinates. The RBF kernel gradient
-    expands to ((x_i - x_j)/h^2) G[i,j], so the sum needs only the product
-    of G with the stacked right-hand side [S | F | X⊙F]. Rows without a
-    missing cell get zero velocity and add zero to every sum, so only the
-    incomplete rows are evaluated: the score network runs on them alone (it
-    must act row by row), and G is built over them in tiles of _TILE_ROWS
-    rows. Tile [s:e] holds only G[s:e, s:], the diagonal block and the
-    columns to its right, in one reused buffer. G is symmetric, so the tile
-    serves two products:
+    expands to ((x_i - x_j)/h^2) G[i,j], so with lam = ner_weight / h^2 the
+    attraction folds into the score block:
+
+        v_i = (1/N) [ sum_j G[i,j] (s_j + lam x_j) ⊙ free_j
+                      - lam x_i ⊙ sum_j G[i,j] free_j ],
+
+    and one product of G with the 2D-wide right-hand side
+    [(S + lam X) ⊙ F | F] gives both sums. Rows without a missing cell get
+    zero velocity and add zero to every sum, so only the incomplete rows are
+    evaluated: the score network runs on them alone (it must act row by
+    row), and G is built over them in tiles of _TILE_ROWS rows. The Gram
+    operands of those rows are built once per step (kernel._gram_operands),
+    so a tile is one product of their slices, clamped and exponentiated in
+    place in one reused buffer. Tile [s:e] holds only G[s:e, s:], the
+    diagonal block and the columns to its right. G is symmetric, so the
+    tile serves two products:
 
     - G[s:e, s:] @ rhs[s:] gives rows s:e of the product their sum over
       columns s and up;
-    - rhs[s:e]^T @ G[s:e, s:] is, past the diagonal block, G[e:, s:e] @
-      rhs[s:e] transposed: the rows below the tile summed over its columns.
+    - rhs[s:e]^T @ G[s:e, e:] is G[e:, s:e] @ rhs[s:e] transposed: the rows
+      below the tile summed over its columns. It is added into one 2D x m
+      accumulator, which is added, transposed, to the product once after
+      the last tile.
 
-    The second is written with the small 3D x B operand on the left: the
+    The second is written with the small 2D x B operand on the left: the
     equivalent G[:, b:]^T @ rhs[s:e] makes a threaded BLAS pack the tall
     transposed tile, which costs time and memory. Step memory is
     O(_TILE_ROWS * N), never N x N; the divisor stays N and the bandwidth is
@@ -156,22 +172,25 @@ def velocity(
     if m == 0:
         return v
     x_rows, free_rows = x[rows], 1.0 - mask[rows]
-    rhs = np.hstack([_eval_score(score, x_rows) * free_rows, free_rows, x_rows * free_rows])
-    prod = np.empty((m, 3 * d))
+    lam = ner_weight / (h * h)
+    rhs = np.empty((m, 2 * d))
+    rhs[:, :d] = (_eval_score(score, x_rows) + lam * x_rows) * free_rows
+    rhs[:, d:] = free_rows
+    left, right = _gram_operands(x_rows, h)
+    prod = np.empty((m, 2 * d))
+    below = np.zeros((2 * d, m))
     tile_buf = np.empty(min(_TILE_ROWS, m) * m)
-    tile_t = np.empty(3 * d * m)
-    # Bottom tile first: a tile's own product then writes rows that no tile
-    # has touched, and its transposed product adds into rows already written.
-    for s in reversed(range(0, m, _TILE_ROWS)):
+    for s in range(0, m, _TILE_ROWS):
         e = min(s + _TILE_ROWS, m)
         b, w = e - s, m - s
-        g = gram(x_rows[s:e], x_rows[s:], h, out=tile_buf[: b * w].reshape(b, w))
+        g = _gram_tile(left[s:e], right[:, s:], out=tile_buf[: b * w].reshape(b, w))
         np.matmul(g, rhs[s:], out=prod[s:e])
-        g_t = np.matmul(rhs[s:e].T, g, out=tile_t[: 3 * d * w].reshape(3 * d, w))
-        prod[e:] += g_t[:, b:].T
-    smoothed, g_free, g_xfree = prod[:, :d], prod[:, d : 2 * d], prod[:, 2 * d :]
-    attraction = x_rows * g_free - g_xfree
-    v_rows = (smoothed - (ner_weight / (h * h)) * attraction) / n
+        if e < m:
+            below[:, e:] += rhs[s:e].T @ g[:, b:]
+    prod += below.T
+    v_rows = prod[:, :d]
+    v_rows -= lam * x_rows * prod[:, d:]
+    v_rows /= n
     if not np.all(np.isfinite(v_rows)):
         raise FloatingPointError("velocity field contains non-finite values")
     v[rows] = v_rows * free_rows

@@ -3,11 +3,16 @@
 The kernel K(x, y) = exp(-||x - y||^2 / (2 h^2)) supplies the geometry for
 the particle velocity field: Gram matrices smooth per-particle scores, and,
 because grad_y K(x, y) = ((x - y) / h^2) K(x, y), the same Gram also
-carries the attraction term between particles.
+carries the attraction term between particles:
+sum_j grad_y K(x_i, x_j) = (x_i sum_j G_ij - sum_j G_ij x_j) / h^2, which
+the flow folds into its score block (imputer.velocity).
 
-gram() is the one Gram: a single matrix product gives the scaled squared
-distances, which are clamped and exponentiated in place, inside a buffer
-the caller may pass (the flow reuses one per step).
+There is one Gram. _gram_operands(x, h) builds the operands
+[-2c x | c||x||^2 | 1] and [x | 1 | c||x||^2]^T, with c = -1/(2 h^2);
+_gram_tile multiplies a slice of each (inner size D + 2, giving the scaled
+squared distances), clamps at 0 and exponentiates in place. gram() is
+those two steps; the flow builds the operands once per step and calls
+_gram_tile on slices of them, in a buffer it reuses for every tile.
 """
 
 from __future__ import annotations
@@ -36,16 +41,45 @@ class KernelConfig:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
 
+def _gram_operands(x: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left (N, D + 2) and right (D + 2, N) Gram operands of x.
+
+    With c = -1/(2 h^2), left = [-2c x | c||x||^2 | 1] and right =
+    [x | 1 | c||x||^2]^T, so left[a] @ right[:, b] is c ||x_a - x_b||^2, and
+    slices of the two give any block of the Gram of x with itself. right is
+    the transpose of a C-contiguous (N, D + 2) array, so a column slice
+    right[:, s:] has the strides of the right operand of x[s:] alone: BLAS
+    takes the same path for both, and a block from slices is bit-identical
+    to gram() on the same rows. (A C-contiguous right operand is no faster,
+    and one-row blocks of its strided slices take a different BLAS path.)
+    """
+    c = -0.5 / (bandwidth * bandwidth)
+    norms = c * (x * x).sum(axis=1, keepdims=True)
+    ones = np.ones_like(norms)
+    left = np.hstack([(-2.0 * c) * x, norms, ones])
+    right = np.hstack([x, ones, norms]).T
+    return left, right
+
+
+def _gram_tile(
+    left: np.ndarray, right: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """exp(min(left @ right, 0)): the Gram block of two operand slices,
+    written into out (a C-contiguous float64 array) when given."""
+    out = np.matmul(left, right, out=out)
+    np.minimum(out, 0.0, out=out)
+    return np.exp(out, out=out)
+
+
 def gram(
     x: np.ndarray, y: np.ndarray, bandwidth: float, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """RBF Gram matrix G[i, j] = exp(-||x_i - y_j||^2 / (2 h^2)), shape (N, M).
 
-    With c = -1/(2 h^2), the one product [-2c x | c||x||^2 | 1] @
-    [y | 1 | c||y||^2]^T of inner size D + 2 is c ||x_i - y_j||^2. It goes
-    into out, which is then clamped at 0 against round-off and exponentiated
-    in place. out, when given, must be a C-contiguous float64 (N, M) array,
-    and it is returned; otherwise a new array is.
+    The one product of x's left and y's right operand (inner size D + 2) is
+    the scaled squared distance; it is clamped at 0 against round-off and
+    exponentiated in place. out, when given, must be a C-contiguous float64
+    (N, M) array, and it is returned; otherwise a new array is.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -55,16 +89,9 @@ def gram(
         )
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    c = -0.5 / (bandwidth * bandwidth)
-    x_norms = c * (x * x).sum(axis=1, keepdims=True)
-    y_norms = c * (y * y).sum(axis=1, keepdims=True)
-    out = np.matmul(
-        np.hstack([(-2.0 * c) * x, x_norms, np.ones_like(x_norms)]),
-        np.hstack([y, np.ones_like(y_norms), y_norms]).T,
-        out=out,
+    return _gram_tile(
+        _gram_operands(x, bandwidth)[0], _gram_operands(y, bandwidth)[1], out=out
     )
-    np.minimum(out, 0.0, out=out)
-    return np.exp(out, out=out)
 
 
 def median_bandwidth(x: np.ndarray) -> float:

@@ -192,6 +192,20 @@ class TestImpute:
         assert "--trajectory" in err and "--truth" in err
         assert not traj.exists() and not out.exists()
 
+    @pytest.mark.parametrize("extra", [["--epochs", "0"], ["--trajectory", "t.csv"]])
+    def test_flag_check_errors_show_impute_usage(self, tmp_path, capsys, extra):
+        # Checked after parsing, yet reported like argparse's own errors:
+        # with the subcommand's usage line and its prog as the prefix.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "impute", "--input", str(tmp_path / "absent.csv"),
+                "--output", str(tmp_path / "im.csv"), *extra,
+            ])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: knewimp impute")
+        assert "knewimp impute: error:" in err
+
 
 class TestEvaluate:
     def test_perfect_imputation_zero_metrics(self, tmp_path, complete_csv):

@@ -164,19 +164,39 @@ class TestVelocityAcrossTiles:
             ref = dense_velocity(x, mask, forward(net, x), h, 0.7)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("m", [257, 601])
+    @pytest.mark.parametrize("h", [0.25, 1.5])
+    def test_folded_attraction_matches_dense_oracle(self, m, h):
+        # The attraction rides in the score block as lambda * x with
+        # lambda = ner_weight / h^2, up to 160 here; a fold that is off by
+        # a factor or a sign, or that skips the transposed tiles, fails.
+        x, mask = incomplete_rows_table(m, 23, 5, seed=m + 1)
+        net = init_network(5, 16, seed=m + 1)
+        scores = forward(net, x)
+        for ner_weight in (0.0, 3.0, 10.0):
+            v = velocity(x, mask, net, KernelConfig(bandwidth=h), ner_weight)
+            ref = dense_velocity(x, mask, scores, h, ner_weight)
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_step_memory_is_tile_rows_plus_linear(self):
-        # Every array a step holds, but the one Gram tile, is a small multiple
-        # of D doubles per incomplete row; an m x m array or a copy of a
-        # tall tile would break the bound. BLAS packing buffers are not traced.
-        d, k = 4, 24
-        x, mask = incomplete_rows_table(2000, 0, d, seed=3)
+        # Doubles a step holds per incomplete row, besides the one Gram tile:
+        # the 2D-wide right-hand side, product and transposed-tile
+        # accumulator, the two (D + 2)-wide Gram operands, the rows' values,
+        # free mask and velocity, the row index, and one 2D-wide temporary
+        # (a transposed tile product, or the final combination). numpy's
+        # fixed-size ufunc buffers get 2**17 bytes. An m x m array, a 3D x m
+        # scratch or a copy of a tall tile would break the bound. BLAS
+        # packing buffers are not traced.
+        d, m = 4, 2000
+        per_row = 3 * (2 * d) + 2 * (d + 2) + 3 * d + 1 + 2 * d
+        x, mask = incomplete_rows_table(m, 0, d, seed=3)
         tracemalloc.start()
         try:
             velocity(x, mask, gaussian_score, KernelConfig(bandwidth=1.5), 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (imputer_mod._TILE_ROWS + k * d) * 2000
+        assert peak < 8 * (imputer_mod._TILE_ROWS + per_row) * m + 2**17
 
 
 class TestMaskEntries:

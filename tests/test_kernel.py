@@ -3,6 +3,8 @@ import pytest
 
 from knewimp.kernel import (
     KernelConfig,
+    _gram_operands,
+    _gram_tile,
     gram,
     median_bandwidth,
     resolve_bandwidth,
@@ -104,6 +106,22 @@ class TestGramContract:
             x = rng.standard_normal((40, d)) + 10.0
             for g in (gram(x, x, 0.5), gram(x, rng.standard_normal((9, d)), 0.5)):
                 assert g.min() >= 0.0 and g.max() <= 1.0
+
+
+class TestOneGram:
+    @pytest.mark.parametrize("tile", [1, 7, 256])
+    def test_tiles_from_shared_operands_equal_gram(self, tile):
+        # The flow's upper-triangular tiles, built from operands made once,
+        # are bit-identical to gram() on the same rows, one-row tiles of
+        # one to three columns included.
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((601, 11)) + 1.0
+        for h in (0.25, 1.5):
+            left, right = _gram_operands(x, h)
+            for s in range(0, 601, tile):
+                e = min(s + tile, 601)
+                block = _gram_tile(left[s:e], right[:, s:])
+                assert np.array_equal(block, gram(x[s:e], x[s:], h))
 
 
 class TestGradGramSecond:
