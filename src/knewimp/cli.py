@@ -17,6 +17,7 @@ MissingSpec).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -73,7 +74,7 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
         dest="median_bandwidth",
         action="store_const",
         const=True,
-        help="recompute the bandwidth from the running point cloud",
+        help="take the bandwidth once per round, from the round's starting matrix",
     )
     p.add_argument("--record-every", dest="record_every", type=int)
 
@@ -172,6 +173,8 @@ def _given(**fields) -> dict:
 def _build_configs(args: argparse.Namespace) -> dict:
     """knewimp() keyword arguments from the model flags; an unset field keeps
     the default of the object that owns it."""
+    if args.bandwidth is not None and args.median_bandwidth:
+        raise ValueError("--bandwidth and --median-bandwidth both set the bandwidth; give one")
     return {
         "dcfg": DsmConfig(**_given(sigma=args.sigma, epochs=args.epochs, lr=args.lr)),
         "kcfg": KernelConfig(**_given(
@@ -239,10 +242,8 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
 
 def _write_trajectory(path: str, result: ImputationResult) -> None:
-    import csv as csv_mod
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_mod.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["step", "mae", "wass"])
         for point in result.trajectory:
             writer.writerow([
@@ -278,7 +279,8 @@ def _experiment_seed(truth_ds, args, model, seed):
     mask = simulate(truth_ds.values, spec)
     ds = from_complete(truth_ds.values, mask, truth_ds.column_names)
     ds_std, _ = standardize(ds)
-    result = knewimp(ds_std, **model, seed=seed)
+    # Without truth, knewimp() records no trajectory, which the report never reads.
+    result = knewimp(replace(ds_std, truth=None), **model, seed=seed)
     report_model = metrics_mod.evaluate(ds_std, result.imputed)
     report_mean = metrics_mod.evaluate(ds_std, mean_impute(ds_std))
     return {
@@ -292,6 +294,17 @@ def _experiment_seed(truth_ds, args, model, seed):
     }
 
 
+def _seed_list(text: str) -> list[int]:
+    """The --seeds value: comma-separated, distinct integers."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError(f"--seeds takes distinct comma-separated integers, got {text!r}")
+    return seeds
+
+
 def _aggregate(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -300,9 +313,7 @@ def _aggregate(values: list[float]) -> dict:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     model = _build_configs(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        raise ValueError("at least one seed is required")
+    seeds = _seed_list(args.seeds)
     truth_ds = load_csv(args.input, has_header=args.has_header)
     if truth_ds.mask.min() < 1.0:
         raise ValueError(f"{args.input}: experiment input must be complete")
@@ -386,6 +397,8 @@ def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             _missing_spec(args, 0)
         if args.command in ("impute", "experiment"):
             _build_configs(args)
+        if args.command == "experiment":
+            _seed_list(args.seeds)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -6,7 +6,8 @@ smoothed across particles by an RBF kernel, and a kernel-gradient term that
 pulls particles together (weighted by ner_weight) to discourage the spread
 a pure sampling procedure would produce. The field is integrated by forward
 Euler; training the score model and simulating the flow alternate for a
-configured number of rounds.
+configured number of rounds. Each round's flow runs at one bandwidth h,
+which euler_impute() takes from the round's starting matrix.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
 them as one tiled reduction over the incomplete rows only. The attraction
@@ -28,8 +29,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import kernel
 from . import metrics as metrics_mod
-from .kernel import KernelConfig, _gram_operands, _gram_tile, resolve_bandwidth
+from .kernel import KernelConfig, _gram_operands, _gram_tile
 from .score import DsmConfig, ScoreNetwork, forward, init_network, train
 from .tabular import (
     TabularDataset,
@@ -117,13 +119,9 @@ def _eval_score(score: ScoreFn, x: np.ndarray) -> np.ndarray:
 
 
 def velocity(
-    x: np.ndarray,
-    mask: np.ndarray,
-    score: ScoreFn,
-    kcfg: KernelConfig,
-    ner_weight: float,
+    x: np.ndarray, mask: np.ndarray, score: ScoreFn, h: float, ner_weight: float
 ) -> np.ndarray:
-    """Per-particle velocity, zero on observed coordinates.
+    """Per-particle velocity under the RBF bandwidth h, zero on observed coordinates.
 
     With s_j the masked score of row j and free_j = 1 - mask_j, row i
     receives
@@ -159,13 +157,14 @@ def velocity(
     The second is written with the small 2D x B operand on the left: the
     equivalent G[:, b:]^T @ rhs[s:e] makes a threaded BLAS pack the tall
     transposed tile, which costs time and memory. Step memory is
-    O(_TILE_ROWS * N), never N x N; the divisor stays N and the bandwidth is
-    resolved on the full x. The mask must hold only 0 and 1.
+    O(_TILE_ROWS * N), never N x N, and the divisor stays N. The mask must
+    hold only 0 and 1.
     """
     x = np.asarray(x, dtype=np.float64)
     mask = checked_mask(mask, x.shape)
+    if not h > 0.0:
+        raise ValueError(f"bandwidth must be > 0, got {h}")
     n, d = x.shape
-    h = resolve_bandwidth(kcfg, x)
     rows = np.flatnonzero((mask == 0.0).any(axis=1))
     v = np.zeros_like(x)
     m = rows.size
@@ -208,6 +207,8 @@ def euler_impute(
 ) -> tuple[np.ndarray, list[TrajectoryPoint]]:
     """Forward-Euler integration of the velocity field.
 
+    The bandwidth is fixed for the whole segment: median_bandwidth(x0) in
+    median mode when x0 has at least 2 rows, else kcfg.bandwidth.
     Observed entries are pinned to x0 bit-for-bit on every step. When truth
     is given, metrics are recorded every record_every steps (plus the first
     and last step of this segment); step indices are offset by step_offset
@@ -220,6 +221,8 @@ def euler_impute(
         raise ValueError("initial matrix contains non-finite values")
     observed = mask == 1.0
     pinned = x0[observed]
+    use_median = kcfg.use_median_heuristic and x0.shape[0] >= 2
+    h = kernel.median_bandwidth(x0) if use_median else kcfg.bandwidth
     trajectory: list[TrajectoryPoint] = []
 
     def record(step: int) -> None:
@@ -230,7 +233,7 @@ def euler_impute(
     record(step_offset)
     for step in range(1, wcfg.num_steps + 1):
         try:
-            v = velocity(x, mask, score, kcfg, wcfg.ner_weight)
+            v = velocity(x, mask, score, h, wcfg.ner_weight)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"flow blew up at step {step_offset + step}: {exc}; "
@@ -250,11 +253,9 @@ def euler_impute(
 
 
 def _trajectory_metrics(truth: np.ndarray, x: np.ndarray, mask: np.ndarray) -> dict:
-    missing = mask == 0.0
-    out = {"mae": metrics_mod.mae(truth, x, mask)}
-    rows = missing.any(axis=1)
-    m1 = int(rows.sum())
-    if 1 <= m1 <= TRAJECTORY_WASS_LIMIT:
+    out = {"mae": metrics_mod.mae(truth, x, mask)}  # raises without a missing cell
+    rows = (mask == 0.0).any(axis=1)
+    if rows.sum() <= TRAJECTORY_WASS_LIMIT:
         out["wass"] = metrics_mod.wasserstein2(truth[rows], x[rows])
     return out
 

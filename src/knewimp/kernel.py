@@ -29,8 +29,8 @@ class KernelConfig:
     """RBF kernel settings.
 
     bandwidth: the length scale h > 0.
-    use_median_heuristic: when set, h is recomputed from the current point
-    cloud (median pairwise distance / sqrt(2)) instead of the fixed value.
+    use_median_heuristic: when set, h is taken once per round, from the
+    round's starting matrix (median pairwise distance / sqrt(2)).
     """
 
     bandwidth: float = 0.5
@@ -111,9 +111,3 @@ def median_bandwidth(x: np.ndarray) -> float:
         med = float((np.sqrt(sq[:k].max()) + np.sqrt(sq[k])) / 2.0)
     return max(med / np.sqrt(2.0), 1e-6)
 
-
-def resolve_bandwidth(cfg: KernelConfig, x: np.ndarray) -> float:
-    """Bandwidth to use for the point cloud x under cfg."""
-    if cfg.use_median_heuristic and x.shape[0] >= 2:
-        return median_bandwidth(x)
-    return cfg.bandwidth

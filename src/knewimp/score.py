@@ -23,6 +23,7 @@ made them, so concurrent calls share nothing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -394,8 +395,6 @@ def train(
 
 def save_network(path: str, net: ScoreNetwork) -> None:
     """JSON checkpoint: layer shapes plus flat parameter arrays."""
-    import json
-
     payload = {
         "layer_dims": net.layer_dims,
         "weights": [w.tolist() for w in net.weights],
@@ -406,8 +405,6 @@ def save_network(path: str, net: ScoreNetwork) -> None:
 
 
 def load_network(path: str) -> ScoreNetwork:
-    import json
-
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]

@@ -191,12 +191,6 @@ def load_csv(path: str, has_header: bool = False) -> TabularDataset:
     return TabularDataset(values=data, mask=mask, column_names=names)
 
 
-def _format_value(v: float) -> str:
-    if np.isnan(v):
-        return ""
-    return repr(float(v))
-
-
 def write_csv(
     path: str,
     values: np.ndarray,
@@ -213,7 +207,7 @@ def write_csv(
         if column_names is not None:
             writer.writerow(list(column_names))
         for row in values:
-            writer.writerow([_format_value(v) for v in row])
+            writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
 
 
 def load_mask_csv(path: str) -> np.ndarray:

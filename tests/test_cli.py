@@ -206,6 +206,20 @@ class TestImpute:
         assert err.startswith("usage: knewimp impute")
         assert "knewimp impute: error:" in err
 
+    def test_both_bandwidth_flags_are_usage_error(self, tmp_path, capsys):
+        # Refused before any file is read: the input does not even exist.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "impute", "--input", str(tmp_path / "absent.csv"),
+                "--output", str(tmp_path / "im.csv"), "--bandwidth", "2",
+                "--median-bandwidth",
+            ])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: knewimp impute")
+        message = err.splitlines()[-1]
+        assert "--bandwidth" in message and "--median-bandwidth" in message
+
 
 class TestEvaluate:
     def test_perfect_imputation_zero_metrics(self, tmp_path, complete_csv):
@@ -311,6 +325,33 @@ class TestExperiment:
         _, out_a = self.run(tmp_path, complete_csv, "5,6", "detA")
         _, out_b = self.run(tmp_path, complete_csv, "5,6", "detB")
         assert read(out_a / "summary.json") == read(out_b / "summary.json")
+
+    def test_records_no_trajectory(self, tmp_path, complete_csv, monkeypatch):
+        # The reports never read a trajectory, so no seed computes one.
+        def fail(*args):
+            raise AssertionError("trajectory metrics computed")
+
+        monkeypatch.setattr("knewimp.imputer._trajectory_metrics", fail)
+        code, out = self.run(tmp_path, complete_csv, "1,2", "notraj")
+        assert code == 0
+        assert (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "seeds", ["1,x", ",", "3,3"], ids=["non-integer", "empty", "duplicated"]
+    )
+    def test_bad_seeds_are_usage_error(self, tmp_path, capsys, seeds):
+        # Refused before any file is read: the input does not even exist.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "experiment", "--input", str(tmp_path / "absent.csv"),
+                "--seeds", seeds, "--output-dir", str(out),
+            ])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: knewimp experiment")
+        assert "--seeds" in err.splitlines()[-1]
+        assert not out.exists()
 
     def test_serial_and_parallel_seeds_agree(self, tmp_path, complete_csv, monkeypatch):
         monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 1)
@@ -443,6 +484,24 @@ class TestConfigFile:
         assert repr(key) in err and "--" + key.replace("_", "-") in err
         assert list(work.iterdir()) == []
         assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"bandwidth": 2.0, "median_bandwidth": True}, []),
+        ({"median_bandwidth": True}, ["--bandwidth", "2"]),
+    ], ids=["both-keys", "key-and-flag"])
+    def test_both_bandwidth_settings_are_usage_error(self, tmp_path, capsys, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--config", str(cfg), "impute", "--input", str(tmp_path / "absent.csv"),
+                "--output", str(tmp_path / "im.csv"), *flags,
+            ])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: knewimp impute")
+        message = err.splitlines()[-1]
+        assert "--bandwidth" in message and "--median-bandwidth" in message
 
     def test_config_values_read_as_flags(self):
         config = {

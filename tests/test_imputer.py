@@ -37,7 +37,7 @@ class TestVelocity:
         net = init_network(2, 8, seed=2)
         x = np.array([[0.7, -0.3]])
         mask = np.array([[0.0, 0.0]])
-        v = velocity(x, mask, net, KCFG, ner_weight=3.0)
+        v = velocity(x, mask, net, 1.0, ner_weight=3.0)
         assert v == pytest.approx(forward(net, x), rel=1e-14)
 
     def test_two_particle_attraction_value(self):
@@ -46,7 +46,7 @@ class TestVelocity:
         x = np.array([[0.0], [2.0]])
         mask = np.zeros((2, 1))
         for lam in (0.5, 1.0, 2.0):
-            v = velocity(x, mask, zero_score, KCFG, ner_weight=lam)
+            v = velocity(x, mask, zero_score, 1.0, ner_weight=lam)
             expect = lam * np.exp(-2.0)
             assert v[0, 0] == pytest.approx(expect, rel=1e-12)
             assert v[1, 0] == pytest.approx(-expect, rel=1e-12)
@@ -59,7 +59,7 @@ class TestVelocity:
             x = rng.standard_normal((n, d))
             mask = (rng.random((n, d)) > 0.5).astype(float)
             net = init_network(d, 8, seed=int(rng.integers(1000)))
-            v = velocity(x, mask, net, KernelConfig(bandwidth=0.5), ner_weight=1.0)
+            v = velocity(x, mask, net, 0.5, ner_weight=1.0)
             assert np.all(v[mask == 1.0] == 0.0)
 
     def test_pairwise_distance_shrinks_under_attraction(self):
@@ -67,7 +67,7 @@ class TestVelocity:
         for _ in range(10):
             x = rng.standard_normal((2, 3))
             mask = np.zeros((2, 3))
-            v = velocity(x, mask, zero_score, KernelConfig(bandwidth=1.5), 1.0)
+            v = velocity(x, mask, zero_score, 1.5, 1.0)
             stepped = x + 0.05 * v
             assert np.linalg.norm(stepped[0] - stepped[1]) < np.linalg.norm(x[0] - x[1])
 
@@ -107,21 +107,19 @@ class TestVelocityOracle:
             mask[rng.random(n) < 0.2] = 0.0  # fully missing rows
             net = init_network(d, 16, seed=trial)
             use_median = n >= 2 and trial % 3 == 0
-            kcfg = KernelConfig(
-                bandwidth=float(rng.uniform(0.4, 2.0)), use_median_heuristic=use_median
-            )
-            h = median_bandwidth(x) if use_median else kcfg.bandwidth
+            drawn = float(rng.uniform(0.4, 2.0))
+            h = median_bandwidth(x) if use_median else drawn
             lam = float(rng.uniform(0.0, 3.0))
-            v = velocity(x, mask, net, kcfg, lam)
+            v = velocity(x, mask, net, h, lam)
             ref = reference_velocity(x, mask, net, h, lam)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_complete_and_empty_masks(self):
         x = np.random.default_rng(32).standard_normal((6, 3))
         net = init_network(3, 8, seed=0)
-        assert np.array_equal(velocity(x, np.ones((6, 3)), net, KCFG, 1.0), np.zeros((6, 3)))
+        assert np.array_equal(velocity(x, np.ones((6, 3)), net, 1.0, 1.0), np.zeros((6, 3)))
         ref = reference_velocity(x, np.zeros((6, 3)), net, 1.0, 1.0)
-        v = velocity(x, np.zeros((6, 3)), net, KCFG, 1.0)
+        v = velocity(x, np.zeros((6, 3)), net, 1.0, 1.0)
         assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_euler_impute_independent_of_tile_height(self, monkeypatch):
@@ -158,9 +156,8 @@ class TestVelocityAcrossTiles:
         assert imputer_mod._TILE_ROWS == 256
         x, mask = incomplete_rows_table(m, 23, 5, seed=m)
         net = init_network(5, 16, seed=m)
-        for kcfg in (KernelConfig(bandwidth=1.5), KernelConfig(use_median_heuristic=True)):
-            h = median_bandwidth(x) if kcfg.use_median_heuristic else kcfg.bandwidth
-            v = velocity(x, mask, net, kcfg, 0.7)
+        for h in (1.5, median_bandwidth(x)):
+            v = velocity(x, mask, net, h, 0.7)
             ref = dense_velocity(x, mask, forward(net, x), h, 0.7)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -174,7 +171,7 @@ class TestVelocityAcrossTiles:
         net = init_network(5, 16, seed=m + 1)
         scores = forward(net, x)
         for ner_weight in (0.0, 3.0, 10.0):
-            v = velocity(x, mask, net, KernelConfig(bandwidth=h), ner_weight)
+            v = velocity(x, mask, net, h, ner_weight)
             ref = dense_velocity(x, mask, scores, h, ner_weight)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -192,7 +189,7 @@ class TestVelocityAcrossTiles:
         x, mask = incomplete_rows_table(m, 0, d, seed=3)
         tracemalloc.start()
         try:
-            velocity(x, mask, gaussian_score, KernelConfig(bandwidth=1.5), 1.0)
+            velocity(x, mask, gaussian_score, 1.5, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,9 +206,33 @@ class TestMaskEntries:
         else:
             mask[2, 1], match = bad, "0 or 1"
         with pytest.raises(ValueError, match=match):
-            velocity(x, mask, zero_score, KCFG, 1.0)
+            velocity(x, mask, zero_score, 1.0, 1.0)
         with pytest.raises(ValueError, match=match):
             euler_impute(x, mask, zero_score, KCFG, WgfConfig(num_steps=2, num_loops=1))
+
+
+class TestBandwidth:
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
+    def test_velocity_rejects_bad_bandwidth(self, h):
+        x = np.random.default_rng(15).standard_normal((4, 2))
+        with pytest.raises(ValueError, match="bandwidth must be > 0"):
+            velocity(x, np.zeros((4, 2)), zero_score, h, 1.0)
+
+    def test_median_mode_holds_the_starting_median(self):
+        # Median mode resolves h once, from x0, and keeps it for every step.
+        rng = np.random.default_rng(16)
+        x0 = rng.standard_normal((40, 3))
+        mask = (rng.random((40, 3)) > 0.4).astype(float)
+        net = init_network(3, 16, seed=17)
+        cfg = WgfConfig(step_size=0.1, num_steps=10, num_loops=1)
+        median = euler_impute(x0, mask, net, KernelConfig(use_median_heuristic=True), cfg)
+        fixed = euler_impute(x0, mask, net, KernelConfig(bandwidth=median_bandwidth(x0)), cfg)
+        assert np.array_equal(median[0], fixed[0])
+        # One row has no pairwise distance: the fixed bandwidth stands in.
+        x1, mask1 = x0[:1], np.zeros((1, 3))
+        median = euler_impute(x1, mask1, net, KernelConfig(use_median_heuristic=True), cfg)
+        fixed = euler_impute(x1, mask1, net, KernelConfig(), cfg)
+        assert np.array_equal(median[0], fixed[0])
 
 
 class TestEulerImpute:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from knewimp import kernel as kernel_mod
+from knewimp.imputer import WgfConfig, knewimp
 from knewimp.kernel import (
     KernelConfig,
     _gram_operands,
     _gram_tile,
     gram,
     median_bandwidth,
-    resolve_bandwidth,
 )
+from knewimp.score import DsmConfig
+from knewimp.tabular import from_complete
 from oracles import grad_gram_second
 
 
@@ -215,12 +218,23 @@ def brute_median(x):
     return max(float(np.median(dists)) / np.sqrt(2.0), 1e-6)
 
 
-def test_resolve_bandwidth():
-    cfg = KernelConfig(bandwidth=0.5)
-    x = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert resolve_bandwidth(cfg, x) == 0.5
-    cfg = KernelConfig(bandwidth=0.5, use_median_heuristic=True)
-    assert resolve_bandwidth(cfg, x) == pytest.approx(1.0)
+def test_median_bandwidth_once_per_round(monkeypatch):
+    # Median mode takes h from each round's starting matrix, not every step:
+    # 2 rounds of 5 steps call median_bandwidth twice.
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return median_bandwidth(x)
+
+    monkeypatch.setattr(kernel_mod, "median_bandwidth", counted)
+    rng = np.random.default_rng(18)
+    truth = rng.standard_normal((30, 3))
+    ds = from_complete(truth, (rng.random((30, 3)) > 0.3).astype(float))
+    wcfg = WgfConfig(num_steps=5, num_loops=2)
+    kcfg = KernelConfig(use_median_heuristic=True)
+    knewimp(ds, DsmConfig(epochs=2), kcfg, wcfg, hidden=8, seed=0)
+    assert calls == [(30, 3), (30, 3)]
 
 
 def test_kernel_config_validation():
