@@ -23,9 +23,8 @@ from .missingness import (
     Mechanism,
     MissingSpec,
     calibrate_bias,
-    simulate_mar,
+    simulate,
     simulate_mcar,
-    simulate_mnar,
 )
 from .score import (
     DsmConfig,
@@ -71,9 +70,8 @@ __all__ = [
     "mae",
     "mean_impute",
     "median_bandwidth",
-    "simulate_mar",
+    "simulate",
     "simulate_mcar",
-    "simulate_mnar",
     "standardize",
     "train",
     "velocity",

@@ -175,6 +175,8 @@ def _build_configs(args: argparse.Namespace) -> dict:
     the default of the object that owns it."""
     if args.bandwidth is not None and args.median_bandwidth:
         raise ValueError("--bandwidth and --median-bandwidth both set the bandwidth; give one")
+    if args.hidden is not None and args.hidden < 1:
+        raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
     return {
         "dcfg": DsmConfig(**_given(sigma=args.sigma, epochs=args.epochs, lr=args.lr)),
         "kcfg": KernelConfig(**_given(
@@ -295,13 +297,15 @@ def _experiment_seed(truth_ds, args, model, seed):
 
 
 def _seed_list(text: str) -> list[int]:
-    """The --seeds value: comma-separated, distinct integers."""
+    """The --seeds value: comma-separated, distinct, non-negative integers."""
     try:
         seeds = [int(s) for s in text.split(",")]
     except ValueError:
         seeds = []
-    if not seeds or len(set(seeds)) < len(seeds):
-        raise ValueError(f"--seeds takes distinct comma-separated integers, got {text!r}")
+    if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
+        raise ValueError(
+            f"--seeds takes distinct comma-separated non-negative integers, got {text!r}"
+        )
     return seeds
 
 
@@ -393,6 +397,8 @@ def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     if args.command == "impute" and args.trajectory and not args.truth:
         parser.error("--trajectory needs --truth: trajectory metrics compare against it")
     try:
+        if args.command in ("simulate", "impute") and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command in ("simulate", "experiment"):
             _missing_spec(args, 0)
         if args.command in ("impute", "experiment"):

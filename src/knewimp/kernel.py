@@ -71,15 +71,12 @@ def _gram_tile(
     return np.exp(out, out=out)
 
 
-def gram(
-    x: np.ndarray, y: np.ndarray, bandwidth: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def gram(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
     """RBF Gram matrix G[i, j] = exp(-||x_i - y_j||^2 / (2 h^2)), shape (N, M).
 
     The one product of x's left and y's right operand (inner size D + 2) is
     the scaled squared distance; it is clamped at 0 against round-off and
-    exponentiated in place. out, when given, must be a C-contiguous float64
-    (N, M) array, and it is returned; otherwise a new array is.
+    exponentiated in place.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -89,9 +86,7 @@ def gram(
         )
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    return _gram_tile(
-        _gram_operands(x, bandwidth)[0], _gram_operands(y, bandwidth)[1], out=out
-    )
+    return _gram_tile(_gram_operands(x, bandwidth)[0], _gram_operands(y, bandwidth)[1])
 
 
 def median_bandwidth(x: np.ndarray) -> float:

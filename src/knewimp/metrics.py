@@ -88,13 +88,11 @@ def evaluate(ds: TabularDataset, imputed: np.ndarray) -> MetricReport:
             f"imputed shape {imputed.shape} != dataset shape {ds.values.shape}"
         )
     missing = ds.mask == 0.0
-    m0 = int(missing.sum())
-    if m0 == 0:
-        raise ValueError("no missing cells: metrics are undefined")
     incomplete_rows = missing.any(axis=1)
+    # mae() raises first when no cell is missing.
     return MetricReport(
         mae=mae(ds.truth, imputed, ds.mask),
         wass=wasserstein2(ds.truth[incomplete_rows], imputed[incomplete_rows]),
-        m0=m0,
+        m0=int(missing.sum()),
         m1=int(incomplete_rows.sum()),
     )

@@ -1,10 +1,11 @@
-"""Mask simulators for the three classical missingness mechanisms.
+"""Mask simulation under the three classical missingness mechanisms.
 
 MCAR draws each cell independently. MAR keeps a random subset of columns
 fully observed and masks the rest through a logistic model of the observed
 columns, with the bias calibrated by bisection to hit the requested rate.
 MNAR reuses the MAR construction and then hides parts of the logistic
-model's own inputs with an extra MCAR overlay.
+model's own inputs with an extra MCAR overlay. simulate() draws all three,
+redrawing from the same generator until each column keeps an observed cell.
 """
 
 from __future__ import annotations
@@ -91,17 +92,11 @@ def calibrate_bias(logits: np.ndarray, target_rate: float) -> float:
 
 
 def simulate_mcar(n: int, d: int, rate: float, seed: int) -> np.ndarray:
-    """Independent Bernoulli mask: each cell missing with probability rate.
-
-    Columns are not guaranteed to retain an observed entry; callers that
-    need one must validate.
-    """
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate must be in (0, 1), got {rate}")
+    """Independent Bernoulli mask: each cell missing with probability rate,
+    drawn by simulate() under an MCAR spec over an n x d table."""
     if n < 1 or d < 1:
         raise ValueError(f"mask shape must be positive, got {n}x{d}")
-    rng = np.random.default_rng(seed)
-    return (rng.random((n, d)) >= rate).astype(np.float64)
+    return simulate(np.zeros((n, d)), MissingSpec(Mechanism.MCAR, rate, seed=seed))
 
 
 def _standardize_columns(x: np.ndarray) -> np.ndarray:
@@ -110,13 +105,20 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def _mar_attempt(
-    truth: np.ndarray,
-    spec: MissingSpec,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One MAR draw; returns (mask, indices of fully observed columns)."""
+def _draw(truth: np.ndarray, spec: MissingSpec, rng: np.random.Generator) -> np.ndarray:
+    """One mask under spec from rng; its columns are not checked.
+
+    MAR: k = ceil(observed_fraction * D) columns stay fully observed, the
+    rest go missing through a logistic model of those columns. The model's
+    inputs are the observed columns standardized; its weights are standard
+    normal, one per (observed, maskable) column pair, and its bias is
+    calibrated so the mean missing probability is spec.rate. MNAR then
+    hides the model's input columns with an MCAR overlay, so missingness
+    depends on values that are themselves unobserved.
+    """
     n, d = truth.shape
+    if spec.mechanism is Mechanism.MCAR:
+        return (rng.random((n, d)) >= spec.rate).astype(np.float64)
     k = math.ceil(spec.observed_fraction * d)
     if k < 1 or k >= d:
         raise ValueError(
@@ -132,76 +134,32 @@ def _mar_attempt(
     prob_missing = sigmoid(logits + bias)
     draws = rng.random((n, maskable_cols.size))
     mask = np.ones((n, d), dtype=np.float64)
-    mask[:, maskable_cols] = (draws >= prob_missing).astype(np.float64)
-    return mask, observed_cols
-
-
-def _guarded(build, seed: int) -> np.ndarray:
-    """Redraw until no column is fully missing.
-
-    Every attempt draws from one generator seeded once, so a retry continues
-    that seed's stream instead of repeating the next seed's first draw.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(MAX_MASK_ATTEMPTS):
-        mask = build(rng)
-        if np.all(mask.sum(axis=0) >= 1.0):
-            return mask
-        last = mask
-    fully_missing = int(np.argmin(last.sum(axis=0)))
-    raise RuntimeError(
-        f"could not draw a mask without a fully missing column "
-        f"(column {fully_missing}) in {MAX_MASK_ATTEMPTS} attempts"
-    )
-
-
-def simulate_mar(truth: np.ndarray, spec: MissingSpec) -> np.ndarray:
-    """MAR mask: k = ceil(observed_fraction * D) columns stay fully observed,
-    the rest go missing through a logistic model of those columns.
-
-    The model's inputs are the observed columns standardized; its weights
-    are standard normal, one per (observed, maskable) column pair, and its
-    bias is calibrated so the mean missing probability is spec.rate.
-    """
-    truth = _check_complete(truth)
-
-    def build(rng: np.random.Generator) -> np.ndarray:
-        mask, _ = _mar_attempt(truth, spec, rng)
-        return mask
-
-    return _guarded(build, spec.seed)
-
-
-def simulate_mnar(truth: np.ndarray, spec: MissingSpec) -> np.ndarray:
-    """MNAR mask: the MAR construction, with the logistic-input columns then
-    hidden by an independent MCAR overlay so missingness depends on values
-    that are themselves unobserved."""
-    truth = _check_complete(truth)
-
-    def build(rng: np.random.Generator) -> np.ndarray:
-        mask, observed_cols = _mar_attempt(truth, spec, rng)
-        overlay_draws = rng.random((truth.shape[0], observed_cols.size))
-        overlay = (overlay_draws >= spec.overlay_rate).astype(np.float64)
-        mask[:, observed_cols] = np.minimum(mask[:, observed_cols], overlay)
-        return mask
-
-    return _guarded(build, spec.seed)
+    mask[:, maskable_cols] = draws >= prob_missing
+    if spec.mechanism is Mechanism.MNAR:
+        mask[:, observed_cols] = rng.random((n, k)) >= spec.overlay_rate
+    return mask
 
 
 def simulate(truth: np.ndarray, spec: MissingSpec) -> np.ndarray:
-    """Dispatch on spec.mechanism."""
-    if spec.mechanism is Mechanism.MCAR:
-        n, d = np.asarray(truth).shape
-        return simulate_mcar(n, d, spec.rate, spec.seed)
-    if spec.mechanism is Mechanism.MAR:
-        return simulate_mar(truth, spec)
-    return simulate_mnar(truth, spec)
+    """Mask (1 = observed) under spec over the complete matrix truth,
+    redrawn until every column keeps an observed cell.
 
-
-def _check_complete(truth: np.ndarray) -> np.ndarray:
+    Every attempt draws from one generator seeded once with spec.seed, so a
+    retry continues that seed's stream instead of repeating the next seed's
+    first draw.
+    """
     truth = np.asarray(truth, dtype=np.float64)
     if truth.ndim != 2:
         raise ValueError(f"truth must be 2-D, got shape {truth.shape}")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth must be complete (no NaN or infinite entries)")
-    return truth
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(MAX_MASK_ATTEMPTS):
+        mask = _draw(truth, spec, rng)
+        observed = mask.sum(axis=0)
+        if np.all(observed >= 1.0):
+            return mask
+    raise RuntimeError(
+        f"could not draw a mask without a fully missing column "
+        f"(column {int(np.argmin(observed))}) in {MAX_MASK_ATTEMPTS} attempts"
+    )

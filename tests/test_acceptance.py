@@ -19,7 +19,7 @@ from knewimp.cli import main as cli_main
 from knewimp.imputer import WgfConfig, euler_impute, knewimp, mean_impute, velocity
 from knewimp.kernel import KernelConfig, gram
 from knewimp.metrics import mae, wasserstein2
-from knewimp.missingness import calibrate_bias, simulate_mcar, simulate_mar, MissingSpec, Mechanism
+from knewimp.missingness import calibrate_bias, simulate_mcar, simulate, MissingSpec, Mechanism
 from knewimp.score import DsmConfig, dsm_loss_and_grad, forward, init_network
 from knewimp.tabular import from_complete, load_csv, standardize, write_csv
 from oracles import grad_gram_second, wasserstein2_bruteforce
@@ -170,7 +170,7 @@ def test_criterion_5_missingness_calibration():
     rng = np.random.default_rng(707)
     truth = rng.standard_normal((20_000, 10)) * rng.uniform(0.5, 2.0, 10)
     spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.3, seed=808)
-    mar_mask = simulate_mar(truth, spec)
+    mar_mask = simulate(truth, spec)
     observed_cols = mar_mask.min(axis=0) == 1.0
     cols_ok = observed_cols.sum() == 3
     maskable_rate = 1.0 - mar_mask[:, ~observed_cols].mean()

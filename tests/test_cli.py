@@ -82,6 +82,20 @@ class TestSimulate:
             "--output-dir", str(tmp_path),
         ]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # Refused before any file is read: the input does not even exist.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--input", str(tmp_path / "absent.csv"),
+                "--seed", "-1", "--output-dir", str(out),
+            ])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: knewimp simulate")
+        assert "--seed" in err.splitlines()[-1]
+        assert not out.exists()
+
 
 class TestImpute:
     def run_pipeline(self, tmp_path, complete_csv, extra=()):
@@ -192,7 +206,9 @@ class TestImpute:
         assert "--trajectory" in err and "--truth" in err
         assert not traj.exists() and not out.exists()
 
-    @pytest.mark.parametrize("extra", [["--epochs", "0"], ["--trajectory", "t.csv"]])
+    @pytest.mark.parametrize("extra", [
+        ["--epochs", "0"], ["--trajectory", "t.csv"], ["--seed", "-1"], ["--hidden", "0"],
+    ])
     def test_flag_check_errors_show_impute_usage(self, tmp_path, capsys, extra):
         # Checked after parsing, yet reported like argparse's own errors:
         # with the subcommand's usage line and its prog as the prefix.
@@ -337,7 +353,8 @@ class TestExperiment:
         assert (out / "summary.json").exists()
 
     @pytest.mark.parametrize(
-        "seeds", ["1,x", ",", "3,3"], ids=["non-integer", "empty", "duplicated"]
+        "seeds", ["1,x", ",", "3,3", "-1,2"],
+        ids=["non-integer", "empty", "duplicated", "negative"],
     )
     def test_bad_seeds_are_usage_error(self, tmp_path, capsys, seeds):
         # Refused before any file is read: the input does not even exist.
@@ -345,13 +362,23 @@ class TestExperiment:
         with pytest.raises(SystemExit) as exc:
             main([
                 "experiment", "--input", str(tmp_path / "absent.csv"),
-                "--seeds", seeds, "--output-dir", str(out),
+                f"--seeds={seeds}", "--output-dir", str(out),
             ])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: knewimp experiment")
         assert "--seeds" in err.splitlines()[-1]
         assert not out.exists()
+
+    def test_mcar_keeps_an_observed_cell_per_column(self, tmp_path):
+        # On 3 rows at rate 0.8 an unguarded MCAR draw often leaves a column
+        # fully missing, which imputation cannot use.
+        path = str(tmp_path / "tiny.csv")
+        write_csv(path, np.random.default_rng(2).standard_normal((3, 2)))
+        assert main([
+            "experiment", "--input", path, "--mechanism", "mcar", "--rate", "0.8",
+            "--seeds", "0,1,2", "--output-dir", str(tmp_path / "out"), *FAST,
+        ]) == 0
 
     def test_serial_and_parallel_seeds_agree(self, tmp_path, complete_csv, monkeypatch):
         monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 1)

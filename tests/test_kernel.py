@@ -82,13 +82,6 @@ class TestGram:
 
 
 class TestGramContract:
-    def test_out_is_filled_and_returned(self):
-        rng = np.random.default_rng(41)
-        x, y = rng.standard_normal((5, 3)), rng.standard_normal((7, 3))
-        buf = np.full((5, 7), np.nan)
-        assert gram(x, y, 0.8, out=buf) is buf
-        assert np.array_equal(buf, gram(x, y, 0.8))
-
     def test_matches_literal_definition(self):
         rng = np.random.default_rng(43)
         for d in range(1, 17):

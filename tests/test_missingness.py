@@ -4,12 +4,10 @@ import pytest
 from knewimp.missingness import (
     Mechanism,
     MissingSpec,
-    _mar_attempt,
+    _draw,
     calibrate_bias,
     simulate,
-    simulate_mar,
     simulate_mcar,
-    simulate_mnar,
 )
 
 
@@ -81,7 +79,7 @@ def make_truth(n=400, d=10, seed=0):
 class TestMar:
     def test_observed_column_count(self):
         spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.3, seed=2)
-        mask = simulate_mar(make_truth(d=10), spec)
+        mask = simulate(make_truth(d=10), spec)
         fully_observed = (mask.min(axis=0) == 1.0).sum()
         assert fully_observed >= 3  # ceil(0.3 * 10), plus whatever stays lucky
 
@@ -89,14 +87,14 @@ class TestMar:
         # The selection is recoverable: exactly the columns without any miss.
         spec = MissingSpec(Mechanism.MAR, rate=0.5, observed_fraction=0.3, seed=4)
         truth = make_truth(n=2000, d=10, seed=1)
-        mask = simulate_mar(truth, spec)
+        mask = simulate(truth, spec)
         col_missing = (mask == 0.0).sum(axis=0)
         assert (col_missing == 0).sum() == 3
 
     def test_rate_calibration(self):
         spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.3, seed=7)
         truth = make_truth(n=20_000, d=10, seed=2)
-        mask = simulate_mar(truth, spec)
+        mask = simulate(truth, spec)
         maskable = mask.min(axis=0) < 1.0
         missing = 1.0 - mask[:, maskable].mean()
         assert 0.27 <= missing <= 0.33
@@ -104,19 +102,19 @@ class TestMar:
     def test_deterministic(self):
         spec = MissingSpec(Mechanism.MAR, rate=0.4, seed=6)
         truth = make_truth(seed=5)
-        assert np.array_equal(simulate_mar(truth, spec), simulate_mar(truth, spec))
+        assert np.array_equal(simulate(truth, spec), simulate(truth, spec))
 
     def test_bad_fraction(self):
         truth = make_truth(d=3)
         spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.99, seed=0)
         with pytest.raises(ValueError, match="fewer than all"):
-            simulate_mar(truth, spec)
+            simulate(truth, spec)
 
     def test_incomplete_truth_rejected(self):
         truth = make_truth()
         truth[0, 0] = np.nan
         with pytest.raises(ValueError, match="complete"):
-            simulate_mar(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=0))
+            simulate(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=0))
 
     def test_retry_does_not_repeat_next_seed(self):
         # On 10 rows at rate 0.75 a maskable column often goes fully missing,
@@ -126,13 +124,12 @@ class TestMar:
 
         def first_draw(seed):
             spec = MissingSpec(Mechanism.MAR, rate=rate, seed=seed)
-            mask, _ = _mar_attempt(truth, spec, np.random.default_rng(seed))
-            return mask
+            return _draw(truth, spec, np.random.default_rng(seed))
 
         retried = [s for s in range(200) if (first_draw(s).max(axis=0) == 0.0).any()]
         assert len(retried) >= 5
         for s in retried:
-            mask = simulate_mar(truth, MissingSpec(Mechanism.MAR, rate=rate, seed=s))
+            mask = simulate(truth, MissingSpec(Mechanism.MAR, rate=rate, seed=s))
             assert not np.array_equal(mask, first_draw(s + 1))
 
 
@@ -144,7 +141,7 @@ class TestMnar:
             Mechanism.MNAR, rate=0.3, mcar_overlay_rate=1e-12, seed=21
         )
         assert np.array_equal(
-            simulate_mnar(truth, mnar_spec), simulate_mar(truth, mar_spec)
+            simulate(truth, mnar_spec), simulate(truth, mar_spec)
         )
 
     def test_overlay_rate_on_input_columns(self):
@@ -153,8 +150,8 @@ class TestMnar:
             Mechanism.MNAR, rate=0.3, observed_fraction=0.3,
             mcar_overlay_rate=0.25, seed=23,
         )
-        mar_mask = simulate_mar(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=23))
-        mnar_mask = simulate_mnar(truth, spec)
+        mar_mask = simulate(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=23))
+        mnar_mask = simulate(truth, spec)
         input_cols = np.where(mar_mask.min(axis=0) == 1.0)[0]
         assert input_cols.size == 3
         overlay_missing = 1.0 - mnar_mask[:, input_cols].mean()
@@ -163,8 +160,8 @@ class TestMnar:
     def test_maskable_columns_keep_mar_rate(self):
         truth = make_truth(n=40_000, d=10, seed=10)
         spec = MissingSpec(Mechanism.MNAR, rate=0.3, seed=29)
-        mar_mask = simulate_mar(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=29))
-        mnar_mask = simulate_mnar(truth, spec)
+        mar_mask = simulate(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=29))
+        mnar_mask = simulate(truth, spec)
         maskable = np.where(mar_mask.min(axis=0) < 1.0)[0]
         missing = 1.0 - mnar_mask[:, maskable].mean()
         assert abs(missing - 0.3) <= 0.03
@@ -172,8 +169,8 @@ class TestMnar:
     def test_overlay_touches_only_input_columns(self):
         truth = make_truth(n=3000, d=10, seed=11)
         spec = MissingSpec(Mechanism.MNAR, rate=0.3, mcar_overlay_rate=0.4, seed=31)
-        mar_mask = simulate_mar(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=31))
-        mnar_mask = simulate_mnar(truth, spec)
+        mar_mask = simulate(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=31))
+        mnar_mask = simulate(truth, spec)
         maskable = mar_mask.min(axis=0) < 1.0
         assert np.array_equal(mnar_mask[:, maskable], mar_mask[:, maskable])
 
@@ -187,13 +184,20 @@ class TestDispatchAndGuard:
             assert mask.shape == truth.shape
             assert set(np.unique(mask)) <= {0.0, 1.0}
 
-    def test_no_fully_missing_columns_mar(self):
+    @pytest.mark.parametrize("mechanism", list(Mechanism), ids=lambda m: m.value)
+    def test_no_fully_missing_columns(self, mechanism):
         # Small n and high rate make fully missing columns likely without
         # the redraw guard.
         truth = make_truth(n=6, d=5, seed=13)
-        spec = MissingSpec(Mechanism.MAR, rate=0.85, observed_fraction=0.2, seed=1)
-        mask = simulate_mar(truth, spec)
+        spec = MissingSpec(mechanism, rate=0.85, observed_fraction=0.2, seed=1)
+        mask = simulate(truth, spec)
         assert mask.sum(axis=0).min() >= 1.0
+
+    def test_mcar_incomplete_truth_rejected(self):
+        truth = make_truth()
+        truth[0, 0] = np.nan
+        with pytest.raises(ValueError, match="complete"):
+            simulate(truth, MissingSpec(Mechanism.MCAR, rate=0.3, seed=0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
