@@ -10,7 +10,6 @@ usual pointwise/distributional metrics round out the toolkit.
 
 from .imputer import (
     ImputationResult,
-    TrajectoryPoint,
     WgfConfig,
     euler_impute,
     knewimp,
@@ -24,7 +23,6 @@ from .missingness import (
     MissingSpec,
     calibrate_bias,
     simulate,
-    simulate_mcar,
 )
 from .score import (
     DsmConfig,
@@ -54,7 +52,6 @@ __all__ = [
     "ScoreNetwork",
     "StandardizationStats",
     "TabularDataset",
-    "TrajectoryPoint",
     "WgfConfig",
     "calibrate_bias",
     "dsm_loss_and_grad",
@@ -71,7 +68,6 @@ __all__ = [
     "mean_impute",
     "median_bandwidth",
     "simulate",
-    "simulate_mcar",
     "standardize",
     "train",
     "velocity",

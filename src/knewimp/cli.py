@@ -1,9 +1,10 @@
 """Command-line experiment harness.
 
 Subcommands: simulate (draw a missingness mask over complete data), impute
-(fill a masked CSV), evaluate (score an imputed CSV against ground truth),
-and experiment (simulate + impute + evaluate across seeds, with a mean-fill
-baseline). Timings come from the benchmark, `python3 bench/run.py`.
+(fill a masked CSV; it never reads ground truth), evaluate (score an imputed
+CSV against ground truth), and experiment (simulate + impute + evaluate
+across seeds, with a mean-fill baseline). Timings come from the benchmark,
+`python3 bench/run.py`.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/data error. All commands
 are deterministic given their full flag set. A JSON config file may supply
@@ -17,19 +18,17 @@ MissingSpec).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .imputer import ImputationResult, WgfConfig, knewimp, mean_impute
+from .imputer import WgfConfig, knewimp, mean_impute
 from .kernel import KernelConfig
 from .missingness import Mechanism, MissingSpec, simulate
 from .score import DsmConfig, load_network, save_network
@@ -44,8 +43,7 @@ from .tabular import (
 
 # Path flags: a config file may not supply them.
 _PATH_KEYS = frozenset({
-    "input", "output", "output_dir", "mask", "truth", "trajectory", "save_net",
-    "load_net", "imputed",
+    "input", "output", "output_dir", "mask", "truth", "save_net", "load_net", "imputed",
 })
 
 
@@ -76,7 +74,6 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
         const=True,
         help="take the bandwidth once per round, from the round's starting matrix",
     )
-    p.add_argument("--record-every", dest="record_every", type=int)
 
 
 def _add_mechanism_options(p: argparse.ArgumentParser) -> None:
@@ -102,8 +99,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="CSV whose empty cells are missing")
     p.add_argument("--has-header", dest="has_header", action="store_true")
     p.add_argument("--output", required=True, help="imputed CSV path")
-    p.add_argument("--trajectory", help="per-step metric CSV (needs --truth)")
-    p.add_argument("--truth", help="complete CSV for trajectory metrics")
     p.add_argument("--save-net", dest="save_net", help="score network checkpoint out")
     p.add_argument("--load-net", dest="load_net", help="warm-start checkpoint in")
     p.add_argument("--seed", type=int, default=0)
@@ -184,7 +179,7 @@ def _build_configs(args: argparse.Namespace) -> dict:
         )),
         "wcfg": WgfConfig(**_given(
             ner_weight=args.ner_weight, step_size=args.step_size, num_steps=args.steps,
-            num_loops=args.loops, record_every=args.record_every,
+            num_loops=args.loops,
         )),
         **_given(hidden=args.hidden),
     }
@@ -222,9 +217,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_impute(args: argparse.Namespace) -> int:
     model = _build_configs(args)
     ds = load_csv(args.input, has_header=args.has_header)
-    if args.truth:
-        truth = load_csv(args.truth, has_header=args.has_header)
-        ds = replace(ds, truth=truth.values)
     ds_std, stats = standardize(ds)
     net0 = load_network(args.load_net) if args.load_net else None
     result = knewimp(ds_std, **model, seed=args.seed, initial_net=net0)
@@ -234,25 +226,11 @@ def cmd_impute(args: argparse.Namespace) -> int:
     observed = ds.mask == 1.0
     imputed[observed] = ds.values[observed]
     write_csv(args.output, imputed, ds.column_names)
-    if args.trajectory:
-        _write_trajectory(args.trajectory, result)
     print(
         f"wrote {args.output} "
         f"(estimate {result.estimate_seconds:.2f}s, impute {result.impute_seconds:.2f}s)"
     )
     return 0
-
-
-def _write_trajectory(path: str, result: ImputationResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mae", "wass"])
-        for point in result.trajectory:
-            writer.writerow([
-                point.step,
-                repr(point.mae),
-                "" if point.wass is None else repr(point.wass),
-            ])
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -281,8 +259,7 @@ def _experiment_seed(truth_ds, args, model, seed):
     mask = simulate(truth_ds.values, spec)
     ds = from_complete(truth_ds.values, mask, truth_ds.column_names)
     ds_std, _ = standardize(ds)
-    # Without truth, knewimp() records no trajectory, which the report never reads.
-    result = knewimp(replace(ds_std, truth=None), **model, seed=seed)
+    result = knewimp(ds_std, **model, seed=seed)
     report_model = metrics_mod.evaluate(ds_std, result.imputed)
     report_mean = metrics_mod.evaluate(ds_std, mean_impute(ds_std))
     return {
@@ -394,8 +371,6 @@ def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     """Range-check numeric flags and check flag pairs, so bad values exit
     as usage errors before any file is read. parser is the subcommand's, so
     the error shows that command's usage, as argparse's own errors do."""
-    if args.command == "impute" and args.trajectory and not args.truth:
-        parser.error("--trajectory needs --truth: trajectory metrics compare against it")
     try:
         if args.command in ("simulate", "impute") and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")

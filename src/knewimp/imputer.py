@@ -7,7 +7,8 @@ pulls particles together (weighted by ner_weight) to discourage the spread
 a pure sampling procedure would produce. The field is integrated by forward
 Euler; training the score model and simulating the flow alternate for a
 configured number of rounds. Each round's flow runs at one bandwidth h,
-which euler_impute() takes from the round's starting matrix.
+which euler_impute() takes from the round's starting matrix. The flow never
+reads the ground truth; metrics.evaluate() scores the finished matrix.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
 them as one tiled reduction over the incomplete rows only. The attraction
@@ -30,9 +31,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import kernel
-from . import metrics as metrics_mod
 from .kernel import KernelConfig, _gram_operands, _gram_tile
-from .score import DsmConfig, ScoreNetwork, forward, init_network, train
+from .score import DsmConfig, ScoreNetwork, TrainingDivergence, forward, init_network, train
 from .tabular import (
     TabularDataset,
     checked_mask,
@@ -41,11 +41,6 @@ from .tabular import (
 )
 
 ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
-
-# Trajectory Wasserstein entries are recorded only up to this many
-# incomplete rows: the exact solver runs on every recorded step and its
-# cost grows cubically with the row count. MAE is always recorded.
-TRAJECTORY_WASS_LIMIT = 512
 
 # Rows of the Gram built at a time in velocity(). A tile is not cache-sized
 # (256 x 4800 doubles is 9.8 MB); the height only trades per-tile overhead
@@ -64,15 +59,13 @@ class WgfConfig:
 
     ner_weight weighs the particle-attraction (negative-entropy) term;
     step_size and num_steps control the Euler integration; num_loops is the
-    number of train-then-simulate rounds; record_every is the trajectory
-    sampling stride.
+    number of train-then-simulate rounds.
     """
 
     ner_weight: float = 1.0
     step_size: float = 0.1
     num_steps: int = 500
     num_loops: int = 2
-    record_every: int = 25
 
     def __post_init__(self) -> None:
         if self.ner_weight < 0.0:
@@ -83,22 +76,11 @@ class WgfConfig:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.num_loops < 1:
             raise ValueError(f"num_loops must be >= 1, got {self.num_loops}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """Metrics at one step; wass is None past TRAJECTORY_WASS_LIMIT incomplete rows."""
-
-    step: int
-    mae: float
-    wass: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ImputationResult:
-    """Final imputed matrix plus the recorded metric trajectory.
+    """Final imputed matrix, phase timings and the trained network.
 
     imputed carries the observed entries bit-exactly and fills every missing
     cell; timings separate score-model training from flow simulation. The
@@ -106,7 +88,6 @@ class ImputationResult:
     """
 
     imputed: np.ndarray
-    trajectory: list[TrajectoryPoint]
     estimate_seconds: float
     impute_seconds: float
     network: Optional[ScoreNetwork] = None
@@ -202,17 +183,13 @@ def euler_impute(
     score: ScoreFn,
     kcfg: KernelConfig,
     wcfg: WgfConfig,
-    truth: Optional[np.ndarray] = None,
-    step_offset: int = 0,
-) -> tuple[np.ndarray, list[TrajectoryPoint]]:
-    """Forward-Euler integration of the velocity field.
+) -> np.ndarray:
+    """Forward-Euler integration of the velocity field for one round.
 
-    The bandwidth is fixed for the whole segment: median_bandwidth(x0) in
+    The bandwidth is fixed for the whole round: median_bandwidth(x0) in
     median mode when x0 has at least 2 rows, else kcfg.bandwidth.
-    Observed entries are pinned to x0 bit-for-bit on every step. When truth
-    is given, metrics are recorded every record_every steps (plus the first
-    and last step of this segment); step indices are offset by step_offset
-    so multi-round trajectories stay monotone.
+    Observed entries are pinned to x0 bit-for-bit on every step. Errors
+    name the step within the round.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     x = x0.copy()
@@ -223,41 +200,23 @@ def euler_impute(
     pinned = x0[observed]
     use_median = kcfg.use_median_heuristic and x0.shape[0] >= 2
     h = kernel.median_bandwidth(x0) if use_median else kcfg.bandwidth
-    trajectory: list[TrajectoryPoint] = []
-
-    def record(step: int) -> None:
-        if truth is None:
-            return
-        trajectory.append(TrajectoryPoint(step=step, **_trajectory_metrics(truth, x, mask)))
-
-    record(step_offset)
     for step in range(1, wcfg.num_steps + 1):
         try:
             v = velocity(x, mask, score, h, wcfg.ner_weight)
         except FloatingPointError as exc:
             raise FloatingPointError(
-                f"flow blew up at step {step_offset + step}: {exc}; "
+                f"flow blew up at step {step}: {exc}; "
                 "reduce the step size"
             ) from exc
         x = np.where(observed, x0, x + wcfg.step_size * v)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(
-                f"state became non-finite at step {step_offset + step}; "
+                f"state became non-finite at step {step}; "
                 "reduce the step size"
             )
-        if step % wcfg.record_every == 0 or step == wcfg.num_steps:
-            record(step_offset + step)
     if not np.array_equal(x[observed], pinned):
         raise RuntimeError("internal invariant violation: observed entries changed")
-    return x, trajectory
-
-
-def _trajectory_metrics(truth: np.ndarray, x: np.ndarray, mask: np.ndarray) -> dict:
-    out = {"mae": metrics_mod.mae(truth, x, mask)}  # raises without a missing cell
-    rows = (mask == 0.0).any(axis=1)
-    if rows.sum() <= TRAJECTORY_WASS_LIMIT:
-        out["wass"] = metrics_mod.wasserstein2(truth[rows], x[rows])
-    return out
+    return x
 
 
 def knewimp(
@@ -277,7 +236,8 @@ def knewimp(
     network draw, and every round's training noise through independent
     child streams. initial_net, when given, replaces the fresh seeded
     network (checkpoint warm start). A dataset without a missing cell is
-    rejected before any training.
+    rejected before any training. ds.truth is never read. A diverging
+    round re-raises its error with "round r of R" added to the message.
     """
     if not np.any(ds.mask == 0.0):
         raise ValueError("dataset has no missing cells; nothing to impute")
@@ -293,31 +253,21 @@ def knewimp(
         raise ValueError(
             f"network expects {net.input_dim} columns, dataset has {ds.n_cols}"
         )
-    trajectory: list[TrajectoryPoint] = []
     estimate_seconds = 0.0
     impute_seconds = 0.0
     for loop in range(wcfg.num_loops):
-        t0 = time.perf_counter()
-        net, _ = train(net, x, dcfg, seed=int(seeds[loop + 2].generate_state(1)[0]))
-        estimate_seconds += time.perf_counter() - t0
+        try:
+            t0 = time.perf_counter()
+            net, _ = train(net, x, dcfg, seed=int(seeds[loop + 2].generate_state(1)[0]))
+            estimate_seconds += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        x, segment = euler_impute(
-            x,
-            ds.mask,
-            net,
-            kcfg,
-            wcfg,
-            truth=ds.truth,
-            step_offset=loop * wcfg.num_steps,
-        )
-        impute_seconds += time.perf_counter() - t0
-        if loop > 0 and segment:
-            segment = segment[1:]  # drop the duplicate boundary point
-        trajectory.extend(segment)
+            t0 = time.perf_counter()
+            x = euler_impute(x, ds.mask, net, kcfg, wcfg)
+            impute_seconds += time.perf_counter() - t0
+        except (TrainingDivergence, FloatingPointError) as exc:
+            raise type(exc)(f"round {loop + 1} of {wcfg.num_loops}: {exc}") from exc
     return ImputationResult(
         imputed=x,
-        trajectory=trajectory,
         estimate_seconds=estimate_seconds,
         impute_seconds=impute_seconds,
         network=net,

@@ -91,14 +91,6 @@ def calibrate_bias(logits: np.ndarray, target_rate: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def simulate_mcar(n: int, d: int, rate: float, seed: int) -> np.ndarray:
-    """Independent Bernoulli mask: each cell missing with probability rate,
-    drawn by simulate() under an MCAR spec over an n x d table."""
-    if n < 1 or d < 1:
-        raise ValueError(f"mask shape must be positive, got {n}x{d}")
-    return simulate(np.zeros((n, d)), MissingSpec(Mechanism.MCAR, rate, seed=seed))
-
-
 def _standardize_columns(x: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1]), 1e-12)

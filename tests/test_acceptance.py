@@ -19,9 +19,9 @@ from knewimp.cli import main as cli_main
 from knewimp.imputer import WgfConfig, euler_impute, knewimp, mean_impute, velocity
 from knewimp.kernel import KernelConfig, gram
 from knewimp.metrics import mae, wasserstein2
-from knewimp.missingness import calibrate_bias, simulate_mcar, simulate, MissingSpec, Mechanism
+from knewimp.missingness import calibrate_bias, simulate, MissingSpec, Mechanism
 from knewimp.score import DsmConfig, dsm_loss_and_grad, forward, init_network
-from knewimp.tabular import from_complete, load_csv, standardize, write_csv
+from knewimp.tabular import from_complete, initialize_missing, load_csv, standardize, write_csv
 from oracles import grad_gram_second, wasserstein2_bruteforce
 
 DEFAULT_DCFG = DsmConfig()          # sigma 0.1, epochs 200, lr 1e-3
@@ -163,7 +163,7 @@ def test_criterion_4_masking_invariants():
 
 def test_criterion_5_missingness_calibration():
     started = time.perf_counter()
-    mask = simulate_mcar(10_000, 10, 0.3, seed=606)
+    mask = simulate(np.zeros((10_000, 10)), MissingSpec(Mechanism.MCAR, 0.3, seed=606))
     mcar_rate = 1.0 - mask.mean()
     mcar_ok = abs(mcar_rate - 0.3) <= 0.015
 
@@ -196,7 +196,7 @@ def test_criterion_6_mode_seeking_contraction():
     x0 = np.array([[1.3]])
     mask = np.zeros((1, 1))
     cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=200, num_loops=1)
-    x, _ = euler_impute(x0, mask, lambda x: -x, KernelConfig(bandwidth=1.0), cfg)
+    x = euler_impute(x0, mask, lambda x: -x, KernelConfig(bandwidth=1.0), cfg)
     bound = 0.9**200 * abs(x0[0, 0]) + 1e-12
     report(
         6,
@@ -210,12 +210,14 @@ def _run_synthetic_seed(seed: int):
     data_rng = np.random.default_rng(seed)
     chol = np.linalg.cholesky(np.array([[1.0, 0.8], [0.8, 1.0]]))
     truth = data_rng.standard_normal((500, 2)) @ chol.T
-    mask = simulate_mcar(500, 2, 0.3, seed=10_000 + seed)
+    mask = simulate(truth, MissingSpec(Mechanism.MCAR, 0.3, seed=10_000 + seed))
     ds, _ = standardize(from_complete(truth, mask))
     result = knewimp(ds, DEFAULT_DCFG, DEFAULT_KCFG, DEFAULT_WCFG, hidden=256, seed=seed)
     model_mae = mae(ds.truth, result.imputed, ds.mask)
     baseline_mae = mae(ds.truth, mean_impute(ds), ds.mask)
-    initial_mae = result.trajectory[0].mae
+    # knewimp()'s starting matrix: its first child seed initializes.
+    init_seed = int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
+    initial_mae = mae(ds.truth, initialize_missing(ds, seed=init_seed), ds.mask)
     return model_mae, baseline_mae, initial_mae
 
 
@@ -289,7 +291,7 @@ def test_criterion_8_wine_quality_spot_check():
     assert truth.shape == (4898, 11), f"unexpected table shape {truth.shape}"
 
     def run_seed(seed: int) -> tuple[float, float]:
-        mask = simulate_mcar(*truth.shape, 0.3, seed=20_000 + seed)
+        mask = simulate(truth, MissingSpec(Mechanism.MCAR, 0.3, seed=20_000 + seed))
         ds, _ = standardize(from_complete(truth, mask))
         result = knewimp(
             ds, DEFAULT_DCFG, DEFAULT_KCFG, DEFAULT_WCFG, hidden=256, seed=seed

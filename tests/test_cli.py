@@ -13,7 +13,7 @@ from knewimp.tabular import load_csv, load_mask_csv, write_csv
 
 FAST = [
     "--lambda", "1.0", "--steps", "20", "--loops", "1", "--epochs", "10",
-    "--hidden", "16", "--record-every", "10",
+    "--hidden", "16",
 ]
 
 
@@ -145,7 +145,7 @@ class TestImpute:
 
     def test_no_missing_cells_is_runtime_error(self, tmp_path, complete_csv, capsys):
         code = main([
-            "impute", "--input", complete_csv, "--has-header", "--truth", complete_csv,
+            "impute", "--input", complete_csv, "--has-header",
             "--output", str(tmp_path / "out.csv"), *FAST,
         ])
         assert code == 2
@@ -177,37 +177,8 @@ class TestImpute:
             "--output", out2, "--seed", "4", "--load-net", net_path, *FAST,
         ]) == 0
 
-    def test_trajectory_written(self, tmp_path, complete_csv):
-        sim = tmp_path / "sim"
-        main([
-            "simulate", "--input", complete_csv, "--has-header",
-            "--rate", "0.3", "--seed", "6", "--output-dir", str(sim),
-        ])
-        traj = str(tmp_path / "traj.csv")
-        assert main([
-            "impute", "--input", str(sim / "masked.csv"), "--has-header",
-            "--truth", complete_csv, "--trajectory", traj,
-            "--output", str(tmp_path / "im.csv"), "--seed", "6", *FAST,
-        ]) == 0
-        lines = read(traj).strip().splitlines()
-        assert lines[0] == "step,mae,wass"
-        assert len(lines) > 2
-
-    def test_trajectory_without_truth_is_usage_error(self, tmp_path, capsys):
-        # Refused before any file is read: the input does not even exist.
-        traj, out = tmp_path / "traj.csv", tmp_path / "im.csv"
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "impute", "--input", str(tmp_path / "absent.csv"),
-                "--output", str(out), "--trajectory", str(traj), *FAST,
-            ])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert "--trajectory" in err and "--truth" in err
-        assert not traj.exists() and not out.exists()
-
     @pytest.mark.parametrize("extra", [
-        ["--epochs", "0"], ["--trajectory", "t.csv"], ["--seed", "-1"], ["--hidden", "0"],
+        ["--epochs", "0"], ["--step-size", "0"], ["--seed", "-1"], ["--hidden", "0"],
     ])
     def test_flag_check_errors_show_impute_usage(self, tmp_path, capsys, extra):
         # Checked after parsing, yet reported like argparse's own errors:
@@ -342,16 +313,6 @@ class TestExperiment:
         _, out_b = self.run(tmp_path, complete_csv, "5,6", "detB")
         assert read(out_a / "summary.json") == read(out_b / "summary.json")
 
-    def test_records_no_trajectory(self, tmp_path, complete_csv, monkeypatch):
-        # The reports never read a trajectory, so no seed computes one.
-        def fail(*args):
-            raise AssertionError("trajectory metrics computed")
-
-        monkeypatch.setattr("knewimp.imputer._trajectory_metrics", fail)
-        code, out = self.run(tmp_path, complete_csv, "1,2", "notraj")
-        assert code == 0
-        assert (out / "summary.json").exists()
-
     @pytest.mark.parametrize(
         "seeds", ["1,x", ",", "3,3", "-1,2"],
         ids=["non-integer", "empty", "duplicated", "negative"],
@@ -450,7 +411,7 @@ class TestConfigFile:
         assert read(out_c / "masked.csv") == read(out_a / "masked.csv")
         assert read(out_c / "masked.csv").startswith("u,v\n")
 
-    def test_config_model_key_and_flag_precedence(self, tmp_path, complete_csv):
+    def test_config_model_key_and_flag_precedence(self, tmp_path, complete_csv, monkeypatch):
         sim = tmp_path / "sim"
         main([
             "simulate", "--input", complete_csv, "--has-header",
@@ -459,18 +420,23 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 3}), encoding="utf-8")
         fast = ["--loops", "1", "--epochs", "2", "--hidden", "8"]
+        wcfgs = []
 
-        def last_step(extra):
-            traj = tmp_path / "traj.csv"
+        def recording_knewimp(ds, dcfg, kcfg, wcfg, **kwargs):
+            wcfgs.append(wcfg)
+            return knewimp(ds, dcfg, kcfg, wcfg, **kwargs)
+
+        monkeypatch.setattr("knewimp.cli.knewimp", recording_knewimp)
+
+        def num_steps(extra):
             assert main([
                 "--config", str(cfg), "impute", "--input", str(sim / "masked.csv"),
-                "--has-header", "--truth", complete_csv, "--trajectory", str(traj),
-                "--output", str(tmp_path / "im.csv"), *fast, *extra,
+                "--has-header", "--output", str(tmp_path / "im.csv"), *fast, *extra,
             ]) == 0
-            return int(read(traj).strip().splitlines()[-1].split(",")[0])
+            return wcfgs[-1].num_steps
 
-        assert last_step([]) == 3  # config steps replace the default 500
-        assert last_step(["--steps", "4"]) == 4  # flag overrides config
+        assert num_steps([]) == 3  # config steps replace the default 500
+        assert num_steps(["--steps", "4"]) == 4  # flag overrides config
 
     @pytest.mark.parametrize("config, key", [
         ({"steps": 2.5}, "steps"),
@@ -493,8 +459,7 @@ class TestConfigFile:
         assert not (tmp_path / "im.csv").exists()
 
     @pytest.mark.parametrize("key", [
-        "input", "output", "output_dir", "mask", "truth", "trajectory", "save_net",
-        "load_net", "imputed",
+        "input", "output", "output_dir", "mask", "truth", "save_net", "load_net", "imputed",
     ])
     def test_path_key_is_usage_error(
         self, tmp_path, complete_csv, capsys, monkeypatch, key

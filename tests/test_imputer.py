@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from knewimp.imputer import (
     velocity,
 )
 from knewimp.kernel import KernelConfig, median_bandwidth
-from knewimp.score import DsmConfig, forward, init_network, train
+from knewimp.metrics import mae
+from knewimp.score import DsmConfig, TrainingDivergence, forward, init_network, train
 from knewimp.tabular import TabularDataset, from_complete, initialize_missing, standardize
 from oracles import dense_velocity, grad_gram_second
 
@@ -131,7 +133,7 @@ class TestVelocityOracle:
         runs = []
         for tile in TILE_HEIGHTS:
             monkeypatch.setattr(imputer_mod, "_TILE_ROWS", tile)
-            runs.append(euler_impute(x0, mask, net, KCFG, cfg)[0])
+            runs.append(euler_impute(x0, mask, net, KCFG, cfg))
         for x in runs[1:]:
             assert np.abs(x - runs[0]).max() <= 1e-12 * np.abs(runs[0]).max()
 
@@ -227,12 +229,12 @@ class TestBandwidth:
         cfg = WgfConfig(step_size=0.1, num_steps=10, num_loops=1)
         median = euler_impute(x0, mask, net, KernelConfig(use_median_heuristic=True), cfg)
         fixed = euler_impute(x0, mask, net, KernelConfig(bandwidth=median_bandwidth(x0)), cfg)
-        assert np.array_equal(median[0], fixed[0])
+        assert np.array_equal(median, fixed)
         # One row has no pairwise distance: the fixed bandwidth stands in.
         x1, mask1 = x0[:1], np.zeros((1, 3))
         median = euler_impute(x1, mask1, net, KernelConfig(use_median_heuristic=True), cfg)
         fixed = euler_impute(x1, mask1, net, KernelConfig(), cfg)
-        assert np.array_equal(median[0], fixed[0])
+        assert np.array_equal(median, fixed)
 
 
 class TestEulerImpute:
@@ -241,7 +243,7 @@ class TestEulerImpute:
         x0 = np.array([[1.0]])
         mask = np.zeros((1, 1))
         cfg = WgfConfig(ner_weight=0.0, step_size=0.5, num_steps=2, num_loops=1)
-        x, _ = euler_impute(x0, mask, gaussian_score, KCFG, cfg)
+        x = euler_impute(x0, mask, gaussian_score, KCFG, cfg)
         assert x[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_velocity_fixed_point(self):
@@ -251,7 +253,7 @@ class TestEulerImpute:
         x0 = np.random.default_rng(6).standard_normal((5, 2))
         mask = (np.random.default_rng(7).random((5, 2)) > 0.5).astype(float)
         cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=20, num_loops=1)
-        x, _ = euler_impute(x0, mask, net, KCFG, cfg)
+        x = euler_impute(x0, mask, net, KCFG, cfg)
         assert np.array_equal(x, x0)
 
     def test_observed_entries_bit_identical(self):
@@ -260,7 +262,7 @@ class TestEulerImpute:
         mask = (rng.random((20, 3)) > 0.4).astype(float)
         net = init_network(3, 16, seed=9)
         cfg = WgfConfig(step_size=0.1, num_steps=50, num_loops=1)
-        x, _ = euler_impute(x0, mask, net, KCFG, cfg)
+        x = euler_impute(x0, mask, net, KCFG, cfg)
         obs = mask == 1.0
         assert np.array_equal(x[obs], x0[obs])
         assert not np.array_equal(x[~obs], x0[~obs])
@@ -269,7 +271,7 @@ class TestEulerImpute:
         x0 = np.array([[1.7]])
         mask = np.zeros((1, 1))
         cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=200, num_loops=1)
-        x, _ = euler_impute(x0, mask, gaussian_score, KCFG, cfg)
+        x = euler_impute(x0, mask, gaussian_score, KCFG, cfg)
         assert abs(x[0, 0] - 0.9**200 * 1.7) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -280,19 +282,6 @@ class TestEulerImpute:
         cfg = WgfConfig(ner_weight=0.0, step_size=10.0, num_steps=100, num_loops=1)
         with pytest.raises(FloatingPointError, match="step"):
             euler_impute(x0, mask, big, KCFG, cfg)
-
-    def test_trajectory_recording(self):
-        rng = np.random.default_rng(10)
-        truth = rng.standard_normal((12, 2))
-        mask = (rng.random((12, 2)) > 0.4).astype(float)
-        mask[0] = 1.0
-        x0 = np.where(mask == 1.0, truth, 0.0)
-        net = init_network(2, 8, seed=11)
-        cfg = WgfConfig(step_size=0.05, num_steps=10, num_loops=1, record_every=5)
-        _, traj = euler_impute(x0, mask, net, KCFG, cfg, truth=truth)
-        assert [p.step for p in traj] == [0, 5, 10]
-        assert all(p.mae is not None for p in traj)
-        assert all(p.wass is not None for p in traj)  # small cloud: exact
 
 
 def make_dataset(n=120, rho=0.8, rate=0.3, seed=0):
@@ -309,7 +298,7 @@ class TestKnewimp:
     FAST = dict(
         dcfg=DsmConfig(epochs=60),
         kcfg=KernelConfig(bandwidth=0.5),
-        wcfg=WgfConfig(step_size=0.1, num_steps=80, num_loops=2, record_every=20),
+        wcfg=WgfConfig(step_size=0.1, num_steps=80, num_loops=2),
         hidden=32,
     )
 
@@ -318,9 +307,6 @@ class TestKnewimp:
         a = knewimp(ds, seed=5, **self.FAST)
         b = knewimp(ds, seed=5, **self.FAST)
         assert np.array_equal(a.imputed, b.imputed)
-        assert [(p.step, p.mae, p.wass) for p in a.trajectory] == [
-            (p.step, p.mae, p.wass) for p in b.trajectory
-        ]
 
     def test_observed_entries_preserved(self):
         ds = make_dataset(seed=1)
@@ -332,7 +318,7 @@ class TestKnewimp:
     def test_single_loop_unrolls(self):
         ds = make_dataset(seed=3)
         cfg = dict(self.FAST)
-        cfg["wcfg"] = WgfConfig(step_size=0.1, num_steps=80, num_loops=1, record_every=20)
+        cfg["wcfg"] = WgfConfig(step_size=0.1, num_steps=80, num_loops=1)
         seed = 7
         result = knewimp(ds, seed=seed, **cfg)
 
@@ -340,14 +326,16 @@ class TestKnewimp:
         x = initialize_missing(ds, seed=seeds[0].generate_state(1)[0])
         net = init_network(ds.n_cols, 32, seed=seeds[1].generate_state(1)[0])
         net, _ = train(net, x, cfg["dcfg"], seed=seeds[2].generate_state(1)[0])
-        x, _ = euler_impute(x, ds.mask, net, cfg["kcfg"], cfg["wcfg"], truth=ds.truth)
+        x = euler_impute(x, ds.mask, net, cfg["kcfg"], cfg["wcfg"])
         assert np.array_equal(result.imputed, x)
 
     def test_metric_improves_on_correlated_data(self):
         ds = make_dataset(n=200, seed=4)
         result = knewimp(ds, seed=9, **self.FAST)
-        first = result.trajectory[0].mae
-        last = result.trajectory[-1].mae
+        # knewimp()'s starting matrix: its first child seed initializes.
+        init_seed = int(np.random.SeedSequence(9).spawn(1)[0].generate_state(1)[0])
+        first = mae(ds.truth, initialize_missing(ds, seed=init_seed), ds.mask)
+        last = mae(ds.truth, result.imputed, ds.mask)
         assert last < first
 
     def test_timings_positive(self):
@@ -356,13 +344,55 @@ class TestKnewimp:
         assert result.estimate_seconds > 0.0
         assert result.impute_seconds > 0.0
 
-    def test_trajectory_steps_monotone_across_loops(self):
+    def test_never_reads_the_truth(self, monkeypatch):
+        # With every metric made to fail, a dataset that carries its truth
+        # runs to the same matrix as one without.
         ds = make_dataset(seed=6)
-        result = knewimp(ds, seed=3, **self.FAST)
-        steps = [p.step for p in result.trajectory]
-        assert steps == sorted(steps)
-        assert len(steps) == len(set(steps))
-        assert steps[-1] == 160  # two loops of 80 steps
+        without = knewimp(replace(ds, truth=None), seed=3, **self.FAST)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a metric was computed during the run")
+
+        monkeypatch.setattr("knewimp.metrics.mae", fail)
+        monkeypatch.setattr("knewimp.metrics.wasserstein2", fail)
+        with_truth = knewimp(ds, seed=3, **self.FAST)
+        assert np.array_equal(with_truth.imputed, without.imputed)
+
+    def test_flow_error_names_the_round(self, monkeypatch):
+        ds = make_dataset(seed=7)
+        rounds = []
+        real_train, real_velocity = imputer_mod.train, imputer_mod.velocity
+
+        def counting_train(*args, **kwargs):
+            rounds.append(len(rounds) + 1)
+            return real_train(*args, **kwargs)
+
+        def velocity_failing_in_round_2(*args):
+            if rounds[-1] == 2:
+                raise FloatingPointError("velocity field contains non-finite values")
+            return real_velocity(*args)
+
+        monkeypatch.setattr(imputer_mod, "train", counting_train)
+        monkeypatch.setattr(imputer_mod, "velocity", velocity_failing_in_round_2)
+        with pytest.raises(FloatingPointError, match="^round 2 of 2: flow blew up at step 1:"):
+            knewimp(ds, seed=1, **self.FAST)
+
+    def test_training_error_names_the_round(self, monkeypatch):
+        ds = make_dataset(seed=8)
+        rounds = []
+        real_train = imputer_mod.train
+
+        def train_failing_in_round_2(*args, **kwargs):
+            rounds.append(len(rounds) + 1)
+            if rounds[-1] == 2:
+                raise TrainingDivergence("training diverged at epoch 3")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(imputer_mod, "train", train_failing_in_round_2)
+        with pytest.raises(
+            TrainingDivergence, match="^round 2 of 2: training diverged at epoch 3$"
+        ):
+            knewimp(ds, seed=1, **self.FAST)
 
     def test_no_missing_cells_rejected_before_training(self, monkeypatch):
         truth = np.random.default_rng(13).standard_normal((10, 2))

@@ -7,7 +7,6 @@ from knewimp.missingness import (
     _draw,
     calibrate_bias,
     simulate,
-    simulate_mcar,
 )
 
 
@@ -49,25 +48,30 @@ class TestCalibrateBias:
             calibrate_bias(np.zeros(3), 1.0)
 
 
+def mcar(n, d, rate, seed):
+    # An MCAR mask depends only on the table's shape and the seed.
+    return simulate(np.zeros((n, d)), MissingSpec(Mechanism.MCAR, rate, seed=seed))
+
+
 class TestMcar:
     def test_rate_bounds_rejected(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                simulate_mcar(10, 10, bad, 0)
+                MissingSpec(Mechanism.MCAR, bad)
 
     def test_empirical_rate(self):
-        mask = simulate_mcar(10_000, 10, 0.3, seed=5)
+        mask = mcar(10_000, 10, 0.3, seed=5)
         missing = 1.0 - mask.mean()
         assert 0.285 <= missing <= 0.315
 
     def test_deterministic(self):
-        a = simulate_mcar(50, 7, 0.4, seed=9)
-        b = simulate_mcar(50, 7, 0.4, seed=9)
+        a = mcar(50, 7, 0.4, seed=9)
+        b = mcar(50, 7, 0.4, seed=9)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, simulate_mcar(50, 7, 0.4, seed=10))
+        assert not np.array_equal(a, mcar(50, 7, 0.4, seed=10))
 
     def test_binary_output(self):
-        mask = simulate_mcar(40, 3, 0.5, seed=1)
+        mask = mcar(40, 3, 0.5, seed=1)
         assert set(np.unique(mask)) <= {0.0, 1.0}
 
 
