@@ -16,7 +16,7 @@ from .imputer import (
     mean_impute,
     velocity,
 )
-from .kernel import KernelConfig, gram, median_bandwidth
+from .kernel import KernelConfig, gram_matmul, median_bandwidth
 from .metrics import MetricReport, evaluate, mae, wasserstein2
 from .missingness import (
     Mechanism,
@@ -59,7 +59,7 @@ __all__ = [
     "evaluate",
     "forward",
     "from_complete",
-    "gram",
+    "gram_matmul",
     "init_network",
     "initialize_missing",
     "knewimp",

@@ -11,15 +11,9 @@ which euler_impute() takes from the round's starting matrix. The flow never
 reads the ground truth; metrics.evaluate() scores the finished matrix.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
-them as one tiled reduction over the incomplete rows only. The attraction
-is folded into the score block, so one Gram product with a 2D-wide
-right-hand side gives both terms. The Gram operands are built once per
-step; the Gram is symmetric, so only its upper-triangular tiles are built:
-B = _TILE_ROWS rows at a time, from the tile's diagonal block to the last
-column, into one B x N buffer that every tile of the step reuses. Each tile
-is used twice, once for its own rows and once, transposed, for the rows
-below it, so every Gram entry is computed once and a step holds O(B N)
-memory, never N x N.
+them over the incomplete rows only. The attraction is folded into the
+score block, so one Gram product with a 2D-wide right-hand side,
+kernel.gram_matmul, gives both terms in O(N) memory.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import kernel
-from .kernel import KernelConfig, _gram_operands, _gram_tile
+from .kernel import KernelConfig
 from .score import DsmConfig, ScoreNetwork, TrainingDivergence, forward, init_network, train
 from .tabular import (
     TabularDataset,
@@ -41,17 +35,6 @@ from .tabular import (
 )
 
 ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
-
-# Rows of the Gram built at a time in velocity(). A tile is not cache-sized
-# (256 x 4800 doubles is 9.8 MB); the height only trades per-tile overhead
-# against tile memory. velocity() at 4898 x 11 (4789 incomplete rows, cheap
-# score, 12 interleaved rounds on a 2-core VM) took 1.16 / 1.04 / 1 / 1.01
-# times as long at 64 / 128 / 256 / 512 rows, so 256 is the smallest height
-# without a loss. Up to this many incomplete rows there is one tile; past
-# it, a row's sum is split between tiles, so results agree across heights
-# to round-off.
-_TILE_ROWS = 256
-
 
 @dataclass(frozen=True)
 class WgfConfig:
@@ -118,28 +101,11 @@ def velocity(
                       - lam x_i ⊙ sum_j G[i,j] free_j ],
 
     and one product of G with the 2D-wide right-hand side
-    [(S + lam X) ⊙ F | F] gives both sums. Rows without a missing cell get
-    zero velocity and add zero to every sum, so only the incomplete rows are
-    evaluated: the score network runs on them alone (it must act row by
-    row), and G is built over them in tiles of _TILE_ROWS rows. The Gram
-    operands of those rows are built once per step (kernel._gram_operands),
-    so a tile is one product of their slices, clamped and exponentiated in
-    place in one reused buffer. Tile [s:e] holds only G[s:e, s:], the
-    diagonal block and the columns to its right. G is symmetric, so the
-    tile serves two products:
-
-    - G[s:e, s:] @ rhs[s:] gives rows s:e of the product their sum over
-      columns s and up;
-    - rhs[s:e]^T @ G[s:e, e:] is G[e:, s:e] @ rhs[s:e] transposed: the rows
-      below the tile summed over its columns. It is added into one 2D x m
-      accumulator, which is added, transposed, to the product once after
-      the last tile.
-
-    The second is written with the small 2D x B operand on the left: the
-    equivalent G[:, b:]^T @ rhs[s:e] makes a threaded BLAS pack the tall
-    transposed tile, which costs time and memory. Step memory is
-    O(_TILE_ROWS * N), never N x N, and the divisor stays N. The mask must
-    hold only 0 and 1.
+    [(S + lam X) ⊙ F | F], kernel.gram_matmul, gives both sums. Rows
+    without a missing cell get zero velocity and add zero to every sum, so
+    only the incomplete rows are evaluated: the score network runs on them
+    alone (it must act row by row), and G is built over them alone. The
+    divisor stays N. The mask must hold only 0 and 1.
     """
     x = np.asarray(x, dtype=np.float64)
     mask = checked_mask(mask, x.shape)
@@ -148,26 +114,12 @@ def velocity(
     n, d = x.shape
     rows = np.flatnonzero((mask == 0.0).any(axis=1))
     v = np.zeros_like(x)
-    m = rows.size
-    if m == 0:
-        return v
     x_rows, free_rows = x[rows], 1.0 - mask[rows]
     lam = ner_weight / (h * h)
-    rhs = np.empty((m, 2 * d))
+    rhs = np.empty((rows.size, 2 * d))
     rhs[:, :d] = (_eval_score(score, x_rows) + lam * x_rows) * free_rows
     rhs[:, d:] = free_rows
-    left, right = _gram_operands(x_rows, h)
-    prod = np.empty((m, 2 * d))
-    below = np.zeros((2 * d, m))
-    tile_buf = np.empty(min(_TILE_ROWS, m) * m)
-    for s in range(0, m, _TILE_ROWS):
-        e = min(s + _TILE_ROWS, m)
-        b, w = e - s, m - s
-        g = _gram_tile(left[s:e], right[:, s:], out=tile_buf[: b * w].reshape(b, w))
-        np.matmul(g, rhs[s:], out=prod[s:e])
-        if e < m:
-            below[:, e:] += rhs[s:e].T @ g[:, b:]
-    prod += below.T
+    prod = kernel.gram_matmul(x_rows, rhs, h)
     v_rows = prod[:, :d]
     v_rows -= lam * x_rows * prod[:, d:]
     v_rows /= n

@@ -405,11 +405,23 @@ def save_network(path: str, net: ScoreNetwork) -> None:
 
 
 def load_network(path: str) -> ScoreNetwork:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    net = ScoreNetwork(weights=weights, biases=biases)
-    if net.layer_dims != payload["layer_dims"]:
+    """Read a save_network() checkpoint. Anything but a [D, H, H, D]
+    network with finite parameters and a layer_dims header that says so
+    raises ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+        header = payload["layer_dims"]
+        d, h = weights[0].shape
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: not a score network checkpoint ({exc!r})") from exc
+    shapes = [a.shape for a in weights + biases]
+    if min(d, h) < 1 or shapes != [(d, h), (h, h), (h, d), (h,), (h,), (d,)]:
+        raise ValueError(f"{path}: not a [D, H, H, D] network; parameter shapes {shapes}")
+    if header != [d, h, h, d]:
         raise ValueError(f"{path}: checkpoint shape header does not match tensors")
-    return net
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
+    return ScoreNetwork(weights=weights, biases=biases)

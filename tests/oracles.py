@@ -40,6 +40,25 @@ def dense_velocity(x, mask, scores, bandwidth, ner_weight):
     return (smoothed - ner_weight * attraction) / x.shape[0] * free
 
 
+def gaussian_conditional_mean(x, mask, cov):
+    """E[x_m | x_o] row by row for zero-mean Gaussian rows with covariance
+    cov: cov_mo cov_oo^-1 x_o in the missing cells (0 in a row with nothing
+    observed), the observed cells copied. Under the true covariance this is
+    the Bayes floor: no imputer has a lower expected squared error."""
+    x = np.asarray(x, dtype=np.float64)
+    out = x.copy()
+    for i in range(x.shape[0]):
+        obs = mask[i] == 1.0
+        miss = ~obs
+        if not miss.any():
+            continue
+        out[i, miss] = 0.0
+        if obs.any():
+            weights = np.linalg.solve(cov[np.ix_(obs, obs)], x[i, obs])
+            out[i, miss] = cov[np.ix_(miss, obs)] @ weights
+    return out
+
+
 def wasserstein2_bruteforce(truth_rows, imputed_rows):
     """Minimum mean squared pairing cost over all permutations."""
     a = np.asarray(truth_rows, dtype=np.float64)

@@ -8,8 +8,9 @@ import pytest
 from knewimp.cli import _build_configs, _check_config, build_parser, main
 from knewimp.imputer import WgfConfig, knewimp
 from knewimp.kernel import KernelConfig
-from knewimp.score import DsmConfig
+from knewimp.score import DsmConfig, init_network, save_network
 from knewimp.tabular import load_csv, load_mask_csv, write_csv
+from test_score import MALFORMED_CHECKPOINTS, write_checkpoint
 
 FAST = [
     "--lambda", "1.0", "--steps", "20", "--loops", "1", "--epochs", "10",
@@ -176,6 +177,23 @@ class TestImpute:
             "impute", "--input", str(sim / "masked.csv"), "--has-header",
             "--output", out2, "--seed", "4", "--load-net", net_path, *FAST,
         ]) == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_is_runtime_error(self, tmp_path, complete_csv, capsys, case):
+        net_path = write_checkpoint(tmp_path, MALFORMED_CHECKPOINTS[case])
+        code, out, _ = self.run_pipeline(tmp_path, complete_csv, extra=["--load-net", net_path])
+        assert code == 2
+        assert f"knewimp impute (builtins): {net_path}: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_hidden_width_must_match_checkpoint(self, tmp_path, complete_csv, capsys):
+        net_path = str(tmp_path / "net.json")
+        save_network(net_path, init_network(2, 8, seed=0))
+        code, out, _ = self.run_pipeline(tmp_path, complete_csv, extra=["--load-net", net_path])
+        assert code == 2  # FAST passes --hidden 16
+        err = capsys.readouterr().err
+        assert "--hidden 16" in err and "hidden width 8" in err and net_path in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("extra", [
         ["--epochs", "0"], ["--step-size", "0"], ["--seed", "-1"], ["--hidden", "0"],

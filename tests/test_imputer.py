@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import knewimp.imputer as imputer_mod
+import knewimp.kernel as kernel_mod
 from knewimp.imputer import (
     ImputationResult,
     WgfConfig,
@@ -19,9 +20,10 @@ from knewimp.imputer import (
 )
 from knewimp.kernel import KernelConfig, median_bandwidth
 from knewimp.metrics import mae
+from knewimp.missingness import Mechanism, MissingSpec, simulate
 from knewimp.score import DsmConfig, TrainingDivergence, forward, init_network, train
 from knewimp.tabular import TabularDataset, from_complete, initialize_missing, standardize
-from oracles import dense_velocity, grad_gram_second
+from oracles import dense_velocity, gaussian_conditional_mean, grad_gram_second
 
 KCFG = KernelConfig(bandwidth=1.0)
 
@@ -92,13 +94,13 @@ def reference_velocity(x, mask, net, h, ner_weight):
     return v / n * free
 
 
-TILE_HEIGHTS = (1, 7, imputer_mod._TILE_ROWS, 10_000)
+TILE_HEIGHTS = (1, 7, kernel_mod._TILE_ROWS, 10_000)
 
 
 class TestVelocityOracle:
     @pytest.mark.parametrize("tile", TILE_HEIGHTS)
     def test_matches_double_sum(self, monkeypatch, tile):
-        monkeypatch.setattr(imputer_mod, "_TILE_ROWS", tile)
+        monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
         rng = np.random.default_rng(31)
         for trial in range(12):
             n = int(rng.integers(1, 61))
@@ -132,7 +134,7 @@ class TestVelocityOracle:
         cfg = WgfConfig(step_size=0.1, num_steps=15, num_loops=1)
         runs = []
         for tile in TILE_HEIGHTS:
-            monkeypatch.setattr(imputer_mod, "_TILE_ROWS", tile)
+            monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
             runs.append(euler_impute(x0, mask, net, KCFG, cfg))
         for x in runs[1:]:
             assert np.abs(x - runs[0]).max() <= 1e-12 * np.abs(runs[0]).max()
@@ -155,7 +157,7 @@ class TestVelocityAcrossTiles:
 
     @pytest.mark.parametrize("m", [256, 257, 601])
     def test_matches_dense_oracle(self, m):
-        assert imputer_mod._TILE_ROWS == 256
+        assert kernel_mod._TILE_ROWS == 256
         x, mask = incomplete_rows_table(m, 23, 5, seed=m)
         net = init_network(5, 16, seed=m)
         for h in (1.5, median_bandwidth(x)):
@@ -195,7 +197,34 @@ class TestVelocityAcrossTiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (imputer_mod._TILE_ROWS + per_row) * m + 2**17
+        assert peak < 8 * (kernel_mod._TILE_ROWS + per_row) * m + 2**17
+
+
+def test_conditional_mean_oracle_closed_form():
+    # Two columns with correlation rho: E[x_2 | x_1] = rho x_1, and a row
+    # with nothing observed gets the mean, 0.
+    cov = np.array([[1.0, 0.6], [0.6, 1.0]])
+    x = np.array([[2.0, 9.0], [9.0, -1.5], [9.0, 9.0], [3.0, 4.0]])
+    mask = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    expect = np.array([[2.0, 1.2], [-0.9, -1.5], [0.0, 0.0], [3.0, 4.0]])
+    assert np.allclose(gaussian_conditional_mean(x, mask, cov), expect, rtol=0, atol=1e-15)
+
+
+def test_median_bandwidth_near_the_bayes_floor():
+    # 1000 x 11 Gaussian AR(1) rows (correlation 0.7^|i-j|) under MCAR 0.3,
+    # at the default config with the per-round median bandwidth. The gate is
+    # a ratio to the conditional mean under the true covariance, the best
+    # any imputer can do in expectation. The data and mask seeds are drawn
+    # apart from knewimp's, so its starting jitter is not the data's noise.
+    n, d, rho = 1000, 11, 0.7
+    cov = rho ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    truth = np.random.default_rng(2024).standard_normal((n, d)) @ np.linalg.cholesky(cov).T
+    mask = simulate(truth, MissingSpec(mechanism=Mechanism.MCAR, rate=0.3, seed=2025))
+    floor = mae(truth, gaussian_conditional_mean(truth, mask, cov), mask)
+    kcfg = KernelConfig(use_median_heuristic=True)
+    result = knewimp(from_complete(truth, mask), DsmConfig(), kcfg, WgfConfig(), seed=0)
+    ratio = mae(truth, result.imputed, mask) / floor
+    assert ratio <= 1.2, f"MAE is {ratio:.3f} x the Bayes floor"
 
 
 class TestMaskEntries:

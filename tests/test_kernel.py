@@ -7,12 +7,28 @@ from knewimp.kernel import (
     KernelConfig,
     _gram_operands,
     _gram_tile,
-    gram,
+    gram_matmul,
     median_bandwidth,
 )
 from knewimp.score import DsmConfig
 from knewimp.tabular import from_complete
 from oracles import grad_gram_second
+
+
+def gram(x, h):
+    """The Gram of x with itself, from gram_matmul with an identity
+    right-hand side: each output entry is one tile entry times 1."""
+    return gram_matmul(x, np.eye(len(x)), h)
+
+
+def cross_gram(x, y, h):
+    """G(x, y) as the off-diagonal block of the Gram of x stacked on y."""
+    return gram(np.vstack([x, y]), h)[: len(x), len(x):]
+
+
+def literal_gram(a, b, h):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.exp(-(diff * diff).sum(axis=2) / (2.0 * h * h))
 
 
 def fd_grad_second(x_i, y_j, h, step=1e-6):
@@ -24,8 +40,8 @@ def fd_grad_second(x_i, y_j, h, step=1e-6):
         minus = y_j.copy()
         plus[d] += step
         minus[d] -= step
-        kp = gram(x_i[None, :], plus[None, :], h)[0, 0]
-        km = gram(x_i[None, :], minus[None, :], h)[0, 0]
+        kp = cross_gram(x_i[None, :], plus[None, :], h)[0, 0]
+        km = cross_gram(x_i[None, :], minus[None, :], h)[0, 0]
         out[d] = (kp - km) / (2.0 * step)
     return out
 
@@ -33,7 +49,7 @@ def fd_grad_second(x_i, y_j, h, step=1e-6):
 class TestGram:
     def test_single_identical_point(self):
         x = np.array([[1.5, -2.0]])
-        g = gram(x, x, 0.5)
+        g = gram(x, 0.5)
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1.0)
 
@@ -42,32 +58,40 @@ class TestGram:
         h = 0.7
         x = np.zeros((1, 2))
         y = np.array([[h * np.sqrt(2.0), 0.0]])
-        assert gram(x, y, h)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert cross_gram(x, y, h)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_unit_offset_closed_form(self):
         x = np.array([[0.0, 0.0]])
         y = np.array([[1.0, 1.0]])
-        assert gram(x, y, 1.0)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert cross_gram(x, y, 1.0)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
-    def test_symmetry_on_self(self):
+    def test_symmetry_on_self(self, monkeypatch):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((17, 4))
-        g = gram(x, x, 0.5)
-        assert np.allclose(g, g.T, atol=1e-15)
-        assert np.allclose(np.diag(g), 1.0)
+        for tile in (1, 5, 17):
+            monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
+            g = gram(x, 0.5)
+            assert np.allclose(g, g.T, atol=1e-15)
+            assert np.allclose(np.diag(g), 1.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gram(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
+        for x, rhs in (
+            (np.zeros((2, 3)), np.zeros((3, 2))),
+            (np.zeros(3), np.zeros((3, 1))),
+            (np.zeros((3, 2)), np.zeros(3)),
+        ):
+            with pytest.raises(ValueError, match="equal row counts"):
+                gram_matmul(x, rhs, 1.0)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            gram(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+        for h in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="bandwidth must be > 0"):
+                gram_matmul(np.zeros((1, 1)), np.eye(1), h)
 
     def test_monotone_decay_in_distance(self):
         h = 0.9
         dists = np.linspace(0.1, 4.0, 25)
-        vals = [gram(np.zeros((1, 1)), np.array([[t]]), h)[0, 0] for t in dists]
+        vals = cross_gram(np.zeros((1, 1)), dists[:, None], h)[0]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_psd_on_random_clouds(self):
@@ -76,8 +100,7 @@ class TestGram:
             n = int(rng.integers(2, 65))
             d = int(rng.integers(1, 6))
             x = rng.standard_normal((n, d))
-            g = gram(x, x, 0.5)
-            eigmin = np.linalg.eigvalsh(g).min()
+            eigmin = np.linalg.eigvalsh(gram(x, 0.5)).min()
             assert eigmin >= -1e-8
 
 
@@ -89,35 +112,60 @@ class TestGramContract:
                 x = rng.standard_normal((int(rng.integers(1, 30)), d)) + offset
                 y = rng.standard_normal((int(rng.integers(1, 30)), d)) + offset
                 h = float(rng.uniform(0.5, 2.0))
-                for a, b in ((x, y), (x, x)):
-                    diff = a[:, None, :] - b[None, :, :]
-                    literal = np.exp(-(diff * diff).sum(axis=2) / (2.0 * h * h))
-                    assert np.abs(gram(a, b, h) - literal).max() <= 1e-12
+                assert np.abs(cross_gram(x, y, h) - literal_gram(x, y, h)).max() <= 1e-12
+                assert np.abs(gram(x, h) - literal_gram(x, x, h)).max() <= 1e-12
 
-    def test_entries_in_unit_interval(self):
+    def test_entries_in_unit_interval(self, monkeypatch):
         # Far from the origin the expanded square cancels ~1e3 against ~1e3,
         # so without the clamp a diagonal entry can come out above 1.
+        monkeypatch.setattr(kernel_mod, "_TILE_ROWS", 16)
         rng = np.random.default_rng(47)
         for d in (1, 5, 11, 16):
             x = rng.standard_normal((40, d)) + 10.0
-            for g in (gram(x, x, 0.5), gram(x, rng.standard_normal((9, d)), 0.5)):
+            for g in (gram(x, 0.5), cross_gram(x, rng.standard_normal((9, d)), 0.5)):
                 assert g.min() >= 0.0 and g.max() <= 1.0
 
 
 class TestOneGram:
     @pytest.mark.parametrize("tile", [1, 7, 256])
-    def test_tiles_from_shared_operands_equal_gram(self, tile):
-        # The flow's upper-triangular tiles, built from operands made once,
-        # are bit-identical to gram() on the same rows, one-row tiles of
-        # one to three columns included.
+    def test_tiles_from_shared_operands_equal_gram(self, monkeypatch, tile):
+        # With an identity right-hand side, gram_matmul returns the entries
+        # of the upper-triangular tiles built from operands made once,
+        # unchanged, and below each tile's diagonal block the same entries
+        # transposed; one-row tiles of one to three columns included. (A
+        # diagonal block is built whole, so it is symmetric only to
+        # round-off: its (i, j) and (j, i) sums run in different orders.)
+        monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
         rng = np.random.default_rng(53)
         x = rng.standard_normal((601, 11)) + 1.0
         for h in (0.25, 1.5):
+            g = gram(x, h)
             left, right = _gram_operands(x, h)
             for s in range(0, 601, tile):
                 e = min(s + tile, 601)
-                block = _gram_tile(left[s:e], right[:, s:])
-                assert np.array_equal(block, gram(x[s:e], x[s:], h))
+                block = _gram_tile(left[s:e], right[:, s:], out=np.empty((e - s, 601 - s)))
+                assert np.array_equal(g[s:e, s:], block)
+                assert np.array_equal(g[e:, s:e], block[:, e - s:].T)
+
+
+class TestGramMatmul:
+    @pytest.mark.parametrize("tile", [1, 7, 256, 10_000])
+    def test_matches_dense_product(self, monkeypatch, tile):
+        # One tile, many, ragged last tiles and one-row tiles, against the
+        # literal dense G @ rhs.
+        monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
+        rng = np.random.default_rng(59)
+        for n, d, k in ((601, 11, 22), (300, 3, 1), (2, 2, 5)):
+            x = rng.standard_normal((n, d)) + 1.0
+            rhs = rng.standard_normal((n, k))
+            for h in (0.25, 1.5):
+                ref = literal_gram(x, x, h) @ rhs
+                got = gram_matmul(x, rhs, h)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_rows(self):
+        out = gram_matmul(np.empty((0, 3)), np.empty((0, 4)), 1.0)
+        assert out.shape == (0, 4)
 
 
 class TestGradGramSecond:

@@ -1,0 +1,55 @@
+import ast
+from pathlib import Path
+
+import knewimp
+
+PACKAGE = Path(knewimp.__file__).parent
+SIBLINGS = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def private_cross_module_names(path):
+    """(line, name) of each underscore name that the module at path takes
+    from a sibling module: imported from it, or read off it as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in SIBLINGS:
+                    aliases.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def test_no_module_takes_a_sibling_private_name():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := private_cross_module_names(path))
+    }
+    assert found == {}
+
+
+def test_walker_sees_both_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import kernel as k\nfrom .score import _forward, forward\nk._gram_tile\n",
+        encoding="utf-8",
+    )
+    assert private_cross_module_names(probe) == [(2, "score._forward"), (3, "k._gram_tile")]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in knewimp.__all__ if not hasattr(knewimp, name)]
+    assert missing == []
+    assert len(set(knewimp.__all__)) == len(knewimp.__all__)

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import tracemalloc
@@ -235,6 +236,51 @@ class TestTrain:
             train(net, bad, DsmConfig(epochs=1), seed=0)
 
 
+def checkpoint_payload(dims):
+    """save_network's JSON fields for layers of the given widths."""
+    return {
+        "layer_dims": list(dims),
+        "weights": [np.full((a, b), 0.1).tolist() for a, b in zip(dims[:-1], dims[1:])],
+        "biases": [[0.0] * b for b in dims[1:]],
+    }
+
+
+def _replaced(field, index, value):
+    payload = checkpoint_payload([2, 4, 4, 2])
+    payload[field][index] = value
+    return payload
+
+
+# Checkpoints that are not a finite [D, H, H, D] network; a str is written
+# as is, anything else as JSON.
+MALFORMED_CHECKPOINTS = {
+    "not_json": "{",
+    "json_list": [checkpoint_payload([2, 4, 4, 2])],
+    "no_weights": {"layer_dims": [2, 4, 4, 2], "biases": checkpoint_payload([2, 4, 4, 2])["biases"]},
+    "no_weight_arrays": {**checkpoint_payload([2, 4, 4, 2]), "weights": []},
+    "one_long_bias": _replaced("biases", 0, [0.0]),
+    "two_layers": checkpoint_payload([2, 4, 2]),
+    "four_layers": checkpoint_payload([2, 4, 4, 4, 2]),
+    "output_width": checkpoint_payload([2, 4, 4, 3]),
+    "unequal_hidden": checkpoint_payload([2, 4, 5, 2]),
+    "unchained": _replaced("weights", 1, np.full((5, 4), 0.1).tolist()),
+    "one_d_weight": _replaced("weights", 0, [0.1, 0.1]),
+    "ragged_weight": _replaced("weights", 0, [[0.1], [0.1, 0.1]]),
+    "text_weight": _replaced("weights", 2, "w"),
+    "zero_width": checkpoint_payload([2, 0, 0, 2]),
+    "bad_header": {**checkpoint_payload([2, 4, 4, 2]), "layer_dims": [2, 4, 4, 3]},
+    "nan_weight": _replaced("weights", 1, np.full((4, 4), np.nan).tolist()),
+    "inf_bias": _replaced("biases", 2, [0.0, np.inf]),
+}
+
+
+def write_checkpoint(tmp_path, content):
+    path = tmp_path / "bad.json"
+    text = content if isinstance(content, str) else json.dumps(content)
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         net = init_network(3, 8, seed=4)
@@ -253,6 +299,13 @@ class TestCheckpoint:
         save_network(path, net)
         x = np.random.default_rng(10).standard_normal((7, 4))
         assert np.array_equal(forward(load_network(path), x), forward(net, x))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_names_the_file(self, tmp_path, case):
+        path = write_checkpoint(tmp_path, MALFORMED_CHECKPOINTS[case])
+        with pytest.raises(ValueError, match="bad.json"):
+            load_network(path)
+
 
 
 def random_network(rng, d, hidden):
