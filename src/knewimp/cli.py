@@ -219,11 +219,6 @@ def cmd_impute(args: argparse.Namespace) -> int:
     ds = load_csv(args.input, has_header=args.has_header)
     ds_std, stats = standardize(ds)
     net0 = load_network(args.load_net) if args.load_net else None
-    if net0 is not None and args.hidden not in (None, net0.layer_dims[1]):
-        raise ValueError(
-            f"--hidden {args.hidden} disagrees with the hidden width "
-            f"{net0.layer_dims[1]} of {args.load_net}"
-        )
     result = knewimp(ds_std, **model, seed=args.seed, initial_net=net0)
     if args.save_net:
         save_network(args.save_net, result.network)

@@ -51,10 +51,10 @@ class WgfConfig:
     num_loops: int = 2
 
     def __post_init__(self) -> None:
-        if self.ner_weight < 0.0:
-            raise ValueError(f"ner_weight must be >= 0, got {self.ner_weight}")
-        if not self.step_size > 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0.0 <= self.ner_weight < np.inf:
+            raise ValueError(f"ner_weight must be finite and >= 0, got {self.ner_weight}")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.num_loops < 1:
@@ -176,7 +176,7 @@ def knewimp(
     dcfg: DsmConfig,
     kcfg: KernelConfig,
     wcfg: WgfConfig,
-    hidden: int = 256,
+    hidden: Optional[int] = None,
     seed: int = 0,
     initial_net: Optional[ScoreNetwork] = None,
 ) -> ImputationResult:
@@ -187,9 +187,12 @@ def knewimp(
     particles along the flow. The master seed drives initialization, the
     network draw, and every round's training noise through independent
     child streams. initial_net, when given, replaces the fresh seeded
-    network (checkpoint warm start). A dataset without a missing cell is
-    rejected before any training. ds.truth is never read. A diverging
-    round re-raises its error with "round r of R" added to the message.
+    network (checkpoint warm start). hidden is the network's hidden width:
+    None means 256 for a fresh network and initial_net's width for a warm
+    start, and a width initial_net does not have is a ValueError naming
+    both. A dataset without a missing cell is rejected before any
+    training. ds.truth is never read. A diverging round re-raises its
+    error with "round r of R" added to the message.
     """
     if not np.any(ds.mask == 0.0):
         raise ValueError("dataset has no missing cells; nothing to impute")
@@ -198,9 +201,15 @@ def knewimp(
     net_seed = int(seeds[1].generate_state(1)[0])
 
     x = initialize_missing(ds, seed=init_seed)
-    net = initial_net if initial_net is not None else init_network(
-        ds.n_cols, hidden, seed=net_seed
-    )
+    if initial_net is None:
+        net = init_network(ds.n_cols, 256 if hidden is None else hidden, seed=net_seed)
+    else:
+        net = initial_net
+        width = net.layer_dims[1]
+        if hidden not in (None, width):
+            raise ValueError(
+                f"hidden width {hidden} disagrees with initial_net's hidden width {width}"
+            )
     if net.input_dim != ds.n_cols:
         raise ValueError(
             f"network expects {net.input_dim} columns, dataset has {ds.n_cols}"

@@ -8,7 +8,9 @@ sum_j grad_y K(x_i, x_j) = (x_i sum_j G_ij - sum_j G_ij x_j) / h^2, which
 the flow folds into its right-hand side (imputer.velocity).
 
 There is one Gram computation, gram_matmul(x, rhs, h) = G(x, x) @ rhs. It
-builds G in tiles, computes each entry once and never holds G whole.
+builds G in tiles, computes each entry once and never holds G whole. Tile c
+goes to lane c % 2 (lanes.run): the two lanes run at once, with numpy's
+OpenBLAS at one thread, and a Gram of one tile runs on the caller alone.
 """
 
 from __future__ import annotations
@@ -18,15 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-# Rows of the Gram built at a time in gram_matmul(). A tile is not
-# cache-sized (256 x 4800 doubles is 9.8 MB); the height only trades
-# per-tile overhead against tile memory. The flow's velocity() at 4898 x 11
-# (4789 incomplete rows, cheap score, 12 interleaved rounds on a 2-core VM)
-# took 1.16 / 1.04 / 1 / 1.01 times as long at 64 / 128 / 256 / 512 rows,
-# so 256 is the smallest height without a loss. Up to this many rows there
-# is one tile; past it, a row's sum is split between tiles, so results
-# agree across heights to round-off.
-_TILE_ROWS = 256
+from . import lanes
+from .lanes import LANES
+
+# Rows of the Gram built at a time per lane in gram_matmul(). A tile is
+# not cache-sized (128 x 4800 doubles is 4.9 MB); the height only trades
+# per-tile overhead against tile memory. One product at 4792 x 11 with a
+# 22-wide right-hand side (12 interleaved rounds, 2-core VM) took 64.2 /
+# 60.7 / 67.0 ms at 64 / 128 / 256 rows per lane, against 87.1 ms for one
+# lane of 256 rows with two BLAS threads; two lanes of 128 hold the tile
+# memory one lane of 256 held. Up to this many rows there is one tile;
+# past it, a row's sum is split between tiles, so results agree across
+# heights to round-off.
+_TILE_ROWS = 128
+
+# Columns of a tile's transposed product taken at a time, so a lane holds a
+# K x _BLOCK_COLS product, not a K x N one. The product above took 67.6 /
+# 63.1 / 59.4 / 58.6 / 56.6 ms in blocks of 128 / 256 / 512 / 1024 / all
+# 4792 columns; 512 costs 5% of the product and keeps two lanes' blocks
+# (K x 1024 doubles) below the K x N each would hold unblocked.
+_BLOCK_COLS = 512
 
 
 @dataclass(frozen=True)
@@ -42,8 +55,8 @@ class KernelConfig:
     use_median_heuristic: bool = False
 
     def __post_init__(self) -> None:
-        if not self.bandwidth > 0.0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
 
 
 def _gram_operands(x: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
@@ -78,21 +91,22 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     x with itself; x is (N, D), rhs is (N, K) and the result is (N, K).
 
     The operands are built once and G is built in upper-triangular tiles of
-    _TILE_ROWS rows, clamped and exponentiated in place in one reused
-    buffer. Tile [s:e] holds only G[s:e, s:], the diagonal block and the
-    columns to its right. G is symmetric, so the tile serves two products:
+    _TILE_ROWS rows. Tile c goes to lane c % 2, which clamps and
+    exponentiates it in place in its own reused buffer. Tile [s:e] holds
+    only G[s:e, s:], the diagonal block and the columns to its right. G is
+    symmetric, so the tile serves two products, each added into the lane's
+    (N, K) sum:
 
-    - G[s:e, s:] @ rhs[s:] gives rows s:e of the product their sum over
-      columns s and up;
+    - G[s:e, s:] @ rhs[s:] gives rows s:e their sum over columns s and up;
     - rhs[s:e]^T @ G[s:e, e:] is G[e:, s:e] @ rhs[s:e] transposed: the rows
-      below the tile summed over its columns. It is added into one K x N
-      accumulator, which is added, transposed, to the product once after
-      the last tile.
+      below the tile summed over its columns. It is taken _BLOCK_COLS
+      columns at a time, with the small K x B operand on the left (the
+      equivalent G[:, b:]^T @ rhs[s:e] packs the tall transposed tile).
 
-    The second is written with the small K x B operand on the left: the
-    equivalent G[:, b:]^T @ rhs[s:e] makes a threaded BLAS pack the tall
-    transposed tile, which costs time and memory. Memory is
-    O(_TILE_ROWS * N) besides the O(N (D + K)) operands and result.
+    Lane 0's sum is the result: lane 1's is added to it after both lanes
+    finish, so the arithmetic depends on the tile height and block width
+    only, not on whether the lanes ran at once. Memory is
+    O(2 * _TILE_ROWS * N) besides the O(N (D + K)) operands and sums.
     """
     x = np.asarray(x, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -104,17 +118,28 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     n, k = rhs.shape
     left, right = _gram_operands(x, bandwidth)
-    prod = np.empty((n, k))
-    below = np.zeros((k, n))
-    tile_buf = np.empty(min(_TILE_ROWS, n) * n)
-    for s in range(0, n, _TILE_ROWS):
-        e = min(s + _TILE_ROWS, n)
-        b, w = e - s, n - s
-        g = _gram_tile(left[s:e], right[:, s:], out=tile_buf[: b * w].reshape(b, w))
-        np.matmul(g, rhs[s:], out=prod[s:e])
-        if e < n:
-            below[:, e:] += rhs[s:e].T @ g[:, b:]
-    prod += below.T
+    starts = range(0, n, _TILE_ROWS)
+    sums = [np.zeros((n, k)) for _ in range(max(1, min(LANES, len(starts))))]
+
+    def lane(j: int) -> None:
+        acc = sums[j]
+        rows = min(_TILE_ROWS, n)
+        tile_buf, upper = np.empty(rows * n), np.empty((rows, k))
+        lower = np.empty(k * min(_BLOCK_COLS, n))
+        for s in starts[j::LANES]:
+            e = min(s + _TILE_ROWS, n)
+            b, w = e - s, n - s
+            g = _gram_tile(left[s:e], right[:, s:], out=tile_buf[: b * w].reshape(b, w))
+            acc[s:e] += np.matmul(g, rhs[s:], out=upper[:b])
+            for c in range(e, n, _BLOCK_COLS):
+                f = min(c + _BLOCK_COLS, n)
+                out = lower[: k * (f - c)].reshape(k, f - c)
+                acc[c:f] += np.matmul(rhs[s:e].T, g[:, c - s : f - s], out=out).T
+
+    lanes.run(lane, len(sums))
+    prod, *others = sums
+    for other in others:
+        prod += other
     return prod
 
 

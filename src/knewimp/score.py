@@ -10,15 +10,20 @@ differences.
 The forward and backward passes run over the rows in chunks of at most
 _CHUNK_ROWS and write into preallocated buffers of that height with
 in-place ufuncs and matmul(out=), in the operation order of the plain
-expressions. Hidden-layer memory is therefore O(_CHUNK_ROWS * H) whatever
-N is. Up to _CHUNK_ROWS rows there is one chunk and results are
-bit-identical to the plain expressions; past it the gradients are summed
-chunk by chunk and agree with them to round-off. train() allocates one set
-of buffers per call and reuses it every epoch: six chunk-high (rows, H)
-buffers hold the forward activations, and the backward pass writes each
-of its values into one of them that is dead by then. forward() runs in
-three chunk-high buffers of its own. Buffers never outlive the call that
-made them, so concurrent calls share nothing.
+expressions. Chunk c goes to lane c % 2 (lanes.run): the two lanes run at
+once on their own buffers, with numpy's OpenBLAS at one thread, and a
+batch of one chunk runs on the caller alone. Hidden-layer memory is
+therefore O(2 * _CHUNK_ROWS * H) whatever N is. Up to _CHUNK_ROWS rows
+there is one chunk and results are bit-identical to the plain expressions;
+past it each lane sums its chunks' gradients in chunk order, lane 1's sums
+are added to lane 0's, and the result agrees with the plain expressions to
+round-off. It depends only on the chunk height, not on whether the lanes
+ran at once. train() allocates one set of buffers per call and reuses it
+every epoch: per lane, six chunk-high (rows, H) buffers hold the forward
+activations, and the backward pass writes each of its values into one of
+them that is dead by then. forward() runs in three chunk-high buffers per
+lane of its own. Buffers never outlive the call that made them, so
+concurrent calls share nothing.
 """
 
 from __future__ import annotations
@@ -29,12 +34,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import lanes
+from .lanes import LANES
+
 # Rows per forward/backward chunk. Median DSM epoch over 12 interleaved
-# rounds (H = 256, 2-core VM, OpenBLAS 0.3.31) at 1024 / 512 / 256 rows:
-# 22.1 / 21.1 / 21.8 ms at 1000 x 16 and 100.1 / 91.0 / 93.6 ms at
-# 4898 x 11. 512 was the fastest at both shapes, with half the chunk-high
-# buffers of 1024.
-_CHUNK_ROWS = 512
+# rounds at 4898 x 11, H = 256 (2-core VM, OpenBLAS 0.3.31), two lanes:
+# 63.5 / 62.4 / 63.3 ms at 128 / 256 / 512 rows, against 90.9 ms for one
+# lane of 512 rows with two BLAS threads. 256 rows give two lanes the
+# chunk-high buffers one lane had at 512.
+_CHUNK_ROWS = 256
 
 
 class TrainingDivergence(RuntimeError):
@@ -50,12 +58,12 @@ class DsmConfig:
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -161,9 +169,11 @@ def _swish_grad(z: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
 def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
     """Row-wise score estimates for a batch x of shape (N, D).
 
-    The hidden layers run _CHUNK_ROWS rows at a time in three
-    (min(N, _CHUNK_ROWS), H) buffers allocated for this call; each chunk's
-    output is written into its slice of the (N, D) result.
+    The hidden layers run _CHUNK_ROWS rows at a time; chunk c goes to lane
+    c % 2, which allocates three (min(N, _CHUNK_ROWS), H) buffers for this
+    call. Each chunk's output is written into its slice of the (N, D)
+    result, so the lanes write disjoint rows and the result is the same
+    whether they ran at once or not.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -172,39 +182,54 @@ def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
         raise ValueError("network input contains non-finite values")
     n = x.shape[0]
     shape = (min(n, _CHUNK_ROWS), net.weights[0].shape[1])
-    za, s, zb = np.empty(shape), np.empty(shape), np.empty(shape)
     out = np.empty((n, net.layer_dims[-1]))
-    for start in range(0, n, _CHUNK_ROWS):
-        chunk = x[start : start + _CHUNK_ROWS]
-        m = chunk.shape[0]
-        za_m, s_m, zb_m = za[:m], s[:m], zb[:m]
-        _forward(net, chunk, (za_m, s_m, za_m, zb_m, s_m, zb_m), out=out[start : start + m])
+    starts = range(0, n, _CHUNK_ROWS)
+
+    def lane(k: int) -> None:
+        za, s, zb = np.empty(shape), np.empty(shape), np.empty(shape)
+        for start in starts[k::LANES]:
+            chunk = x[start : start + _CHUNK_ROWS]
+            m = chunk.shape[0]
+            za_m, s_m, zb_m = za[:m], s[:m], zb[:m]
+            _forward(net, chunk, (za_m, s_m, za_m, zb_m, s_m, zb_m), out=out[start : start + m])
+
+    lanes.run(lane, min(LANES, len(starts)))
     return out
 
 
+class _LaneBuffers:
+    """Every array one lane of a DSM evaluation writes. Row buffers are
+    rows high: three (rows, D) ones for the noised input, target and
+    output, and the six (rows, H) activations, which _dsm_chunk's backward
+    pass reuses for its own values. One gradient set holds the lane's sum;
+    a lane of more than one chunk has a second that holds each later
+    chunk's gradients before they are added in."""
+
+    def __init__(self, net: ScoreNetwork, rows: int, chunks: int) -> None:
+        d, h = net.input_dim, net.weights[0].shape[1]
+        self.x_noised, self.target, self.out = (np.empty((rows, d)) for _ in range(3))
+        self.act = tuple(np.empty((rows, h)) for _ in range(6))
+        self.g_w, self.g_b = _gradient_set(net)
+        self.scratch = _gradient_set(net) if chunks > 1 else None
+
+
 class _DsmBuffers:
-    """Every array one DSM loss-and-gradient evaluation writes, for one
-    network shape and batch size N. Row buffers are min(N, _CHUNK_ROWS)
-    high: three (rows, D) ones for the noised input, target and output, and
-    the six (rows, H) activations, which _dsm_chunk's backward pass reuses
-    for its own values. When N needs more than one chunk, a second gradient
-    set holds each later chunk's gradients before they are added in.
-    train() allocates one per call and reuses it every epoch; it is never
-    shared between calls."""
+    """The lanes' buffers for one DSM loss-and-gradient evaluation, for one
+    network shape and batch size N: one _LaneBuffers per lane that gets a
+    chunk. train() allocates one per call and reuses it every epoch; it is
+    never shared between calls."""
 
     def __init__(self, net: ScoreNetwork, n: int) -> None:
         self.shape = _buffer_shape(net, n)
-        rows, d, h = self.shape[1:]
-        self.x_noised, self.target, self.out = (np.empty((rows, d)) for _ in range(3))
-        self.act = tuple(np.empty((rows, h)) for _ in range(6))
-        self.g_w = [np.empty_like(w) for w in net.weights]
-        self.g_b = [np.empty_like(b) for b in net.biases]
-        self.scratch = None
-        if n > rows:
-            self.scratch = (
-                [np.empty_like(w) for w in net.weights],
-                [np.empty_like(b) for b in net.biases],
-            )
+        starts = range(0, n, _CHUNK_ROWS)
+        self.per_lane = [
+            _LaneBuffers(net, self.shape[1], len(starts[k::LANES]))
+            for k in range(min(LANES, len(starts)))
+        ]
+
+
+def _gradient_set(net: ScoreNetwork) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    return [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
 
 
 def _buffer_shape(net: ScoreNetwork, n: int) -> tuple[int, int, int, int]:
@@ -218,7 +243,7 @@ def _dsm_chunk(
     noise: np.ndarray,
     sigma: float,
     n: int,
-    buf: _DsmBuffers,
+    buf: _LaneBuffers,
     g_w: list[np.ndarray],
     g_b: list[np.ndarray],
 ) -> float:
@@ -280,10 +305,13 @@ def dsm_loss_and_grad(
         loss = 1/2 * mean_i || f(x_i + e_i) + e_i / sigma^2 ||^2
 
     Returns (loss, weight gradients, bias gradients), index-aligned with
-    net.weights / net.biases. The rows run in chunks of _CHUNK_ROWS: the
-    first chunk's gradients are written straight into the result, each
-    later chunk's are added to it, and the loss sums the chunks' squared
-    residuals before dividing by N. buffers, when given, must be sized for
+    net.weights / net.biases. The rows run in chunks of _CHUNK_ROWS, chunk
+    c on lane c % 2: a lane writes its first chunk's gradients straight
+    into its gradient set and adds each later chunk's to it, and sums its
+    chunks' squared residuals. Lane 1's sums are then added to lane 0's,
+    which are the result; the loss divides the summed squares by N. A lane
+    stops at a chunk whose sum is not finite, and TrainingDivergence is
+    raised once both have stopped. buffers, when given, must be sized for
     this network and N (a ValueError names both shapes otherwise); the pass
     then allocates nothing row-sized, and the returned gradients are its
     arrays, overwritten by the next call.
@@ -303,18 +331,30 @@ def dsm_loss_and_grad(
             f"buffers sized for (N, chunk rows, D, H) = {buf.shape}, "
             f"this call needs {_buffer_shape(net, n)}"
         )
-    g_w, g_b = buf.g_w, buf.g_b
-    sq = 0.0
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        c_w, c_b = (g_w, g_b) if start == 0 else buf.scratch
-        sq += _dsm_chunk(net, x_clean[rows], noise[rows], sigma, n, buf, c_w, c_b)
-        if not np.isfinite(sq):
-            raise TrainingDivergence("DSM loss is not finite")
-        if start:
-            for g, c in zip(g_w + g_b, c_w + c_b):
-                g += c
-    return 0.5 * sq / n, g_w, g_b
+    starts = range(0, n, _CHUNK_ROWS)
+    sq = [0.0] * len(buf.per_lane)
+
+    def lane(k: int) -> None:
+        own = buf.per_lane[k]
+        for i, start in enumerate(starts[k::LANES]):
+            rows = slice(start, start + _CHUNK_ROWS)
+            c_w, c_b = own.scratch if i else (own.g_w, own.g_b)
+            sq[k] += _dsm_chunk(net, x_clean[rows], noise[rows], sigma, n, own, c_w, c_b)
+            if not np.isfinite(sq[k]):
+                return
+            if i:
+                for g, c in zip(own.g_w + own.g_b, c_w + c_b):
+                    g += c
+
+    lanes.run(lane, len(buf.per_lane))
+    total = sum(sq)
+    if not np.isfinite(total):
+        raise TrainingDivergence("DSM loss is not finite")
+    first, *others = buf.per_lane
+    for other in others:
+        for g, c in zip(first.g_w + first.g_b, other.g_w + other.g_b):
+            g += c
+    return 0.5 * total / n, first.g_w, first.g_b
 
 
 class Adam:
@@ -366,10 +406,10 @@ def train(
     the input network is left untouched. seed drives the noise draws, so
     the result is deterministic per (net, x, cfg, seed). Each epoch draws
     the full (N, D) noise at once, then takes one gradient over all rows,
-    computed in chunks of _CHUNK_ROWS (see dsm_loss_and_grad). The noise,
-    the chunk-high activations and the gradients live in buffers allocated
-    once per call and reused every epoch, so memory is O(N D +
-    _CHUNK_ROWS H), not O(N H).
+    computed in chunks of _CHUNK_ROWS on two lanes (see dsm_loss_and_grad).
+    The noise, the lanes' chunk-high activations and the gradients live in
+    buffers allocated once per call and reused every epoch, so memory is
+    O(N D + _CHUNK_ROWS H), not O(N H).
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):

@@ -192,7 +192,7 @@ class TestImpute:
         code, out, _ = self.run_pipeline(tmp_path, complete_csv, extra=["--load-net", net_path])
         assert code == 2  # FAST passes --hidden 16
         err = capsys.readouterr().err
-        assert "--hidden 16" in err and "hidden width 8" in err and net_path in err
+        assert "hidden width 16" in err and "hidden width 8" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("extra", [
@@ -210,6 +210,23 @@ class TestImpute:
         err = capsys.readouterr().err
         assert err.startswith("usage: knewimp impute")
         assert "knewimp impute: error:" in err
+
+    @pytest.mark.parametrize("command", ["impute", "experiment"])
+    @pytest.mark.parametrize("extra", [
+        ["--lambda", "nan"], ["--bandwidth", "inf"], ["--step-size", "inf"],
+        ["--sigma", "inf"], ["--lr", "nan"],
+    ], ids=lambda extra: extra[0].lstrip("-") + "=" + extra[1])
+    def test_non_finite_model_flags_are_usage_errors(self, tmp_path, capsys, command, extra):
+        # Refused before any file is read or any network trained: the input
+        # does not even exist.
+        out = ["--output", str(tmp_path / "im.csv")] if command == "impute" else [
+            "--output-dir", str(tmp_path / "exp")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(tmp_path / "absent.csv"), *out, *extra])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: knewimp {command}")
+        assert "must be finite" in err.splitlines()[-1]
 
     def test_both_bandwidth_flags_are_usage_error(self, tmp_path, capsys):
         # Refused before any file is read: the input does not even exist.
@@ -379,7 +396,9 @@ class TestModelDefaults:
         args = build_parser().parse_args(["impute", "--input", "a.csv", "--output", "b.csv"])
         model = _build_configs(args)
         assert model == {"dcfg": DsmConfig(), "kcfg": KernelConfig(), "wcfg": WgfConfig()}
-        assert inspect.signature(knewimp).parameters["hidden"].default == 256
+        # None: knewimp() picks 256 for a fresh network, the checkpoint's
+        # width for a warm start (tests/test_imputer.py::TestHiddenWidth).
+        assert inspect.signature(knewimp).parameters["hidden"].default is None
 
 
 class TestParserDefaults:

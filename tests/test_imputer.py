@@ -19,6 +19,7 @@ from knewimp.imputer import (
     velocity,
 )
 from knewimp.kernel import KernelConfig, median_bandwidth
+from knewimp.lanes import LANES
 from knewimp.metrics import mae
 from knewimp.missingness import Mechanism, MissingSpec, simulate
 from knewimp.score import DsmConfig, TrainingDivergence, forward, init_network, train
@@ -152,12 +153,13 @@ def incomplete_rows_table(m, n_complete, d, seed):
 
 
 class TestVelocityAcrossTiles:
-    """The default tile height over one tile, a tile plus one row, and a
-    ragged last tile, against the dense N x N oracle."""
+    """The default tile height over one tile, a tile plus one row (two
+    lanes), a tile per lane, a one-row third tile, and a ragged last tile
+    past one column block, against the dense N x N oracle."""
 
-    @pytest.mark.parametrize("m", [256, 257, 601])
+    @pytest.mark.parametrize("m", [128, 129, 256, 257, 601])
     def test_matches_dense_oracle(self, m):
-        assert kernel_mod._TILE_ROWS == 256
+        assert kernel_mod._TILE_ROWS == 128 and kernel_mod._BLOCK_COLS == 512
         x, mask = incomplete_rows_table(m, 23, 5, seed=m)
         net = init_network(5, 16, seed=m)
         for h in (1.5, median_bandwidth(x)):
@@ -165,7 +167,7 @@ class TestVelocityAcrossTiles:
             ref = dense_velocity(x, mask, forward(net, x), h, 0.7)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("m", [257, 601])
+    @pytest.mark.parametrize("m", [129, 257, 601])
     @pytest.mark.parametrize("h", [0.25, 1.5])
     def test_folded_attraction_matches_dense_oracle(self, m, h):
         # The attraction rides in the score block as lambda * x with
@@ -180,16 +182,21 @@ class TestVelocityAcrossTiles:
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_step_memory_is_tile_rows_plus_linear(self):
-        # Doubles a step holds per incomplete row, besides the one Gram tile:
-        # the 2D-wide right-hand side, product and transposed-tile
-        # accumulator, the two (D + 2)-wide Gram operands, the rows' values,
-        # free mask and velocity, the row index, and one 2D-wide temporary
-        # (a transposed tile product, or the final combination). numpy's
-        # fixed-size ufunc buffers get 2**17 bytes. An m x m array, a 3D x m
-        # scratch or a copy of a tall tile would break the bound. BLAS
-        # packing buffers are not traced.
+        # Doubles a step holds per incomplete row. Per lane: one Gram tile
+        # and the lane's 2D-wide sum (lane 0's is the product). Shared: the
+        # 2D-wide right-hand side, the two (D + 2)-wide Gram operands, the
+        # rows' values, free mask and velocity, and the row index. Per lane,
+        # independent of the row count: a tile-high upper product and a
+        # block-wide transposed product, 2D doubles each per row or column.
+        # numpy's fixed-size ufunc buffers get 2**17 bytes. An m x m array,
+        # a 2D x m temporary or a copy of a tall tile would break the bound.
+        # BLAS packing buffers are not traced.
         d, m = 4, 2000
-        per_row = 3 * (2 * d) + 2 * (d + 2) + 3 * d + 1 + 2 * d
+        tile, block = kernel_mod._TILE_ROWS, kernel_mod._BLOCK_COLS
+        per_lane_row = tile + 2 * d
+        shared_row = 2 * d + 2 * (d + 2) + 3 * d + 1
+        per_lane_fixed = 2 * d * (tile + block)
+        assert m > (LANES + 1) * tile and m > block
         x, mask = incomplete_rows_table(m, 0, d, seed=3)
         tracemalloc.start()
         try:
@@ -197,7 +204,8 @@ class TestVelocityAcrossTiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (kernel_mod._TILE_ROWS + per_row) * m + 2**17
+        per_row = LANES * per_lane_row + shared_row
+        assert peak < 8 * (per_row * m + LANES * per_lane_fixed) + 2**17
 
 
 def test_conditional_mean_oracle_closed_form():
@@ -513,3 +521,40 @@ def test_wgf_config_validation():
         WgfConfig(num_loops=0)
     with pytest.raises(ValueError):
         WgfConfig(ner_weight=-0.5)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("make", [
+    lambda v: DsmConfig(sigma=v),
+    lambda v: DsmConfig(lr=v),
+    lambda v: KernelConfig(bandwidth=v),
+    lambda v: WgfConfig(step_size=v),
+    lambda v: WgfConfig(ner_weight=v),
+], ids=["sigma", "lr", "bandwidth", "step_size", "ner_weight"])
+def test_non_finite_settings_rejected(make, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
+
+
+class TestHiddenWidth:
+    def setup_method(self):
+        rng = np.random.default_rng(19)
+        truth = rng.standard_normal((12, 2))
+        self.ds = from_complete(truth, (rng.random((12, 2)) > 0.3).astype(float))
+        self.cfgs = (DsmConfig(epochs=1), KCFG, WgfConfig(num_steps=1, num_loops=1))
+
+    def test_fresh_network_defaults_to_256(self):
+        result = knewimp(self.ds, *self.cfgs, seed=0)
+        assert result.network.layer_dims == [2, 256, 256, 2]
+
+    def test_warm_start_takes_the_checkpoint_width(self):
+        net = init_network(2, 8, seed=0)
+        for hidden in (None, 8):
+            result = knewimp(self.ds, *self.cfgs, hidden=hidden, initial_net=net)
+            assert result.network.layer_dims == [2, 8, 8, 2]
+
+    def test_width_mismatch_names_both(self, monkeypatch):
+        monkeypatch.setattr(imputer_mod, "train", None)  # never reached
+        net = init_network(2, 8, seed=0)
+        with pytest.raises(ValueError, match="hidden width 16 .* hidden width 8"):
+            knewimp(self.ds, *self.cfgs, hidden=16, initial_net=net)

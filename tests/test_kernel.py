@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from knewimp import kernel as kernel_mod
+from knewimp import lanes
 from knewimp.imputer import WgfConfig, knewimp
 from knewimp.kernel import (
     KernelConfig,
@@ -135,6 +136,8 @@ class TestOneGram:
         # transposed; one-row tiles of one to three columns included. (A
         # diagonal block is built whole, so it is symmetric only to
         # round-off: its (i, j) and (j, i) sums run in different orders.)
+        # The lanes build their tiles with OpenBLAS pinned to one thread, so
+        # the reference tiles are built under the same pin.
         monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
         rng = np.random.default_rng(53)
         x = rng.standard_normal((601, 11)) + 1.0
@@ -143,7 +146,8 @@ class TestOneGram:
             left, right = _gram_operands(x, h)
             for s in range(0, 601, tile):
                 e = min(s + tile, 601)
-                block = _gram_tile(left[s:e], right[:, s:], out=np.empty((e - s, 601 - s)))
+                with lanes.pinned():
+                    block = _gram_tile(left[s:e], right[:, s:], out=np.empty((e - s, 601 - s)))
                 assert np.array_equal(g[s:e, s:], block)
                 assert np.array_equal(g[e:, s:e], block[:, e - s:].T)
 

@@ -1,0 +1,176 @@
+import multiprocessing
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from knewimp import lanes
+from knewimp import score as score_mod
+from knewimp.imputer import WgfConfig, knewimp
+from knewimp.kernel import KernelConfig, gram_matmul
+from knewimp.score import DsmConfig, TrainingDivergence, forward, init_network, train
+from knewimp.tabular import from_complete
+
+
+def blas_thread_counts():
+    """The thread count of every OpenBLAS loaded in the process."""
+    return [get() for get, _ in lanes._openblas()]
+
+
+@pytest.fixture
+def blas_threads():
+    """Every OpenBLAS at 2 threads for the test, so a count left at the
+    lanes' 1 shows; the counts found are restored afterwards. Yields a
+    reader of the current counts."""
+    found = lanes._openblas()
+    if not found:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    before = [get() for get, _ in found]
+    for _, set_ in found:
+        set_(2)
+    yield blas_thread_counts
+    for (_, set_), count in zip(found, before):
+        set_(count)
+
+
+def serial_run(fn, n_lanes):
+    """lanes.run with both lanes on the caller, one after the other, under
+    the same one-thread pin."""
+    if n_lanes < 2:
+        fn(0)
+        return
+    with lanes.pinned():
+        fn(0)
+        fn(1)
+
+
+class TestRun:
+    def test_second_lane_runs_on_a_thread_that_is_joined(self, blas_threads):
+        idents = {}
+        alive = threading.active_count()
+        lanes.run(lambda k: idents.setdefault(k, threading.get_ident()), 2)
+        assert idents[0] == threading.get_ident() != idents[1]
+        assert threading.active_count() == alive
+        assert blas_threads() == [2] * len(blas_threads())
+
+    def test_one_lane_runs_on_the_caller_unpinned(self, blas_threads):
+        seen = []
+        lanes.run(lambda k: seen.append((k, threading.get_ident(), blas_threads())), 1)
+        assert seen == [(0, threading.get_ident(), [2] * len(blas_threads()))]
+
+    def test_lanes_run_in_order_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(lanes, "_openblas", lambda: ())
+        seen = []
+        lanes.run(lambda k: seen.append((k, threading.get_ident())), 2)
+        assert seen == [(0, threading.get_ident()), (1, threading.get_ident())]
+
+    def test_second_lane_error_reaches_the_caller(self, blas_threads):
+        def fn(k):
+            if k == 1:
+                raise KeyError("lane 1")
+
+        alive = threading.active_count()
+        with pytest.raises(KeyError, match="lane 1"):
+            lanes.run(fn, 2)
+        assert threading.active_count() == alive
+        assert blas_threads() == [2] * len(blas_threads())
+
+    def test_nested_pins_restore_once(self, blas_threads):
+        n = len(blas_threads())
+        with lanes.pinned() as found:
+            assert found and blas_threads() == [1] * n
+            with lanes.pinned():
+                assert blas_threads() == [1] * n
+            assert blas_threads() == [1] * n
+        assert blas_threads() == [2] * n
+
+
+def lane_workload():
+    """train(), forward() and gram_matmul() at shapes that deal work to both
+    lanes: 700 rows are three chunks of 256, 300 rows three tiles of 128."""
+    rng = np.random.default_rng(64)
+    x = rng.standard_normal((700, 5))
+    net = init_network(5, 32, seed=1)
+    trained, history = train(net, x, DsmConfig(epochs=3), seed=2)
+    xg, rhs = rng.standard_normal((300, 5)), rng.standard_normal((300, 10))
+    return trained.parameters(), history, forward(net, x), gram_matmul(xg, rhs, 1.3)
+
+
+def test_concurrent_and_serial_lanes_are_bit_identical(monkeypatch):
+    assert 700 > 2 * score_mod._CHUNK_ROWS
+    concurrent = lane_workload()
+    monkeypatch.setattr(lanes, "run", serial_run)
+    serial = lane_workload()
+    (c_params, c_hist, *c_arrays), (s_params, s_hist, *s_arrays) = concurrent, serial
+    assert c_hist == s_hist
+    for a, b in zip(c_params + c_arrays, s_params + s_arrays):
+        assert np.array_equal(a, b)
+
+
+class TestThreadCountRestored:
+    def test_after_train_and_knewimp(self, blas_threads):
+        n = len(blas_threads())
+        rng = np.random.default_rng(65)
+        train(init_network(4, 16, seed=0), rng.standard_normal((600, 4)),
+              DsmConfig(epochs=2), seed=0)
+        assert blas_threads() == [2] * n
+        truth = rng.standard_normal((300, 3))
+        ds = from_complete(truth, (rng.random((300, 3)) > 0.4).astype(float))
+        assert (ds.mask == 0.0).any(axis=1).sum() > 128  # two Gram tiles
+        knewimp(ds, DsmConfig(epochs=2), KernelConfig(bandwidth=1.0),
+                WgfConfig(num_steps=2, num_loops=1), hidden=16, seed=0)
+        assert blas_threads() == [2] * n
+
+    def test_after_divergence_in_the_second_lane(self, blas_threads, monkeypatch):
+        # Rows 7-13 are the second chunk of 7, lane 1's only one.
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
+        x = np.random.default_rng(66).standard_normal((20, 2))
+        x[7:14] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergence, match="training diverged at epoch 0"):
+                train(init_network(2, 4, seed=0), x, DsmConfig(epochs=3), seed=0)
+        assert blas_threads() == [2] * len(blas_threads())
+
+    def test_after_an_error_in_the_second_lane(self, blas_threads, monkeypatch):
+        chunk = score_mod._dsm_chunk
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("injected in lane 1")
+            return chunk(*args)
+
+        monkeypatch.setattr(score_mod, "_dsm_chunk", failing)
+        x = np.random.default_rng(67).standard_normal((600, 3))
+        with pytest.raises(RuntimeError, match="injected in lane 1"):
+            train(init_network(3, 8, seed=0), x, DsmConfig(epochs=2), seed=0)
+        assert blas_threads() == [2] * len(blas_threads())
+
+
+def _train_and_send(conn, net, x):
+    conn.send(train(net, x, DsmConfig(epochs=3), seed=0)[1])
+    conn.close()
+
+
+def test_fork_child_trains_after_the_parent_used_lanes(monkeypatch):
+    # No lane thread or pool outlives a call, so a child forked after the
+    # parent ran its lanes starts and joins lanes of its own.
+    monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 16)
+    net = init_network(3, 16, seed=0)
+    x = np.random.default_rng(68).standard_normal((64, 3))
+    want = train(net, x, DsmConfig(epochs=3), seed=0)[1]
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_train_and_send, args=(send, net, x))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child did not finish train() within 60 s"
+        assert recv.recv() == want
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()

@@ -9,6 +9,8 @@ import pytest
 
 import oracles
 from knewimp import score as score_mod
+from knewimp.lanes import LANES
+from test_lanes import blas_thread_counts
 from knewimp.score import (
     Adam,
     DsmConfig,
@@ -474,7 +476,9 @@ class TestChunking:
 
 class TestMemory:
     """Hidden-layer memory is bounded by the chunk height, not by N: at
-    5000 rows and 256 hidden units one N x H float64 array alone is 10 MB."""
+    5000 rows and 256 hidden units one N x H float64 array alone is 10 MB.
+    The bounds count buffers per lane at the module's constants; 5000 rows
+    make 20 chunks, so both lanes run."""
 
     N, D, H = 5000, 8, 256
 
@@ -491,37 +495,37 @@ class TestMemory:
         self.net = init_network(self.D, self.H, seed=0)
         self.x = np.random.default_rng(90).standard_normal((self.N, self.D))
         self.params = sum(p.size for p in self.net.parameters())
-        self.chunk_h = min(self.N, score_mod._CHUNK_ROWS) * self.H
-        assert self.chunk_h < self.N * self.H
+        self.chunk = score_mod._CHUNK_ROWS
+        self.chunk_h = self.chunk * self.H
+        assert self.N > (LANES + 1) * self.chunk
 
-    def test_train_peak(self, monkeypatch):
-        # Six chunk-high (rows, H) buffers serve the forward and the backward
-        # pass. Besides them: the (N, D) noise; the noised input, target and
-        # output chunks; and seven parameter-sized sets (the network copy,
-        # Adam's m, v and two scratch arrays, the gradients and the later
-        # chunks' gradients). Half a chunk-high buffer covers the small
-        # temporaries, so a seventh buffer fails. The chunk height is pinned
-        # so the test counts buffers, whatever the module's constant.
-        chunk = 1024
-        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
+    def test_train_peak(self):
+        # Per lane: six chunk-high (rows, H) buffers serve the forward and
+        # the backward pass, beside the lane's noised input, target and
+        # output chunks and two parameter-sized sets (its gradient sum and
+        # a later chunk's gradients). Shared: the (N, D) noise and five
+        # parameter-sized sets (the network copy, Adam's m, v and two
+        # scratch arrays). Half a chunk-high buffer covers the small
+        # temporaries, so a seventh buffer in either lane fails.
         cfg = DsmConfig(epochs=2)
         peak = self.peak_bytes(lambda: train(self.net, self.x, cfg, seed=0))
-        chunk_h = chunk * self.H
-        fixed = self.N * self.D + 3 * chunk * self.D + 7 * self.params
-        bound = 8 * (6 * chunk_h + fixed) + 8 * chunk_h // 2
+        per_lane = 6 * self.chunk_h + 3 * self.chunk * self.D + 2 * self.params
+        shared = self.N * self.D + 5 * self.params
+        bound = 8 * (LANES * per_lane + shared) + 8 * self.chunk_h // 2
         assert peak <= bound, (peak, bound)
 
     def test_forward_peak(self):
-        # Three chunk-high hidden buffers and the (N, D) output.
+        # Three chunk-high hidden buffers per lane and the (N, D) output.
         peak = self.peak_bytes(lambda: forward(self.net, self.x))
-        bound = 8 * (4 * self.chunk_h + 2 * self.N * self.D)
+        bound = 8 * ((3 * LANES + 1) * self.chunk_h + 2 * self.N * self.D)
         assert peak <= bound, (peak, bound)
 
 
 def _check_concurrent_training():
     """Four threads on two or more cores, with a short switch interval,
     interleave the epochs of same-shaped runs; each must equal its serial
-    result bit for bit."""
+    result bit for bit, and the BLAS thread counts must end as they began."""
+    blas_before = blas_thread_counts()
     rng = np.random.default_rng(54)
     net = init_network(4, 32, seed=3)
     cfg = DsmConfig(epochs=40)
@@ -543,6 +547,7 @@ def _check_concurrent_training():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert blas_thread_counts() == blas_before
     for (got_net, got_hist), (want_net, want_hist) in zip(results, serial):
         assert got_hist == want_hist
         for a, b in zip(got_net.parameters(), want_net.parameters()):
@@ -556,6 +561,7 @@ def test_concurrent_training_matches_serial():
 
 def test_concurrent_multi_chunk_training_matches_serial(monkeypatch):
     """The same with 120 rows in chunks of 50, so each call also shares no
-    per-chunk gradient scratch."""
+    per-chunk gradient scratch, and the calls' lanes pin and release BLAS
+    threads at once."""
     monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 50)
     _check_concurrent_training()
