@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import lanes
 from . import metrics as metrics_mod
 from .imputer import WgfConfig, knewimp, mean_impute
 from .kernel import KernelConfig
@@ -307,7 +308,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         except Exception as exc:
             raise RuntimeError(f"seed {seed} failed: {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=min(len(seeds), os.cpu_count() or 1)) as pool:
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    # Every seed's BLAS calls run one thread, so the seeds share the cores
+    # instead of each spreading its products over all of them.
+    with lanes.pinned(), ThreadPoolExecutor(max_workers=min(len(seeds), cores)) as pool:
         reports = list(pool.map(run_one, seeds))
 
     for report in reports:

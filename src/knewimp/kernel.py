@@ -8,7 +8,8 @@ sum_j grad_y K(x_i, x_j) = (x_i sum_j G_ij - sum_j G_ij x_j) / h^2, which
 the flow folds into its right-hand side (imputer.velocity).
 
 There is one Gram computation, gram_matmul(x, rhs, h) = G(x, x) @ rhs. It
-builds G in tiles, computes each entry once and never holds G whole. Tile c
+builds G in tiles of rows, one cache-sized column block at a time, computes
+each entry once and never holds G, or even one full-width tile of it. Tile c
 goes to lane c % 2 (lanes.run): the two lanes run at once, with numpy's
 OpenBLAS at one thread, and a Gram of one tile runs on the caller alone.
 """
@@ -23,22 +24,22 @@ from scipy.spatial.distance import pdist
 from . import lanes
 from .lanes import LANES
 
-# Rows of the Gram built at a time per lane in gram_matmul(). A tile is
-# not cache-sized (128 x 4800 doubles is 4.9 MB); the height only trades
-# per-tile overhead against tile memory. One product at 4792 x 11 with a
-# 22-wide right-hand side (12 interleaved rounds, 2-core VM) took 64.2 /
-# 60.7 / 67.0 ms at 64 / 128 / 256 rows per lane, against 87.1 ms for one
-# lane of 256 rows with two BLAS threads; two lanes of 128 hold the tile
-# memory one lane of 256 held. Up to this many rows there is one tile;
-# past it, a row's sum is split between tiles, so results agree across
-# heights to round-off.
+# Rows of the Gram tile dealt to a lane at a time in gram_matmul(). One
+# product at 4792 x 11 with a 22-wide right-hand side (12 interleaved
+# rounds, 2-core VM) took 64.2 / 60.7 / 67.0 ms at 64 / 128 / 256 rows per
+# lane, against 87.1 ms for one lane of 256 rows with two BLAS threads.
+# Up to this many rows there is one tile; past it, a row's sum is split
+# between tiles, so results agree across heights to round-off.
 _TILE_ROWS = 128
 
-# Columns of a tile's transposed product taken at a time, so a lane holds a
-# K x _BLOCK_COLS product, not a K x N one. The product above took 67.6 /
-# 63.1 / 59.4 / 58.6 / 56.6 ms in blocks of 128 / 256 / 512 / 1024 / all
-# 4792 columns; 512 costs 5% of the product and keeps two lanes' blocks
-# (K x 1024 doubles) below the K x N each would hold unblocked.
+# Columns of a tile built, exponentiated and multiplied at a time, so a lane
+# holds a _TILE_ROWS x _BLOCK_COLS block (512 KB, inside one core's 2 MB L2)
+# whatever N is. At 4792 x 11 with K = 22 (2-core VM) the traced peak of one
+# product fell 12.9 -> 4.1 MB against full-width tiles (128 x 4792 doubles,
+# 4.9 MB a lane), and its time did not move: medians of 36 interleaved
+# calls 54.5 / 55.8 ms full-width, 54.3 / 54.5 ms in blocks. Up to this
+# many rows every tile is one block; past it, a row's upper sum is split
+# between blocks, so results agree across widths to round-off.
 _BLOCK_COLS = 512
 
 
@@ -91,22 +92,27 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     x with itself; x is (N, D), rhs is (N, K) and the result is (N, K).
 
     The operands are built once and G is built in upper-triangular tiles of
-    _TILE_ROWS rows. Tile c goes to lane c % 2, which clamps and
-    exponentiates it in place in its own reused buffer. Tile [s:e] holds
-    only G[s:e, s:], the diagonal block and the columns to its right. G is
-    symmetric, so the tile serves two products, each added into the lane's
-    (N, K) sum:
+    _TILE_ROWS rows. Tile t goes to lane t % 2. Tile [s:e] covers only
+    G[s:e, s:], the diagonal block and the columns to its right, and the
+    lane builds it one block of _BLOCK_COLS columns [c:f] at a time,
+    clamping and exponentiating the block in place in its own reused
+    buffer. G is symmetric, so each block serves two products while it is
+    still in cache:
 
-    - G[s:e, s:] @ rhs[s:] gives rows s:e their sum over columns s and up;
-    - rhs[s:e]^T @ G[s:e, e:] is G[e:, s:e] @ rhs[s:e] transposed: the rows
-      below the tile summed over its columns. It is taken _BLOCK_COLS
-      columns at a time, with the small K x B operand on the left (the
-      equivalent G[:, b:]^T @ rhs[s:e] packs the tall transposed tile).
+    - G[s:e, c:f] @ rhs[c:f] is added into rows s:e of the lane's (N, K)
+      sum: after the tile's last block they hold their sum over columns s
+      and up;
+    - for the block's columns c' at or past e, rhs[s:e]^T @ G[s:e, c':f] is
+      G[c':f, s:e] @ rhs[s:e] transposed: those rows below the tile summed
+      over its columns, added into the lane's sum. The small K x B operand
+      is on the left (the equivalent G^T @ rhs[s:e] packs the transposed
+      block).
 
     Lane 0's sum is the result: lane 1's is added to it after both lanes
     finish, so the arithmetic depends on the tile height and block width
     only, not on whether the lanes ran at once. Memory is
-    O(2 * _TILE_ROWS * N) besides the O(N (D + K)) operands and sums.
+    O(2 * _TILE_ROWS * _BLOCK_COLS), whatever N, besides the O(N (D + K))
+    operands and sums.
     """
     x = np.asarray(x, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -123,18 +129,20 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
 
     def lane(j: int) -> None:
         acc = sums[j]
-        rows = min(_TILE_ROWS, n)
-        tile_buf, upper = np.empty(rows * n), np.empty((rows, k))
-        lower = np.empty(k * min(_BLOCK_COLS, n))
+        rows, cols = min(_TILE_ROWS, n), min(_BLOCK_COLS, n)
+        block_buf, upper = np.empty(rows * cols), np.empty((rows, k))
+        lower = np.empty(k * cols)
         for s in starts[j::LANES]:
             e = min(s + _TILE_ROWS, n)
-            b, w = e - s, n - s
-            g = _gram_tile(left[s:e], right[:, s:], out=tile_buf[: b * w].reshape(b, w))
-            acc[s:e] += np.matmul(g, rhs[s:], out=upper[:b])
-            for c in range(e, n, _BLOCK_COLS):
+            for c in range(s, n, _BLOCK_COLS):
                 f = min(c + _BLOCK_COLS, n)
-                out = lower[: k * (f - c)].reshape(k, f - c)
-                acc[c:f] += np.matmul(rhs[s:e].T, g[:, c - s : f - s], out=out).T
+                out = block_buf[: (e - s) * (f - c)].reshape(e - s, f - c)
+                g = _gram_tile(left[s:e], right[:, c:f], out=out)
+                acc[s:e] += np.matmul(g, rhs[c:f], out=upper[: e - s])
+                lo = max(c, e)
+                if lo < f:
+                    out = lower[: k * (f - lo)].reshape(k, f - lo)
+                    acc[lo:f] += np.matmul(rhs[s:e].T, g[:, lo - c :], out=out).T
 
     lanes.run(lane, len(sums))
     prod, *others = sums

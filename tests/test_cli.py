@@ -10,6 +10,7 @@ from knewimp.imputer import WgfConfig, knewimp
 from knewimp.kernel import KernelConfig
 from knewimp.score import DsmConfig, init_network, save_network
 from knewimp.tabular import load_csv, load_mask_csv, write_csv
+from test_lanes import blas_threads  # noqa: F401  (fixture)
 from test_score import MALFORMED_CHECKPOINTS, write_checkpoint
 
 FAST = [
@@ -377,11 +378,31 @@ class TestExperiment:
         ]) == 0
 
     def test_serial_and_parallel_seeds_agree(self, tmp_path, complete_csv, monkeypatch):
+        # The pool is sized by the CPUs the process may run on.
+        monkeypatch.setattr("knewimp.cli.os.sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 1)
         _, out_serial = self.run(tmp_path, complete_csv, "7,8", "serial")
+        monkeypatch.setattr("knewimp.cli.os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 2)
         _, out_parallel = self.run(tmp_path, complete_csv, "7,8", "parallel")
         assert read(out_serial / "summary.json") == read(out_parallel / "summary.json")
+
+    def test_seeds_run_with_one_blas_thread(self, tmp_path, complete_csv, monkeypatch,
+                                            blas_threads):
+        # 80 rows are one chunk and one Gram tile, so no lane pins BLAS; the
+        # seed pool does, and main() restores the count it found.
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(blas_threads())
+            return knewimp(*args, **kwargs)
+
+        monkeypatch.setattr("knewimp.cli.knewimp", counted)
+        code, _ = self.run(tmp_path, complete_csv, "1,2", "pinned")
+        n = len(blas_threads())
+        assert code == 0
+        assert seen == [[1] * n, [1] * n]
+        assert blas_threads() == [2] * n
 
 
 class TestRetiredBenchmark:

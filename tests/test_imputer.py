@@ -182,20 +182,21 @@ class TestVelocityAcrossTiles:
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_step_memory_is_tile_rows_plus_linear(self):
-        # Doubles a step holds per incomplete row. Per lane: one Gram tile
-        # and the lane's 2D-wide sum (lane 0's is the product). Shared: the
-        # 2D-wide right-hand side, the two (D + 2)-wide Gram operands, the
-        # rows' values, free mask and velocity, and the row index. Per lane,
-        # independent of the row count: a tile-high upper product and a
-        # block-wide transposed product, 2D doubles each per row or column.
-        # numpy's fixed-size ufunc buffers get 2**17 bytes. An m x m array,
-        # a 2D x m temporary or a copy of a tall tile would break the bound.
-        # BLAS packing buffers are not traced.
+        # Doubles a step holds per incomplete row. Per lane: its 2D-wide sum
+        # (lane 0's is the product). Shared: the 2D-wide right-hand side, the
+        # two (D + 2)-wide Gram operands, the rows' values, free mask and
+        # velocity, and the row index. Per lane, independent of the row
+        # count: one _TILE_ROWS x _BLOCK_COLS Gram block, a tile-high upper
+        # product and a block-wide transposed product, 2D doubles each per
+        # row or column. numpy's fixed-size ufunc buffers get 2**17 bytes. An
+        # m x m array, a 2D x m temporary, a full-width Gram tile or a copy
+        # of a block would break the bound. BLAS packing buffers are not
+        # traced.
         d, m = 4, 2000
         tile, block = kernel_mod._TILE_ROWS, kernel_mod._BLOCK_COLS
-        per_lane_row = tile + 2 * d
+        per_lane_row = 2 * d
         shared_row = 2 * d + 2 * (d + 2) + 3 * d + 1
-        per_lane_fixed = 2 * d * (tile + block)
+        per_lane_fixed = tile * block + 2 * d * (tile + block)
         assert m > (LANES + 1) * tile and m > block
         x, mask = incomplete_rows_table(m, 0, d, seed=3)
         tracemalloc.start()
