@@ -219,7 +219,16 @@ def cmd_impute(args: argparse.Namespace) -> int:
     model = _build_configs(args)
     ds = load_csv(args.input, has_header=args.has_header)
     ds_std, stats = standardize(ds)
-    net0 = load_network(args.load_net) if args.load_net else None
+    net0 = None
+    if args.load_net:
+        net0 = load_network(args.load_net)
+        # The checkpoint fixes the width, so knewimp() gets no hidden to check.
+        width = net0.layer_dims[1]
+        if model.pop("hidden", width) != width:
+            raise ValueError(
+                f"{args.load_net}: --hidden gives hidden width {args.hidden}, "
+                f"the checkpoint has hidden width {width}"
+            )
     result = knewimp(ds_std, **model, seed=args.seed, initial_net=net0)
     if args.save_net:
         save_network(args.save_net, result.network)

@@ -9,9 +9,8 @@ the flow folds into its right-hand side (imputer.velocity).
 
 There is one Gram computation, gram_matmul(x, rhs, h) = G(x, x) @ rhs. It
 builds G in tiles of rows, one cache-sized column block at a time, computes
-each entry once and never holds G, or even one full-width tile of it. Tile c
-goes to lane c % 2 (lanes.run): the two lanes run at once, with numpy's
-OpenBLAS at one thread, and a Gram of one tile runs on the caller alone.
+each entry once and never holds G, or even one full-width tile of it. The
+tiles run on lanes.run's two lanes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import lanes
-from .lanes import LANES
 
 # Rows of the Gram tile dealt to a lane at a time in gram_matmul(). One
 # product at 4792 x 11 with a 22-wide right-hand side (12 interleaved
@@ -92,12 +90,12 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     x with itself; x is (N, D), rhs is (N, K) and the result is (N, K).
 
     The operands are built once and G is built in upper-triangular tiles of
-    _TILE_ROWS rows. Tile t goes to lane t % 2. Tile [s:e] covers only
-    G[s:e, s:], the diagonal block and the columns to its right, and the
-    lane builds it one block of _BLOCK_COLS columns [c:f] at a time,
-    clamping and exponentiating the block in place in its own reused
-    buffer. G is symmetric, so each block serves two products while it is
-    still in cache:
+    _TILE_ROWS rows, dealt to lanes.run. Tile [s:e] covers only G[s:e, s:],
+    the diagonal block and the columns to its right, and the lane builds it
+    one block of _BLOCK_COLS columns [c:f] at a time, clamping and
+    exponentiating the block in place in its own reused buffer. G is
+    symmetric, so each block serves two products while it is still in
+    cache:
 
     - G[s:e, c:f] @ rhs[c:f] is added into rows s:e of the lane's (N, K)
       sum: after the tile's last block they hold their sum over columns s
@@ -108,11 +106,10 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
       is on the left (the equivalent G^T @ rhs[s:e] packs the transposed
       block).
 
-    Lane 0's sum is the result: lane 1's is added to it after both lanes
-    finish, so the arithmetic depends on the tile height and block width
-    only, not on whether the lanes ran at once. Memory is
-    O(2 * _TILE_ROWS * _BLOCK_COLS), whatever N, besides the O(N (D + K))
-    operands and sums.
+    Each lane returns its sum, and lane 1's is added to lane 0's, which is
+    the result, so the arithmetic depends on the tile height and block
+    width only. Memory is O(2 * _TILE_ROWS * _BLOCK_COLS), whatever N,
+    besides the O(N (D + K)) operands and sums.
     """
     x = np.asarray(x, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -124,28 +121,23 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     n, k = rhs.shape
     left, right = _gram_operands(x, bandwidth)
-    starts = range(0, n, _TILE_ROWS)
-    sums = [np.zeros((n, k)) for _ in range(max(1, min(LANES, len(starts))))]
 
-    def lane(j: int) -> None:
-        acc = sums[j]
-        rows, cols = min(_TILE_ROWS, n), min(_BLOCK_COLS, n)
-        block_buf, upper = np.empty(rows * cols), np.empty((rows, k))
-        lower = np.empty(k * cols)
-        for s in starts[j::LANES]:
+    def lane(_: int, starts: range) -> np.ndarray:
+        acc = np.zeros((n, k))
+        block_buf = np.empty(min(_TILE_ROWS, n) * min(_BLOCK_COLS, n))
+        for s in starts:
             e = min(s + _TILE_ROWS, n)
             for c in range(s, n, _BLOCK_COLS):
                 f = min(c + _BLOCK_COLS, n)
                 out = block_buf[: (e - s) * (f - c)].reshape(e - s, f - c)
                 g = _gram_tile(left[s:e], right[:, c:f], out=out)
-                acc[s:e] += np.matmul(g, rhs[c:f], out=upper[: e - s])
+                acc[s:e] += g @ rhs[c:f]
                 lo = max(c, e)
                 if lo < f:
-                    out = lower[: k * (f - lo)].reshape(k, f - lo)
-                    acc[lo:f] += np.matmul(rhs[s:e].T, g[:, lo - c :], out=out).T
+                    acc[lo:f] += (rhs[s:e].T @ g[:, lo - c :]).T
+        return acc
 
-    lanes.run(lane, len(sums))
-    prod, *others = sums
+    prod, *others = lanes.run(lane, range(0, n, _TILE_ROWS))
     for other in others:
         prod += other
     return prod

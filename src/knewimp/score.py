@@ -8,22 +8,16 @@ whole stack stays in float64 numpy and can be checked against finite
 differences.
 
 The forward and backward passes run over the rows in chunks of at most
-_CHUNK_ROWS and write into preallocated buffers of that height with
-in-place ufuncs and matmul(out=), in the operation order of the plain
-expressions. Chunk c goes to lane c % 2 (lanes.run): the two lanes run at
-once on their own buffers, with numpy's OpenBLAS at one thread, and a
-batch of one chunk runs on the caller alone. Hidden-layer memory is
-therefore O(2 * _CHUNK_ROWS * H) whatever N is. Up to _CHUNK_ROWS rows
-there is one chunk and results are bit-identical to the plain expressions;
-past it each lane sums its chunks' gradients in chunk order, lane 1's sums
-are added to lane 0's, and the result agrees with the plain expressions to
-round-off. It depends only on the chunk height, not on whether the lanes
-ran at once. train() allocates one set of buffers per call and reuses it
-every epoch: per lane, six chunk-high (rows, H) buffers hold the forward
-activations, and the backward pass writes each of its values into one of
-them that is dead by then. forward() runs in three chunk-high buffers per
-lane of its own. Buffers never outlive the call that made them, so
-concurrent calls share nothing.
+_CHUNK_ROWS on lanes.run's lanes, and write into preallocated buffers of
+that height with in-place ufuncs and matmul(out=), in the operation order
+of the plain expressions, so hidden-layer memory is O(2 * _CHUNK_ROWS * H)
+whatever N is. Up to _CHUNK_ROWS rows there is one chunk and results are
+bit-identical to the plain expressions; past it they agree to round-off.
+train() allocates one set of buffers per call and reuses it every epoch:
+per lane, six chunk-high (rows, H) buffers hold the forward activations,
+and the backward pass writes each of its values into one of them that is
+dead by then. Buffers never outlive the call that made them, so concurrent
+calls share nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lanes
-from .lanes import LANES
 
 # Rows per forward/backward chunk. Median DSM epoch over 12 interleaved
 # rounds at 4898 x 11, H = 256 (2-core VM, OpenBLAS 0.3.31), two lanes:
@@ -169,11 +162,10 @@ def _swish_grad(z: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
 def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
     """Row-wise score estimates for a batch x of shape (N, D).
 
-    The hidden layers run _CHUNK_ROWS rows at a time; chunk c goes to lane
-    c % 2, which allocates three (min(N, _CHUNK_ROWS), H) buffers for this
-    call. Each chunk's output is written into its slice of the (N, D)
-    result, so the lanes write disjoint rows and the result is the same
-    whether they ran at once or not.
+    The hidden layers run _CHUNK_ROWS rows at a time; each lane allocates
+    three (min(N, _CHUNK_ROWS), H) buffers for this call. Each chunk's
+    output is written into its slice of the (N, D) result, so the lanes
+    write disjoint rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -183,31 +175,28 @@ def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     shape = (min(n, _CHUNK_ROWS), net.weights[0].shape[1])
     out = np.empty((n, net.layer_dims[-1]))
-    starts = range(0, n, _CHUNK_ROWS)
 
-    def lane(k: int) -> None:
+    def lane(_: int, starts: range) -> None:
         za, s, zb = np.empty(shape), np.empty(shape), np.empty(shape)
-        for start in starts[k::LANES]:
+        for start in starts:
             chunk = x[start : start + _CHUNK_ROWS]
             m = chunk.shape[0]
             za_m, s_m, zb_m = za[:m], s[:m], zb[:m]
             _forward(net, chunk, (za_m, s_m, za_m, zb_m, s_m, zb_m), out=out[start : start + m])
 
-    lanes.run(lane, min(LANES, len(starts)))
+    lanes.run(lane, range(0, n, _CHUNK_ROWS))
     return out
 
 
 class _LaneBuffers:
-    """Every array one lane of a DSM evaluation writes. Row buffers are
-    rows high: three (rows, D) ones for the noised input, target and
-    output, and the six (rows, H) activations, which _dsm_chunk's backward
-    pass reuses for its own values. One gradient set holds the lane's sum;
-    a lane of more than one chunk has a second that holds each later
-    chunk's gradients before they are added in."""
+    """The reused arrays of one lane of a DSM evaluation: the six (rows, H)
+    activations, which _dsm_chunk's backward pass reuses for its own
+    values, and the gradients. One gradient set holds the lane's sum; a
+    lane of more than one chunk has a second that holds each later chunk's
+    gradients before they are added in."""
 
     def __init__(self, net: ScoreNetwork, rows: int, chunks: int) -> None:
-        d, h = net.input_dim, net.weights[0].shape[1]
-        self.x_noised, self.target, self.out = (np.empty((rows, d)) for _ in range(3))
+        h = net.weights[0].shape[1]
         self.act = tuple(np.empty((rows, h)) for _ in range(6))
         self.g_w, self.g_b = _gradient_set(net)
         self.scratch = _gradient_set(net) if chunks > 1 else None
@@ -221,10 +210,9 @@ class _DsmBuffers:
 
     def __init__(self, net: ScoreNetwork, n: int) -> None:
         self.shape = _buffer_shape(net, n)
-        starts = range(0, n, _CHUNK_ROWS)
         self.per_lane = [
-            _LaneBuffers(net, self.shape[1], len(starts[k::LANES]))
-            for k in range(min(LANES, len(starts)))
+            _LaneBuffers(net, self.shape[1], len(starts))
+            for starts in lanes.deal(range(0, n, _CHUNK_ROWS))
         ]
 
 
@@ -253,17 +241,15 @@ def _dsm_chunk(
     the gradients (residuals divided by the full batch size n) into g_w and
     g_b. A non-finite sum is returned before the backward pass runs.
     """
-    m = x_clean.shape[0]
-    x_noised, target = buf.x_noised[:m], buf.target[:m]
-    act = tuple(a[:m] for a in buf.act)
+    act = tuple(a[: x_clean.shape[0]] for a in buf.act)
     z1, s1, a1, z2, s2, a2 = act
-    np.add(x_clean, noise, out=x_noised)
-    np.negative(noise, out=target)
+    x_noised = x_clean + noise
+    target = np.negative(noise)
     target /= sigma * sigma
     # Overflow here is the divergence signal itself; it is detected on the
     # squared sum, so the transient warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = _forward(net, x_noised, act, out=buf.out[:m])
+        resid = _forward(net, x_noised, act)
         resid -= target
         sq = float(np.multiply(resid, resid, out=target).sum())
     if not np.isfinite(sq):
@@ -305,15 +291,16 @@ def dsm_loss_and_grad(
         loss = 1/2 * mean_i || f(x_i + e_i) + e_i / sigma^2 ||^2
 
     Returns (loss, weight gradients, bias gradients), index-aligned with
-    net.weights / net.biases. The rows run in chunks of _CHUNK_ROWS, chunk
-    c on lane c % 2: a lane writes its first chunk's gradients straight
-    into its gradient set and adds each later chunk's to it, and sums its
-    chunks' squared residuals. Lane 1's sums are then added to lane 0's,
-    which are the result; the loss divides the summed squares by N. A lane
-    stops at a chunk whose sum is not finite, and TrainingDivergence is
-    raised once both have stopped. buffers, when given, must be sized for
-    this network and N (a ValueError names both shapes otherwise); the pass
-    then allocates nothing row-sized, and the returned gradients are its
+    net.weights / net.biases. The rows run in chunks of _CHUNK_ROWS on
+    lanes.run's lanes: a lane writes its first chunk's gradients straight
+    into its gradient set and adds each later chunk's to it, and returns
+    its chunks' summed squared residuals. Lane 1's sums are then added to
+    lane 0's, which are the result; the loss divides the summed squares by
+    N. A lane stops at a chunk whose sum is not finite, and
+    TrainingDivergence is raised once both have stopped. buffers, when
+    given, must be sized for this network and N (a ValueError names both
+    shapes otherwise); the pass then allocates only a chunk's (rows, D)
+    noised input, target and output, and the returned gradients are its
     arrays, overwritten by the next call.
     """
     if not sigma > 0.0:
@@ -331,23 +318,22 @@ def dsm_loss_and_grad(
             f"buffers sized for (N, chunk rows, D, H) = {buf.shape}, "
             f"this call needs {_buffer_shape(net, n)}"
         )
-    starts = range(0, n, _CHUNK_ROWS)
-    sq = [0.0] * len(buf.per_lane)
 
-    def lane(k: int) -> None:
+    def lane(k: int, starts: range) -> float:
         own = buf.per_lane[k]
-        for i, start in enumerate(starts[k::LANES]):
+        sq = 0.0
+        for i, start in enumerate(starts):
             rows = slice(start, start + _CHUNK_ROWS)
             c_w, c_b = own.scratch if i else (own.g_w, own.g_b)
-            sq[k] += _dsm_chunk(net, x_clean[rows], noise[rows], sigma, n, own, c_w, c_b)
-            if not np.isfinite(sq[k]):
-                return
+            sq += _dsm_chunk(net, x_clean[rows], noise[rows], sigma, n, own, c_w, c_b)
+            if not np.isfinite(sq):
+                break
             if i:
                 for g, c in zip(own.g_w + own.g_b, c_w + c_b):
                     g += c
+        return sq
 
-    lanes.run(lane, len(buf.per_lane))
-    total = sum(sq)
+    total = sum(lanes.run(lane, range(0, n, _CHUNK_ROWS)))
     if not np.isfinite(total):
         raise TrainingDivergence("DSM loss is not finite")
     first, *others = buf.per_lane

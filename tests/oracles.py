@@ -59,6 +59,31 @@ def gaussian_conditional_mean(x, mask, cov):
     return out
 
 
+def mixture_conditional_mean(x, mask, weights, means, cov):
+    """E[x_m | x_o] row by row for rows from the Gaussian mixture
+    sum_k weights[k] N(means[k], cov): each component's conditional mean
+    means[k]_m + cov_mo cov_oo^-1 (x_o - means[k]_o), weighted by the
+    component's posterior given x_o (its prior weight in a row with nothing
+    observed), in the missing cells; the observed cells copied. Under the
+    true law this is the Bayes floor."""
+    x = np.asarray(x, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    log_w = np.log(np.asarray(weights, dtype=np.float64))
+    out = x.copy()
+    for i in range(x.shape[0]):
+        obs = mask[i] == 1.0
+        miss = ~obs
+        if not miss.any():
+            continue
+        dev = x[i, obs] - means[:, obs]
+        solved = np.linalg.solve(cov[np.ix_(obs, obs)], dev.T).T
+        log_post = log_w - 0.5 * (dev * solved).sum(axis=1)
+        post = np.exp(log_post - log_post.max())
+        post /= post.sum()
+        out[i, miss] = post @ (means[:, miss] + solved @ cov[np.ix_(miss, obs)].T)
+    return out
+
+
 def wasserstein2_bruteforce(truth_rows, imputed_rows):
     """Minimum mean squared pairing cost over all permutations."""
     a = np.asarray(truth_rows, dtype=np.float64)

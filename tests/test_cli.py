@@ -193,6 +193,7 @@ class TestImpute:
         code, out, _ = self.run_pipeline(tmp_path, complete_csv, extra=["--load-net", net_path])
         assert code == 2  # FAST passes --hidden 16
         err = capsys.readouterr().err
+        assert f"knewimp impute (builtins): {net_path}: --hidden" in err
         assert "hidden width 16" in err and "hidden width 8" in err
         assert not os.path.exists(out)
 

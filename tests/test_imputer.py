@@ -24,7 +24,12 @@ from knewimp.metrics import mae
 from knewimp.missingness import Mechanism, MissingSpec, simulate
 from knewimp.score import DsmConfig, TrainingDivergence, forward, init_network, train
 from knewimp.tabular import TabularDataset, from_complete, initialize_missing, standardize
-from oracles import dense_velocity, gaussian_conditional_mean, grad_gram_second
+from oracles import (
+    dense_velocity,
+    gaussian_conditional_mean,
+    grad_gram_second,
+    mixture_conditional_mean,
+)
 
 KCFG = KernelConfig(bandwidth=1.0)
 
@@ -234,6 +239,96 @@ def test_median_bandwidth_near_the_bayes_floor():
     result = knewimp(from_complete(truth, mask), DsmConfig(), kcfg, WgfConfig(), seed=0)
     ratio = mae(truth, result.imputed, mask) / floor
     assert ratio <= 1.2, f"MAE is {ratio:.3f} x the Bayes floor"
+
+
+def test_mixture_conditional_mean_oracle_closed_form():
+    # Components N(+-(1, 1), [[1, .5], [.5, 1]]) with weights 1/4 and 3/4.
+    # x_1 = 1 observed: the conditional means of x_2 are 1 and 0, and the
+    # posterior of the first component is 1 / (1 + 3 e^-2). x_2 = -1
+    # observed: they are 0 and -1, and that posterior is 1 / (1 + 3 e^2). A
+    # row with nothing observed gets the mixture mean, -1/2.
+    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+    means = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    x = np.array([[1.0, 9.0], [9.0, -1.0], [9.0, 9.0], [3.0, 4.0]])
+    mask = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    p1, p2 = 1.0 / (1.0 + 3.0 * np.exp(-2.0)), 1.0 / (1.0 + 3.0 * np.exp(2.0))
+    expect = np.array([[1.0, p1], [p2 - 1.0, -1.0], [-0.5, -0.5], [3.0, 4.0]])
+    got = mixture_conditional_mean(x, mask, [0.25, 0.75], means, cov)
+    assert np.allclose(got, expect, rtol=0, atol=1e-15)
+
+
+class MixtureTable:
+    """1000 x 11 rows from three Gaussian components (weights 0.4 / 0.3 /
+    0.3, means 1.5 x a random +-1 vector each, shared covariance
+    0.5 x 0.5^|i-j|), standardized by the mixture's true mean and sd, under
+    MCAR 0.3. Its Bayes floor E[x_m | x_o] is not linear in x_o. The data
+    and mask seeds are drawn apart from knewimp's."""
+
+    n, d, weights = 1000, 11, np.array([0.4, 0.3, 0.3])
+
+    def __init__(self):
+        d, w = self.d, self.weights
+        cov = 0.5 * 0.5 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        means = 1.5 * np.random.default_rng(7).choice([-1.0, 1.0], size=(3, d))
+        mean = w @ means
+        full = cov + (w[:, None] * (means - mean)).T @ (means - mean)
+        sd = np.sqrt(np.diag(full))
+        rng = np.random.default_rng(2024)
+        labels = rng.choice(3, size=self.n, p=w)
+        draws = rng.standard_normal((self.n, d)) @ np.linalg.cholesky(cov).T + means[labels]
+        self.truth = (draws - mean) / sd
+        self.means, self.cov = (means - mean) / sd, cov / np.outer(sd, sd)
+        self.mask = simulate(self.truth, MissingSpec(mechanism=Mechanism.MCAR, rate=0.3, seed=2025))
+        self.ds = from_complete(self.truth, self.mask)
+        self.mean_fill = mae(self.truth, mean_impute(self.ds), self.mask)
+        # The best linear imputer: the Gaussian conditional mean under the
+        # table's true (standardized) covariance.
+        linear = gaussian_conditional_mean(self.truth, self.mask, full / np.outer(sd, sd))
+        self.linear_floor = self.ratio(linear)
+        self.mixture_floor = self.ratio(
+            mixture_conditional_mean(self.truth, self.mask, w, self.means, self.cov)
+        )
+
+    def ratio(self, imputed):
+        """MAE over the missing cells, as a fraction of mean fill's."""
+        return mae(self.truth, imputed, self.mask) / self.mean_fill
+
+    def score(self, x):
+        """The exact score of the mixture: each component's Gaussian score
+        weighted by its posterior at x."""
+        dev = x[:, None, :] - self.means
+        solved = dev @ np.linalg.inv(self.cov)
+        log_post = np.log(self.weights) - 0.5 * (dev * solved).sum(axis=2)
+        post = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+        post /= post.sum(axis=1, keepdims=True)
+        return -(post[:, :, None] * solved).sum(axis=1)
+
+
+@pytest.fixture(scope="module")
+def mixture():
+    return MixtureTable()
+
+
+def test_exact_score_flow_beats_the_linear_floor(mixture):
+    # One round of 1000 steps of 0.1 at the median bandwidth, driven by the
+    # true score, lands below the best linear imputer (0.431 < 0.458; the
+    # mixture floor is 0.395): the flow itself can use the non-linear law.
+    x0 = initialize_missing(mixture.ds, seed=0)
+    kcfg = KernelConfig(use_median_heuristic=True)
+    wcfg = WgfConfig(num_steps=1000, step_size=0.1, num_loops=1)
+    ratio = mixture.ratio(euler_impute(x0, mixture.mask, mixture.score, kcfg, wcfg))
+    assert ratio < mixture.linear_floor, (ratio, mixture.linear_floor)
+
+
+def test_learned_flow_near_the_mixture_floor(mixture):
+    # The default config with the median bandwidth, seed 0, measured 1.19 x
+    # the mixture floor (0.470 against a linear floor of 0.458). This is a
+    # regression guard; the target for quality work is the learned flow
+    # below the linear floor, as the exact-score flow already is.
+    kcfg = KernelConfig(use_median_heuristic=True)
+    result = knewimp(mixture.ds, DsmConfig(), kcfg, WgfConfig(), seed=0)
+    ratio = mixture.ratio(result.imputed) / mixture.mixture_floor
+    assert ratio <= 1.25, f"MAE is {ratio:.3f} x the mixture floor"
 
 
 class TestMaskEntries:

@@ -34,45 +34,78 @@ def blas_threads():
         set_(count)
 
 
-def serial_run(fn, n_lanes):
-    """lanes.run with both lanes on the caller, one after the other, under
-    the same one-thread pin."""
-    if n_lanes < 2:
-        fn(0)
-        return
+def serial_run(fn, blocks):
+    """lanes.run with each lane on the caller, one after the other, under
+    the same one-thread pin; block c still goes to lane c % 2."""
+    if len(blocks) < 2:
+        return [fn(0, blocks)]
     with lanes.pinned():
-        fn(0)
-        fn(1)
+        return [fn(k, blocks[k::2]) for k in range(2)]
 
 
 class TestRun:
     def test_second_lane_runs_on_a_thread_that_is_joined(self, blas_threads):
         idents = {}
         alive = threading.active_count()
-        lanes.run(lambda k: idents.setdefault(k, threading.get_ident()), 2)
+        lanes.run(lambda k, _: idents.setdefault(k, threading.get_ident()), range(2))
         assert idents[0] == threading.get_ident() != idents[1]
         assert threading.active_count() == alive
         assert blas_threads() == [2] * len(blas_threads())
 
+    @pytest.mark.parametrize("blocks, dealt", [
+        (range(7), [[0, 2, 4, 6], [1, 3, 5]]),
+        (range(0, 700, 256), [[0, 512], [256]]),
+        (range(5, 6), [[5]]),
+    ])
+    def test_block_c_reaches_lane_c_mod_2(self, blocks, dealt):
+        assert lanes.run(lambda k, own: (k, list(own)), blocks) == list(enumerate(dealt))
+        assert [list(own) for own in lanes.deal(blocks)] == dealt
+
+    def test_results_come_back_in_lane_order(self, blas_threads):
+        # Lane 0 returns only after lane 1 has finished.
+        done = threading.Event()
+
+        def fn(k, _):
+            if k == 1:
+                done.set()
+            else:
+                assert done.wait(timeout=30)
+            return f"lane {k}"
+
+        assert lanes.run(fn, range(4)) == ["lane 0", "lane 1"]
+
     def test_one_lane_runs_on_the_caller_unpinned(self, blas_threads):
-        seen = []
-        lanes.run(lambda k: seen.append((k, threading.get_ident(), blas_threads())), 1)
-        assert seen == [(0, threading.get_ident(), [2] * len(blas_threads()))]
+        # Zero blocks or one: fn(0, blocks) alone, and its result alone.
+        for blocks in (range(0), range(1), range(0, 200, 256)):
+            seen = []
+
+            def fn(k, own):
+                seen.append((k, own, threading.get_ident(), blas_threads()))
+                return "only"
+
+            assert lanes.run(fn, blocks) == ["only"]
+            assert seen == [(0, blocks, threading.get_ident(), [2] * len(blas_threads()))]
 
     def test_lanes_run_in_order_without_openblas(self, monkeypatch):
         monkeypatch.setattr(lanes, "_openblas", lambda: ())
         seen = []
-        lanes.run(lambda k: seen.append((k, threading.get_ident())), 2)
-        assert seen == [(0, threading.get_ident()), (1, threading.get_ident())]
+
+        def fn(k, own):
+            seen.append((k, list(own), threading.get_ident()))
+            return k
+
+        assert lanes.run(fn, range(3)) == [0, 1]
+        me = threading.get_ident()
+        assert seen == [(0, [0, 2], me), (1, [1], me)]
 
     def test_second_lane_error_reaches_the_caller(self, blas_threads):
-        def fn(k):
+        def fn(k, _):
             if k == 1:
                 raise KeyError("lane 1")
 
         alive = threading.active_count()
         with pytest.raises(KeyError, match="lane 1"):
-            lanes.run(fn, 2)
+            lanes.run(fn, range(2))
         assert threading.active_count() == alive
         assert blas_threads() == [2] * len(blas_threads())
 

@@ -49,6 +49,64 @@ def test_walker_sees_both_forms(tmp_path):
     assert private_cross_module_names(probe) == [(2, "score._forward"), (3, "k._gram_tile")]
 
 
+def lane_knowledge(path):
+    """(line, name) of each place the module at path reads LANES or names
+    threading.Thread: imported, read bare or read off a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    threading_aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "threading"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [
+                (node.lineno, f"{node.module}.{alias.name}")
+                for alias in node.names
+                if alias.name == "LANES" or (node.module == "threading" and alias.name == "Thread")
+            ]
+        elif isinstance(node, ast.Name) and node.id == "LANES":
+            found.append((node.lineno, "LANES"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+            node.attr == "LANES"
+            or (node.attr == "Thread" and node.value.id in threading_aliases)
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_only_lanes_knows_the_lanes():
+    # Dealing blocks to lanes and starting their threads is lanes.run's job.
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "lanes.py" and (names := lane_knowledge(path))
+    }
+    assert found == {}
+    assert lane_knowledge(PACKAGE / "lanes.py") != []
+
+
+def test_lane_walker_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .lanes import LANES\n"
+        "from . import lanes as ln\n"
+        "import threading as th\n"
+        "from threading import Thread, Lock\n"
+        "n = ln.LANES + LANES\n"
+        "th.Thread(target=print)\n"
+        "th.Lock()\n",
+        encoding="utf-8",
+    )
+    assert lane_knowledge(probe) == [
+        (1, "lanes.LANES"), (4, "threading.Thread"), (5, "LANES"), (5, "ln.LANES"),
+        (6, "th.Thread"),
+    ]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in knewimp.__all__ if not hasattr(knewimp, name)]
     assert missing == []

@@ -459,6 +459,16 @@ class TestChunking:
         with pytest.raises(ValueError, match=r"\(20, 7, 3, 8\).*\(20, 8, 3, 8\)"):
             dsm_loss_and_grad(net, x, x, 0.1, buffers)
 
+    def test_buffers_only_for_lanes_that_get_chunks(self, monkeypatch):
+        # Chunks of 7 go to lanes 0, 1, 0, 1: a lane gets buffers only with a
+        # chunk, and a second gradient set only with a second chunk.
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
+        net = init_network(3, 8, seed=0)
+        for n, second_sets in ((5, [False]), (14, [False, False]), (20, [True, False]),
+                               (28, [True, True])):
+            buffers = score_mod._DsmBuffers(net, n)
+            assert [own.scratch is not None for own in buffers.per_lane] == second_sets
+
     def test_divergence_in_last_chunk_only(self, monkeypatch):
         # Rows 14-19 form the third chunk of 7; the first two train finitely.
         monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
