@@ -10,9 +10,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime/data error. All commands
 are deterministic given their full flag set. A JSON config file may supply
 any flag value, keyed by the flag's destination name and checked like the
 flag. A typed flag beats the config file, which beats the flag's default.
-A model or mechanism setting that neither sets keeps the default of the
-object that owns it (DsmConfig, KernelConfig, WgfConfig, knewimp(),
-MissingSpec).
+A model setting that neither sets keeps the default of the object that
+owns it (DsmConfig, KernelConfig, WgfConfig, knewimp()).
 """
 
 from __future__ import annotations
@@ -80,8 +79,6 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 def _add_mechanism_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mechanism", default="mcar", choices=[m.value for m in Mechanism])
     p.add_argument("--rate", type=float, default=0.3)
-    p.add_argument("--observed-fraction", dest="observed_fraction", type=float)
-    p.add_argument("--overlay-rate", dest="overlay_rate", type=float)
 
 
 def build_parser() -> _Parser:
@@ -187,15 +184,7 @@ def _build_configs(args: argparse.Namespace) -> dict:
 
 
 def _missing_spec(args: argparse.Namespace, seed: int) -> MissingSpec:
-    return MissingSpec(
-        mechanism=Mechanism(args.mechanism),
-        rate=args.rate,
-        seed=seed,
-        **_given(
-            observed_fraction=args.observed_fraction,
-            mcar_overlay_rate=args.overlay_rate,
-        ),
-    )
+    return MissingSpec(Mechanism(args.mechanism), args.rate, seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

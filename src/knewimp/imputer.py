@@ -26,7 +26,15 @@ import numpy as np
 
 from . import kernel
 from .kernel import KernelConfig
-from .score import DsmConfig, ScoreNetwork, TrainingDivergence, forward, init_network, train
+from .score import (
+    DsmConfig,
+    ScoreNetwork,
+    TrainingDivergence,
+    check_count,
+    forward,
+    init_network,
+    train,
+)
 from .tabular import (
     TabularDataset,
     checked_mask,
@@ -55,10 +63,8 @@ class WgfConfig:
             raise ValueError(f"ner_weight must be finite and >= 0, got {self.ner_weight}")
         if not 0.0 < self.step_size < np.inf:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if self.num_loops < 1:
-            raise ValueError(f"num_loops must be >= 1, got {self.num_loops}")
+        check_count("num_steps", self.num_steps)
+        check_count("num_loops", self.num_loops)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Mask simulation under the three classical missingness mechanisms.
 
-MCAR draws each cell independently. MAR keeps a random subset of columns
-fully observed and masks the rest through a logistic model of the observed
-columns, with the bias calibrated by bisection to hit the requested rate.
-MNAR reuses the MAR construction and then hides parts of the logistic
-model's own inputs with an extra MCAR overlay. simulate() draws all three,
-redrawing from the same generator until each column keeps an observed cell.
+MCAR draws each cell independently. MAR keeps a random 30% of the columns
+(rounded up) fully observed and masks the rest through a logistic model of
+the observed columns, with the bias calibrated by bisection to hit the
+requested rate (the recipe of Muzellec et al., ICML 2020). MNAR reuses the
+MAR construction and then hides the logistic model's own inputs with an
+MCAR overlay at the same rate. simulate() draws all three, redrawing from
+the same generator until each column keeps an observed cell.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .score import sigmoid
 
 MAX_MASK_ATTEMPTS = 100
+
+# Fraction of the columns (rounded up) that MAR and MNAR keep fully observed.
+_OBSERVED_FRACTION = 0.3
 
 
 class Mechanism(str, Enum):
@@ -30,35 +33,20 @@ class Mechanism(str, Enum):
 
 @dataclass(frozen=True)
 class MissingSpec:
-    """Target mechanism and rates for mask simulation.
+    """Mechanism, missing rate and seed of a simulated mask.
 
-    rate: missing fraction over maskable cells, open interval (0, 1).
-    observed_fraction: fraction of columns kept fully observed (MAR/MNAR).
-    mcar_overlay_rate: MCAR rate applied to the logistic-input columns
-    (MNAR only); defaults to rate when omitted.
+    rate: missing fraction over maskable cells, open interval (0, 1). Under
+    MNAR it is also the MCAR rate at which the logistic model's input
+    columns are hidden.
     """
 
     mechanism: Mechanism
     rate: float
-    observed_fraction: float = 0.3
-    mcar_overlay_rate: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
-        if not 0.0 < self.observed_fraction < 1.0:
-            raise ValueError(
-                f"observed_fraction must be in (0, 1), got {self.observed_fraction}"
-            )
-        if self.mcar_overlay_rate is not None and not 0.0 < self.mcar_overlay_rate < 1.0:
-            raise ValueError(
-                f"mcar_overlay_rate must be in (0, 1), got {self.mcar_overlay_rate}"
-            )
-
-    @property
-    def overlay_rate(self) -> float:
-        return self.rate if self.mcar_overlay_rate is None else self.mcar_overlay_rate
 
 
 def calibrate_bias(logits: np.ndarray, target_rate: float) -> float:
@@ -100,22 +88,23 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
 def _draw(truth: np.ndarray, spec: MissingSpec, rng: np.random.Generator) -> np.ndarray:
     """One mask under spec from rng; its columns are not checked.
 
-    MAR: k = ceil(observed_fraction * D) columns stay fully observed, the
-    rest go missing through a logistic model of those columns. The model's
-    inputs are the observed columns standardized; its weights are standard
-    normal, one per (observed, maskable) column pair, and its bias is
-    calibrated so the mean missing probability is spec.rate. MNAR then
-    hides the model's input columns with an MCAR overlay, so missingness
-    depends on values that are themselves unobserved.
+    MAR: k = ceil(0.3 * D) columns stay fully observed, the rest go missing
+    through a logistic model of those columns. The model's inputs are the
+    observed columns standardized; its weights are standard normal, one per
+    (observed, maskable) column pair, and its bias is calibrated so the
+    mean missing probability is spec.rate. MNAR then hides the model's
+    input columns with an MCAR overlay at spec.rate, so missingness depends
+    on values that are themselves unobserved. A table of one column has
+    none left to mask under MAR or MNAR, which is a ValueError.
     """
     n, d = truth.shape
     if spec.mechanism is Mechanism.MCAR:
         return (rng.random((n, d)) >= spec.rate).astype(np.float64)
-    k = math.ceil(spec.observed_fraction * d)
-    if k < 1 or k >= d:
+    k = math.ceil(_OBSERVED_FRACTION * d)
+    if k >= d:
         raise ValueError(
-            f"observed_fraction {spec.observed_fraction} keeps {k} of {d} columns; "
-            "need at least 1 and fewer than all"
+            f"{spec.mechanism.value} keeps {k} of {d} columns fully observed "
+            "and has none left to mask; it needs at least 2 columns"
         )
     observed_cols = rng.choice(d, size=k, replace=False)
     maskable_cols = np.setdiff1d(np.arange(d), observed_cols)
@@ -128,7 +117,7 @@ def _draw(truth: np.ndarray, spec: MissingSpec, rng: np.random.Generator) -> np.
     mask = np.ones((n, d), dtype=np.float64)
     mask[:, maskable_cols] = draws >= prob_missing
     if spec.mechanism is Mechanism.MNAR:
-        mask[:, observed_cols] = rng.random((n, k)) >= spec.overlay_rate
+        mask[:, observed_cols] = rng.random((n, k)) >= spec.rate
     return mask
 
 

@@ -23,6 +23,7 @@ calls share nothing.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,6 +43,13 @@ class TrainingDivergence(RuntimeError):
     """Raised when the DSM loss stops being finite during training."""
 
 
+def check_count(name: str, value: int) -> None:
+    """ValueError naming name unless value is an integer >= 1. numpy
+    integers count as integers; bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DsmConfig:
     """Denoising-score-matching training settings."""
@@ -53,8 +61,7 @@ class DsmConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_count("epochs", self.epochs)
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -91,8 +98,8 @@ class ScoreNetwork:
 def init_network(d: int, hidden: int, seed: int) -> ScoreNetwork:
     """Uniform fan-in initialization U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     zero biases."""
-    if d < 1 or hidden < 1:
-        raise ValueError(f"dimensions must be >= 1, got d={d}, hidden={hidden}")
+    check_count("d", d)
+    check_count("hidden", hidden)
     rng = np.random.default_rng(seed)
     dims = [d, hidden, hidden, d]
     weights, biases = [], []

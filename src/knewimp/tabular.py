@@ -167,6 +167,10 @@ def _read_cells(
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     width = len(rows[0])
+    if names is not None and len(names) != width:
+        raise CsvFormatError(
+            f"{path}: header has {len(names)} cells, data rows have {width}"
+        )
     data = np.empty((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) != width:

@@ -170,7 +170,7 @@ def test_criterion_5_missingness_calibration():
 
     rng = np.random.default_rng(707)
     truth = rng.standard_normal((20_000, 10)) * rng.uniform(0.5, 2.0, 10)
-    spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.3, seed=808)
+    spec = MissingSpec(Mechanism.MAR, rate=0.3, seed=808)
     mar_mask = simulate(truth, spec)
     observed_cols = mar_mask.min(axis=0) == 1.0
     cols_ok = observed_cols.sum() == 3

@@ -99,6 +99,20 @@ class TestSimulate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize("extra", [
+        ["--observed-fraction", "0.5"], ["--overlay-rate", "0.2"],
+    ], ids=lambda extra: extra[0].lstrip("-"))
+    def test_removed_mask_flags_are_usage_errors(self, tmp_path, capsys, command, extra):
+        # The recipe fixes 30% observed columns and the MNAR overlay at --rate.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(tmp_path / "absent.csv"),
+                  "--output-dir", str(tmp_path / "out"), *extra])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestImpute:
     def run_pipeline(self, tmp_path, complete_csv, extra=()):
         sim = tmp_path / "sim"
@@ -144,6 +158,18 @@ class TestImpute:
         masked = load_csv(str(sim / "masked.csv"), has_header=True)
         obs = masked.mask == 1.0
         assert np.array_equal(imputed.values[obs], masked.values[obs])
+
+    def test_header_width_mismatch_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b,c\n1,2,,4\n5,6,7,8\n", encoding="utf-8")
+        code = main([
+            "impute", "--input", str(path), "--has-header",
+            "--output", str(tmp_path / "out.csv"), *FAST,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"knewimp impute (tabular): {path}: header has 3 cells" in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_no_missing_cells_is_runtime_error(self, tmp_path, complete_csv, capsys):
         code = main([
@@ -502,7 +528,10 @@ class TestConfigFile:
         ({"stepz": 3}, "stepz"),
         ({"lambda": 0.5}, "lambda"),
         ({"has_header": "no"}, "has_header"),
-    ], ids=["non-integer", "unknown-key", "flag-spelling", "non-boolean-switch"])
+        ({"observed_fraction": 0.5}, "observed_fraction"),
+        ({"overlay_rate": 0.2}, "overlay_rate"),
+    ], ids=["non-integer", "unknown-key", "flag-spelling", "non-boolean-switch",
+            "removed-observed-fraction", "removed-overlay-rate"])
     def test_bad_config_key_or_value_is_usage_error(
         self, tmp_path, complete_csv, capsys, config, key
     ):

@@ -632,6 +632,26 @@ def test_non_finite_settings_rejected(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "whole-float", "bool"])
+@pytest.mark.parametrize("make, field", [
+    (lambda v: DsmConfig(epochs=v), "epochs"),
+    (lambda v: WgfConfig(num_steps=v), "num_steps"),
+    (lambda v: WgfConfig(num_loops=v), "num_loops"),
+    (lambda v: init_network(2, v, seed=0), "hidden"),
+], ids=["epochs", "num_steps", "num_loops", "hidden"])
+def test_non_integer_counts_rejected(make, field, value):
+    # Refused up front, not by range() or numpy after a round of training.
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        make(value)
+
+
+def test_numpy_integer_counts_accepted():
+    three = np.int64(3)
+    assert DsmConfig(epochs=three).epochs == 3
+    assert WgfConfig(num_steps=three, num_loops=three).num_loops == 3
+    assert init_network(2, three, seed=0).layer_dims == [2, 3, 3, 2]
+
+
 class TestHiddenWidth:
     def setup_method(self):
         rng = np.random.default_rng(19)
@@ -648,6 +668,11 @@ class TestHiddenWidth:
         for hidden in (None, 8):
             result = knewimp(self.ds, *self.cfgs, hidden=hidden, initial_net=net)
             assert result.network.layer_dims == [2, 8, 8, 2]
+
+    def test_non_integer_width_refused_before_training(self, monkeypatch):
+        monkeypatch.setattr(imputer_mod, "train", None)  # never reached
+        with pytest.raises(ValueError, match="hidden must be an integer >= 1, got 8.0"):
+            knewimp(self.ds, *self.cfgs, hidden=8.0)
 
     def test_width_mismatch_names_both(self, monkeypatch):
         monkeypatch.setattr(imputer_mod, "train", None)  # never reached

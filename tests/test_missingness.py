@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -82,21 +84,21 @@ def make_truth(n=400, d=10, seed=0):
 
 class TestMar:
     def test_observed_column_count(self):
-        spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.3, seed=2)
+        spec = MissingSpec(Mechanism.MAR, rate=0.3, seed=2)
         mask = simulate(make_truth(d=10), spec)
         fully_observed = (mask.min(axis=0) == 1.0).sum()
         assert fully_observed >= 3  # ceil(0.3 * 10), plus whatever stays lucky
 
     def test_selected_columns_all_ones(self):
         # The selection is recoverable: exactly the columns without any miss.
-        spec = MissingSpec(Mechanism.MAR, rate=0.5, observed_fraction=0.3, seed=4)
+        spec = MissingSpec(Mechanism.MAR, rate=0.5, seed=4)
         truth = make_truth(n=2000, d=10, seed=1)
         mask = simulate(truth, spec)
         col_missing = (mask == 0.0).sum(axis=0)
         assert (col_missing == 0).sum() == 3
 
     def test_rate_calibration(self):
-        spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.3, seed=7)
+        spec = MissingSpec(Mechanism.MAR, rate=0.3, seed=7)
         truth = make_truth(n=20_000, d=10, seed=2)
         mask = simulate(truth, spec)
         maskable = mask.min(axis=0) < 1.0
@@ -109,10 +111,12 @@ class TestMar:
         assert np.array_equal(simulate(truth, spec), simulate(truth, spec))
 
     def test_bad_fraction(self):
-        truth = make_truth(d=3)
-        spec = MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.99, seed=0)
-        with pytest.raises(ValueError, match="fewer than all"):
-            simulate(truth, spec)
+        # ceil(0.3 * 1) = 1 column stays observed, which leaves none to mask.
+        truth = make_truth(d=1)
+        for mechanism in (Mechanism.MAR, Mechanism.MNAR):
+            spec = MissingSpec(mechanism, rate=0.3, seed=0)
+            with pytest.raises(ValueError, match="keeps 1 of 1 columns.*none left to mask"):
+                simulate(truth, spec)
 
     def test_incomplete_truth_rejected(self):
         truth = make_truth()
@@ -138,28 +142,15 @@ class TestMar:
 
 
 class TestMnar:
-    def test_tiny_overlay_matches_mar(self):
-        truth = make_truth(n=500, d=10, seed=8)
-        mar_spec = MissingSpec(Mechanism.MAR, rate=0.3, seed=21)
-        mnar_spec = MissingSpec(
-            Mechanism.MNAR, rate=0.3, mcar_overlay_rate=1e-12, seed=21
-        )
-        assert np.array_equal(
-            simulate(truth, mnar_spec), simulate(truth, mar_spec)
-        )
-
     def test_overlay_rate_on_input_columns(self):
         truth = make_truth(n=40_000, d=10, seed=9)
-        spec = MissingSpec(
-            Mechanism.MNAR, rate=0.3, observed_fraction=0.3,
-            mcar_overlay_rate=0.25, seed=23,
-        )
+        spec = MissingSpec(Mechanism.MNAR, rate=0.3, seed=23)
         mar_mask = simulate(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=23))
         mnar_mask = simulate(truth, spec)
         input_cols = np.where(mar_mask.min(axis=0) == 1.0)[0]
         assert input_cols.size == 3
         overlay_missing = 1.0 - mnar_mask[:, input_cols].mean()
-        assert abs(overlay_missing - 0.25) <= 0.02
+        assert abs(overlay_missing - 0.3) <= 0.02
 
     def test_maskable_columns_keep_mar_rate(self):
         truth = make_truth(n=40_000, d=10, seed=10)
@@ -172,7 +163,7 @@ class TestMnar:
 
     def test_overlay_touches_only_input_columns(self):
         truth = make_truth(n=3000, d=10, seed=11)
-        spec = MissingSpec(Mechanism.MNAR, rate=0.3, mcar_overlay_rate=0.4, seed=31)
+        spec = MissingSpec(Mechanism.MNAR, rate=0.3, seed=31)
         mar_mask = simulate(truth, MissingSpec(Mechanism.MAR, rate=0.3, seed=31))
         mnar_mask = simulate(truth, spec)
         maskable = mar_mask.min(axis=0) < 1.0
@@ -193,7 +184,7 @@ class TestDispatchAndGuard:
         # Small n and high rate make fully missing columns likely without
         # the redraw guard.
         truth = make_truth(n=6, d=5, seed=13)
-        spec = MissingSpec(mechanism, rate=0.85, observed_fraction=0.2, seed=1)
+        spec = MissingSpec(mechanism, rate=0.85, seed=1)
         mask = simulate(truth, spec)
         assert mask.sum(axis=0).min() >= 1.0
 
@@ -206,7 +197,5 @@ class TestDispatchAndGuard:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MissingSpec(Mechanism.MCAR, rate=1.2)
-        with pytest.raises(ValueError):
-            MissingSpec(Mechanism.MAR, rate=0.3, observed_fraction=0.0)
-        with pytest.raises(ValueError):
-            MissingSpec(Mechanism.MNAR, rate=0.3, mcar_overlay_rate=2.0)
+        # The recipe's column share and overlay rate are fixed, not settings.
+        assert [f.name for f in fields(MissingSpec)] == ["mechanism", "rate", "seed"]

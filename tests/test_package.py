@@ -107,6 +107,61 @@ def test_lane_walker_sees_every_form(tmp_path):
     ]
 
 
+def environment_reads(path):
+    """(line, name) of each place the module at path reads os.environ or
+    os.getenv: imported from os, or read off os or an alias of it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    os_aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                (node.lineno, f"os.{alias.name}")
+                for alias in node.names
+                if alias.name in ("environ", "getenv")
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_aliases
+            and node.attr in ("environ", "getenv")
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_reads_the_environment():
+    # A setting read from an environment variable escapes both argparse and
+    # --config; settings are flags, config keys or arguments.
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := environment_reads(path))
+    }
+    assert found == {}
+
+
+def test_environment_walker_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "import os as o\n"
+        "from os import environ, getenv, path\n"
+        "a = os.environ.get('A')\n"
+        "b = o.getenv('B') or os.cpu_count()\n",
+        encoding="utf-8",
+    )
+    assert environment_reads(probe) == [
+        (3, "os.environ"), (3, "os.getenv"), (4, "os.environ"), (5, "o.getenv"),
+    ]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in knewimp.__all__ if not hasattr(knewimp, name)]
     assert missing == []

@@ -43,6 +43,13 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=r"data\.csv: cell at row 2, column 1 is not finite"):
             load_csv(path, has_header=True)
 
+    def test_header_width_mismatch_names_file(self, tmp_path):
+        path = write(tmp_path, "a,b,c\n1,2,3,4\n")
+        with pytest.raises(
+            CsvFormatError, match=r"data\.csv: header has 3 cells, data rows have 4"
+        ):
+            load_csv(path, has_header=True)
+
     def test_nan_tokens_accepted(self, tmp_path):
         ds = load_csv(write(tmp_path, "NaN,nan\n1,2\n"))
         assert ds.mask[0].tolist() == [0.0, 0.0]
