@@ -184,7 +184,7 @@ def _build_configs(args: argparse.Namespace) -> dict:
 
 
 def _missing_spec(args: argparse.Namespace, seed: int) -> MissingSpec:
-    return MissingSpec(Mechanism(args.mechanism), args.rate, seed)
+    return MissingSpec(args.mechanism, args.rate, seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

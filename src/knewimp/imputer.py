@@ -191,15 +191,17 @@ def knewimp(
     Each round trains the score model on the current imputed matrix (warm
     starting from the previous round's parameters) and then advances the
     particles along the flow. The master seed drives initialization, the
-    network draw, and every round's training noise through independent
-    child streams. initial_net, when given, replaces the fresh seeded
-    network (checkpoint warm start). hidden is the network's hidden width:
-    None means 256 for a fresh network and initial_net's width for a warm
-    start, and a width initial_net does not have is a ValueError naming
-    both. A dataset without a missing cell is rejected before any
+    network draw, and every round's training batches and noise through
+    independent child streams. initial_net, when given, replaces the fresh
+    seeded network (checkpoint warm start). hidden is the network's hidden
+    width: None means 256 for a fresh network and initial_net's width for a
+    warm start, and a width initial_net does not have is a ValueError
+    naming both. A dataset without a missing cell is rejected before any
     training. ds.truth is never read. A diverging round re-raises its
-    error with "round r of R" added to the message.
+    error with "round r of R" added to the message. seed must be an
+    integer >= 0; anything else is a ValueError before any work.
     """
+    check_count("seed", seed, least=0)
     if not np.any(ds.mask == 0.0):
         raise ValueError("dataset has no missing cells; nothing to impute")
     seeds = np.random.SeedSequence(seed).spawn(wcfg.num_loops + 2)

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .score import sigmoid
+from .score import check_count, sigmoid
 
 MAX_MASK_ATTEMPTS = 100
 
@@ -35,9 +35,10 @@ class Mechanism(str, Enum):
 class MissingSpec:
     """Mechanism, missing rate and seed of a simulated mask.
 
-    rate: missing fraction over maskable cells, open interval (0, 1). Under
-    MNAR it is also the MCAR rate at which the logistic model's input
-    columns are hidden.
+    mechanism: a Mechanism or its value ("mcar", "mar", "mnar"), kept as
+    the Mechanism. rate: missing fraction over maskable cells, open
+    interval (0, 1). Under MNAR it is also the MCAR rate at which the
+    logistic model's input columns are hidden. seed: an integer >= 0.
     """
 
     mechanism: Mechanism
@@ -45,8 +46,16 @@ class MissingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
+        except ValueError:
+            names = ", ".join(m.value for m in Mechanism)
+            raise ValueError(
+                f"mechanism must be one of {names}, got {self.mechanism!r}"
+            ) from None
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
+        check_count("seed", self.seed, least=0)
 
 
 def calibrate_bias(logits: np.ndarray, target_rate: float) -> float:

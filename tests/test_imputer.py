@@ -10,6 +10,7 @@ import pytest
 
 import knewimp.imputer as imputer_mod
 import knewimp.kernel as kernel_mod
+import knewimp.score as score_mod
 from knewimp.imputer import (
     ImputationResult,
     WgfConfig,
@@ -224,12 +225,13 @@ def test_conditional_mean_oracle_closed_form():
     assert np.allclose(gaussian_conditional_mean(x, mask, cov), expect, rtol=0, atol=1e-15)
 
 
-def test_median_bandwidth_near_the_bayes_floor():
-    # 1000 x 11 Gaussian AR(1) rows (correlation 0.7^|i-j|) under MCAR 0.3,
-    # at the default config with the per-round median bandwidth. The gate is
-    # a ratio to the conditional mean under the true covariance, the best
-    # any imputer can do in expectation. The data and mask seeds are drawn
-    # apart from knewimp's, so its starting jitter is not the data's noise.
+def bayes_floor_ratio():
+    """MAE over the Bayes floor on 1000 x 11 Gaussian AR(1) rows
+    (correlation 0.7^|i-j|) under MCAR 0.3, at the default config with the
+    per-round median bandwidth. The floor is the conditional mean under the
+    true covariance, the best any imputer can do in expectation. The data
+    and mask seeds are drawn apart from knewimp's, so its starting jitter
+    is not the data's noise."""
     n, d, rho = 1000, 11, 0.7
     cov = rho ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
     truth = np.random.default_rng(2024).standard_normal((n, d)) @ np.linalg.cholesky(cov).T
@@ -237,7 +239,19 @@ def test_median_bandwidth_near_the_bayes_floor():
     floor = mae(truth, gaussian_conditional_mean(truth, mask, cov), mask)
     kcfg = KernelConfig(use_median_heuristic=True)
     result = knewimp(from_complete(truth, mask), DsmConfig(), kcfg, WgfConfig(), seed=0)
-    ratio = mae(truth, result.imputed, mask) / floor
+    return mae(truth, result.imputed, mask) / floor
+
+
+def test_median_bandwidth_near_the_bayes_floor():
+    # 1000 rows train full-batch at the default _BATCH_ROWS.
+    ratio = bayes_floor_ratio()
+    assert ratio <= 1.2, f"MAE is {ratio:.3f} x the Bayes floor"
+
+
+def test_minibatch_training_near_the_bayes_floor(monkeypatch):
+    # The same table trained on minibatches of 256 rows, under the same gate.
+    monkeypatch.setattr(score_mod, "_BATCH_ROWS", 256)
+    ratio = bayes_floor_ratio()
     assert ratio <= 1.2, f"MAE is {ratio:.3f} x the Bayes floor"
 
 
@@ -650,6 +664,24 @@ def test_numpy_integer_counts_accepted():
     assert DsmConfig(epochs=three).epochs == 3
     assert WgfConfig(num_steps=three, num_loops=three).num_loops == 3
     assert init_network(2, three, seed=0).layer_dims == [2, 3, 3, 2]
+
+
+class TestSeed:
+    def setup_method(self):
+        rng = np.random.default_rng(20)
+        truth = rng.standard_normal((12, 2))
+        self.ds = from_complete(truth, (rng.random((12, 2)) > 0.3).astype(float))
+        self.cfgs = (DsmConfig(epochs=1), KCFG, WgfConfig(num_steps=1, num_loops=1))
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, -1], ids=["fraction", "whole-float", "bool", "negative"])
+    def test_bad_seed_refused_before_any_work(self, monkeypatch, bad):
+        monkeypatch.setattr(imputer_mod, "initialize_missing", None)  # never reached
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            knewimp(self.ds, *self.cfgs, seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        got = knewimp(self.ds, *self.cfgs, hidden=4, seed=np.int64(3)).imputed
+        assert np.array_equal(got, knewimp(self.ds, *self.cfgs, hidden=4, seed=3).imputed)
 
 
 class TestHiddenWidth:

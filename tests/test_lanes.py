@@ -121,17 +121,22 @@ class TestRun:
 
 def lane_workload():
     """train(), forward() and gram_matmul() at shapes that deal work to both
-    lanes: 700 rows are three chunks of 256, 300 rows three tiles of 128."""
+    lanes: 700 rows are three chunks of 256, 300 rows three tiles of 128.
+    train() runs full-batch on the 700 rows, and on minibatches of
+    _BATCH_ROWS drawn from 1500 rows."""
     rng = np.random.default_rng(64)
     x = rng.standard_normal((700, 5))
     net = init_network(5, 32, seed=1)
     trained, history = train(net, x, DsmConfig(epochs=3), seed=2)
+    batched, batched_history = train(net, rng.standard_normal((1500, 5)),
+                                     DsmConfig(epochs=3), seed=3)
     xg, rhs = rng.standard_normal((300, 5)), rng.standard_normal((300, 10))
-    return trained.parameters(), history, forward(net, x), gram_matmul(xg, rhs, 1.3)
+    return (trained.parameters() + batched.parameters(), history + batched_history,
+            forward(net, x), gram_matmul(xg, rhs, 1.3))
 
 
 def test_concurrent_and_serial_lanes_are_bit_identical(monkeypatch):
-    assert 700 > 2 * score_mod._CHUNK_ROWS
+    assert 1500 > score_mod._BATCH_ROWS > 700 > 2 * score_mod._CHUNK_ROWS
     concurrent = lane_workload()
     monkeypatch.setattr(lanes, "run", serial_run)
     serial = lane_workload()

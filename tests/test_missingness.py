@@ -199,3 +199,26 @@ class TestDispatchAndGuard:
             MissingSpec(Mechanism.MCAR, rate=1.2)
         # The recipe's column share and overlay rate are fixed, not settings.
         assert [f.name for f in fields(MissingSpec)] == ["mechanism", "rate", "seed"]
+
+    def test_mechanism_value_draws_its_mechanism(self):
+        # "mcar" once drew the MAR mask bit for bit.
+        truth = make_truth(n=200, d=6, seed=12)
+        for mech in Mechanism:
+            spec = MissingSpec(mech.value, rate=0.3, seed=3)
+            assert spec.mechanism is mech
+            assert np.array_equal(simulate(truth, spec), simulate(truth, MissingSpec(mech, 0.3, seed=3)))
+
+    @pytest.mark.parametrize("bad", ["mcra", "MCAR", None])
+    def test_unknown_mechanism_names_the_field(self, bad):
+        with pytest.raises(ValueError, match="mechanism must be one of mcar, mar, mnar"):
+            MissingSpec(bad, rate=0.3)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, -1], ids=["fraction", "whole-float", "bool", "negative"])
+    def test_bad_seed_names_the_field(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            MissingSpec(Mechanism.MCAR, rate=0.3, seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = MissingSpec(Mechanism.MAR, rate=0.3, seed=np.int64(4))
+        truth = make_truth(n=50, d=4, seed=14)
+        assert np.array_equal(simulate(truth, spec), simulate(truth, MissingSpec(Mechanism.MAR, 0.3, seed=4)))

@@ -484,11 +484,85 @@ class TestChunking:
         assert str(info.value) == "training diverged at epoch 0"
 
 
+class TestMinibatch:
+    """Each epoch is one Adam step on min(N, score._BATCH_ROWS) rows. Past
+    _BATCH_ROWS the rows are drawn without replacement from the training
+    seed's stream, before that epoch's noise; up to it no index is drawn
+    and every epoch trains on all rows, as a full-batch loop does."""
+
+    B = 16
+
+    @pytest.fixture(autouse=True)
+    def small_batch(self, monkeypatch):
+        monkeypatch.setattr(score_mod, "_BATCH_ROWS", self.B)
+
+    @staticmethod
+    def literal_loop(net, x, cfg, seed, batch_rows):
+        """dsm_loss_and_grad and Adam, one epoch at a time; batch_rows None
+        trains on every row."""
+        ref = net.copy()
+        params = ref.parameters()
+        opt = Adam(params, cfg.lr)
+        rng = np.random.default_rng(seed)
+        history = []
+        for _ in range(cfg.epochs):
+            batch = x
+            if batch_rows is not None:
+                batch = x[rng.choice(x.shape[0], size=batch_rows, replace=False)]
+            noise = cfg.sigma * rng.standard_normal(batch.shape)
+            loss, g_w, g_b = dsm_loss_and_grad(ref, batch, noise, cfg.sigma)
+            history.append(loss)
+            opt.step(params, g_w + g_b)
+        return ref, history
+
+    @pytest.mark.parametrize("n, batch_rows", [(10, None), (16, None), (40, 16)])
+    def test_matches_literal_loop(self, n, batch_rows):
+        rng = np.random.default_rng(55)
+        x = rng.standard_normal((n, 3))
+        net = random_network(rng, 3, 16)
+        cfg = DsmConfig(epochs=6)
+        trained, history = train(net, x, cfg, seed=13)
+        ref, ref_history = self.literal_loop(net, x, cfg, 13, batch_rows)
+        assert history == ref_history
+        for p, r in zip(trained.parameters(), ref.parameters()):
+            assert np.array_equal(p, r)
+
+    def test_each_epoch_sees_batch_rows_distinct_rows(self, monkeypatch):
+        # Recorded through the module attribute, which the benchmark's
+        # score.epoch probe wraps: one call per epoch, with buffers.
+        x = np.random.default_rng(56).standard_normal((50, 3))
+        row_of = {row.tobytes(): i for i, row in enumerate(x)}
+        real = score_mod.dsm_loss_and_grad
+        seen = []
+
+        def recording(net, x_clean, noise, sigma, buffers=None):
+            assert buffers is not None
+            seen.append([row_of[row.tobytes()] for row in x_clean])
+            return real(net, x_clean, noise, sigma, buffers=buffers)
+
+        monkeypatch.setattr(score_mod, "dsm_loss_and_grad", recording)
+        train(init_network(3, 8, seed=0), x, DsmConfig(epochs=20), seed=1)
+        assert len(seen) == 20
+        assert all(len(set(rows)) == len(rows) == self.B for rows in seen)
+        # Each epoch draws afresh, so the batches do not repeat one subset.
+        assert len(set().union(*seen)) > self.B
+
+    def test_deterministic_per_seed(self):
+        x = np.random.default_rng(57).standard_normal((45, 3))
+        net = init_network(3, 8, seed=1)
+        cfg = DsmConfig(epochs=8)
+        (a_net, a_hist), (b_net, b_hist) = (train(net, x, cfg, seed=9) for _ in range(2))
+        assert a_hist == b_hist
+        assert all(np.array_equal(p, q) for p, q in zip(a_net.parameters(), b_net.parameters()))
+        assert train(net, x, cfg, seed=10)[1] != a_hist
+
+
 class TestMemory:
     """Hidden-layer memory is bounded by the chunk height, not by N: at
     5000 rows and 256 hidden units one N x H float64 array alone is 10 MB.
     The bounds count buffers per lane at the module's constants; 5000 rows
-    make 20 chunks, so both lanes run."""
+    make 20 chunks for forward(), and a training batch of _BATCH_ROWS rows
+    makes 4, so both lanes run."""
 
     N, D, H = 5000, 8, 256
 
@@ -507,22 +581,36 @@ class TestMemory:
         self.params = sum(p.size for p in self.net.parameters())
         self.chunk = score_mod._CHUNK_ROWS
         self.chunk_h = self.chunk * self.H
-        assert self.N > (LANES + 1) * self.chunk
+        self.batch = score_mod._BATCH_ROWS
+        assert self.N > self.batch > (LANES + 1) * self.chunk
 
     def test_train_peak(self):
         # Per lane: six chunk-high (rows, H) buffers serve the forward and
         # the backward pass, beside the lane's noised input, target and
         # output chunks and two parameter-sized sets (its gradient sum and
-        # a later chunk's gradients). Shared: the (N, D) noise and five
+        # a later chunk's gradients). Shared: the (B, D) gathered batch and
+        # noise, the index draw (at most one int64 per row) and five
         # parameter-sized sets (the network copy, Adam's m, v and two
         # scratch arrays). Half a chunk-high buffer covers the small
         # temporaries, so a seventh buffer in either lane fails.
         cfg = DsmConfig(epochs=2)
         peak = self.peak_bytes(lambda: train(self.net, self.x, cfg, seed=0))
         per_lane = 6 * self.chunk_h + 3 * self.chunk * self.D + 2 * self.params
-        shared = self.N * self.D + 5 * self.params
+        shared = 2 * self.batch * self.D + self.N + 5 * self.params
         bound = 8 * (LANES * per_lane + shared) + 8 * self.chunk_h // 2
         assert peak <= bound, (peak, bound)
+
+    def test_train_peak_grows_by_the_index_draw_alone(self):
+        # From 5000 to 20 000 rows the peak may grow by one int64 per row
+        # for the index draw and one bool per cell for the finiteness
+        # check: 16 bytes a row at D = 8. An (N, D) float64 array would add
+        # 64 bytes a row, an (N, H) one 2048.
+        cfg = DsmConfig(epochs=2)
+        big = np.random.default_rng(91).standard_normal((4 * self.N, self.D))
+        small_peak = self.peak_bytes(lambda: train(self.net, self.x, cfg, seed=0))
+        big_peak = self.peak_bytes(lambda: train(self.net, big, cfg, seed=0))
+        growth = big_peak - small_peak
+        assert growth <= (8 + self.D) * 3 * self.N, growth
 
     def test_forward_peak(self):
         # Three chunk-high hidden buffers per lane and the (N, D) output.
