@@ -256,6 +256,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _experiment_seed(truth_ds, args, model, seed):
     spec = _missing_spec(args, seed)
     mask = simulate(truth_ds.values, spec)
+    # The W2 evaluation of the incomplete rows must fit before any training.
+    metrics_mod.check_w2_memory(int((mask == 0.0).any(axis=1).sum()))
     ds = from_complete(truth_ds.values, mask, truth_ds.column_names)
     ds_std, _ = standardize(ds)
     result = knewimp(ds_std, **model, seed=seed)

@@ -7,13 +7,16 @@ carrying uniform weights. For equal-size uniform measures its exact value
 is a minimum-cost assignment, which wasserstein2 solves at every size: the
 m x m cost matrix takes O(m^2) memory and the solver cubic time in the
 worst case. A cost matrix larger than the machine's physical memory is
-refused with MemoryError before it is allocated.
+refused with MemoryError before it is allocated (check_w2_memory), and only
+one is built and solved at a time, whatever the number of threads: at
+m = 4800 one is 184 MB.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,10 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .tabular import TabularDataset
+
+# Held while a cost matrix exists, so that experiment's seed pool never
+# holds two at once.
+_W2_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -56,25 +63,32 @@ def mae(truth: np.ndarray, imputed: np.ndarray, mask: np.ndarray) -> float:
     return float(np.abs(truth[missing] - imputed[missing]).mean())
 
 
-def wasserstein2(truth_rows: np.ndarray, imputed_rows: np.ndarray) -> float:
-    """Squared 2-Wasserstein distance between two equal-size uniform clouds,
-    solved exactly as the underlying assignment problem."""
-    a = np.asarray(truth_rows, dtype=np.float64)
-    b = np.asarray(imputed_rows, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"cloud shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValueError(f"clouds must be non-empty 2-D arrays, got {a.shape}")
-    m = a.shape[0]
+def check_w2_memory(m: int) -> None:
+    """MemoryError naming m unless the m x m float64 cost matrix of an exact
+    W2 over m rows fits in the machine's physical memory."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if 8 * m * m > memory:
         raise MemoryError(
             f"exact W2 over {m} rows needs a {m} x {m} cost matrix of "
             f"{8 * m * m} bytes; this machine has {memory} bytes of memory"
         )
-    cost = cdist(a, b, "sqeuclidean")
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+
+
+def wasserstein2(truth_rows: np.ndarray, imputed_rows: np.ndarray) -> float:
+    """Squared 2-Wasserstein distance between two equal-size uniform clouds,
+    solved exactly as the underlying assignment problem. Calls on several
+    threads build and solve their cost matrices one at a time."""
+    a = np.asarray(truth_rows, dtype=np.float64)
+    b = np.asarray(imputed_rows, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"cloud shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise ValueError(f"clouds must be non-empty 2-D arrays, got {a.shape}")
+    check_w2_memory(a.shape[0])
+    with _W2_LOCK:
+        cost = cdist(a, b, "sqeuclidean")
+        rows, cols = linear_sum_assignment(cost)
+        return float(cost[rows, cols].mean())
 
 
 def evaluate(ds: TabularDataset, imputed: np.ndarray) -> MetricReport:

@@ -19,10 +19,13 @@ of the plain expressions, so hidden-layer memory is O(2 * _CHUNK_ROWS * H)
 whatever N is. Up to _CHUNK_ROWS rows there is one chunk and results are
 bit-identical to the plain expressions; past it they agree to round-off.
 train() allocates one set of batch-sized buffers per call and reuses it
-every epoch: per lane, six chunk-high (rows, H) buffers hold the forward
-activations, and the backward pass writes each of its values into one of
-them that is dead by then. Buffers never outlive the call that made them,
-so concurrent calls share nothing.
+every epoch: per lane, five chunk-high (rows, H) buffers hold the forward
+activations (the two Swish outputs share one, and the backward pass
+recomputes the first from z1 and s1), and the backward pass writes each of
+its values into one of them that is dead by then. Adam steps each
+parameter in flat blocks of at most _ADAM_BLOCK elements through one pair
+of block-sized scratch arrays. Buffers never outlive the call that made
+them, so concurrent calls share nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +51,12 @@ _CHUNK_ROWS = 256
 # at 1024 rows. 512 rows saved about 2 s more per seed, but 1024 keeps
 # every table of up to 1024 rows full-batch and bit-identical.
 _BATCH_ROWS = 1024
+
+# Elements per Adam block: the scratch pair is at most this long, whatever
+# the parameter sizes. One step at D = 11, H = 256 (2-core VM, numpy 2.4,
+# medians in 3 processes each) took 613-661 us in blocks of 32768, 689-774
+# us in blocks of 8192 and 614-711 us with two scratch arrays per parameter.
+_ADAM_BLOCK = 32768
 
 
 class TrainingDivergence(RuntimeError):
@@ -108,9 +117,10 @@ class ScoreNetwork:
 
 def init_network(d: int, hidden: int, seed: int) -> ScoreNetwork:
     """Uniform fan-in initialization U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
-    zero biases."""
+    zero biases. seed must be an integer >= 0."""
     check_count("d", d)
     check_count("hidden", hidden)
+    check_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     dims = [d, hidden, hidden, d]
     weights, biases = [], []
@@ -152,7 +162,8 @@ def _forward(
     Each value is formed in the same operation order as x @ W + b and
     z * sigmoid(z), so the result is bit-identical to the allocating form.
     Buffers may alias where a value is dead before the next is written:
-    forward() passes z1 is a1, s1 is s2 and z2 is a2.
+    forward() passes z1 is a1, s1 is s2 and z2 is a2, and _dsm_chunk passes
+    a1 is a2, since a1 is dead once z2 is formed.
     """
     z1, s1, a1, z2, s2, a2 = act
     w, b = net.weights, net.biases
@@ -207,15 +218,16 @@ def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
 
 
 class _LaneBuffers:
-    """The reused arrays of one lane of a DSM evaluation: the six (rows, H)
-    activations, which _dsm_chunk's backward pass reuses for its own
-    values, and the gradients. One gradient set holds the lane's sum; a
-    lane of more than one chunk has a second that holds each later chunk's
-    gradients before they are added in."""
+    """The reused arrays of one lane of a DSM evaluation: five (rows, H)
+    activations z1, s1, a, z2, s2, where a holds a1 and then a2, which
+    _dsm_chunk's backward pass reuses for its own values, and the
+    gradients. One gradient set holds the lane's sum; a lane of more than
+    one chunk has a second that holds each later chunk's gradients before
+    they are added in."""
 
     def __init__(self, net: ScoreNetwork, rows: int, chunks: int) -> None:
         h = net.weights[0].shape[1]
-        self.act = tuple(np.empty((rows, h)) for _ in range(6))
+        self.act = tuple(np.empty((rows, h)) for _ in range(5))
         self.g_w, self.g_b = _gradient_set(net)
         self.scratch = _gradient_set(net) if chunks > 1 else None
 
@@ -259,36 +271,38 @@ def _dsm_chunk(
     the gradients (residuals divided by the full batch size n) into g_w and
     g_b. A non-finite sum is returned before the backward pass runs.
     """
-    act = tuple(a[: x_clean.shape[0]] for a in buf.act)
-    z1, s1, a1, z2, s2, a2 = act
+    z1, s1, a, z2, s2 = (b[: x_clean.shape[0]] for b in buf.act)
     x_noised = x_clean + noise
     target = np.negative(noise)
     target /= sigma * sigma
     # Overflow here is the divergence signal itself; it is detected on the
     # squared sum, so the transient warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = _forward(net, x_noised, act)
+        resid = _forward(net, x_noised, (z1, s1, a, z2, s2, a))
         resid -= target
         sq = float(np.multiply(resid, resid, out=target).sum())
     if not np.isfinite(sq):
         return sq
 
-    # Every backward value goes into an activation buffer that is dead by
-    # then: swish'(z2) into a2 once g_w[2] has read it, d_z2 into z2 and
-    # d_z1 into s2 once swish'(z2) has read both, swish'(z1) into a1 once
-    # g_w[1] has read it.
+    # a holds a2 now. Every backward value goes into an activation buffer
+    # that is dead by then: swish'(z2) into a once g_w[2] has read a2,
+    # d_z2 into z2 and d_z1 into s2 once swish'(z2) has read both, and
+    # swish'(z1) into a once g_w[1] has read a1. a1 = z1 * s1 is formed
+    # again in a, by the forward pass's multiply, so it is bit-identical; a
+    # sixth (rows, H) buffer per lane would only hold it for this read.
     w = net.weights
     d_out = np.divide(resid, n, out=resid)
-    np.matmul(a2.T, d_out, out=g_w[2])
+    np.matmul(a.T, d_out, out=g_w[2])
     np.sum(d_out, axis=0, out=g_b[2])
-    _swish_grad(z2, s2, out=a2)
+    _swish_grad(z2, s2, out=a)
     d_z2 = np.matmul(d_out, w[2].T, out=z2)
-    d_z2 *= a2
-    np.matmul(a1.T, d_z2, out=g_w[1])
+    d_z2 *= a
+    np.multiply(z1, s1, out=a)
+    np.matmul(a.T, d_z2, out=g_w[1])
     np.sum(d_z2, axis=0, out=g_b[1])
-    _swish_grad(z1, s1, out=a1)
+    _swish_grad(z1, s1, out=a)
     d_z1 = np.matmul(d_z2, w[1].T, out=s2)
-    d_z1 *= a1
+    d_z1 *= a
     np.matmul(x_noised.T, d_z1, out=g_w[0])
     np.sum(d_z1, axis=0, out=g_b[0])
     return sq
@@ -362,40 +376,57 @@ def dsm_loss_and_grad(
 
 
 class Adam:
-    """Adam with bias correction over a fixed list of parameter arrays.
+    """Adam with bias correction over a fixed list of C-contiguous parameter
+    arrays.
 
-    Each step runs in place in two scratch arrays per parameter, allocated
-    here, in the same operation order as the textbook update.
+    Each step runs in place over each parameter in flat blocks of at most
+    _ADAM_BLOCK elements, through one pair of scratch arrays of the largest
+    block's length, allocated here. Every element goes through the same
+    operations in the same order as the textbook update, so the blocks
+    change no bit; they only keep the scratch from growing with the
+    parameters.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: Sequence[np.ndarray], lr: float) -> None:
+        if not all(p.flags.c_contiguous for p in params):
+            raise ValueError("Adam needs C-contiguous parameter arrays")
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        size = min(_ADAM_BLOCK, max((p.size for p in params), default=0))
+        self._scratch = np.empty(size), np.empty(size)
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
-            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
-            v += np.multiply(a, g, out=a)
-            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p -= a
+        for flats in zip(params, grads, self.m, self.v):
+            p, g, m, v = (np.ravel(f) for f in flats)
+            for start in range(0, p.size, _ADAM_BLOCK):
+                block = slice(start, start + _ADAM_BLOCK)
+                self._update(p[block], g[block], m[block], v[block], c1, c2)
+
+    def _update(
+        self, p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, c1: float, c2: float
+    ) -> None:
+        a, b = (s[: p.size] for s in self._scratch)
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
 
 def train(
@@ -407,18 +438,19 @@ def train(
     """Minibatch DSM training with fresh noise each epoch.
 
     Returns an updated copy of the network and the per-epoch loss history;
-    the input network is left untouched. seed drives every draw, so the
-    result is deterministic per (net, x, cfg, seed). Each epoch takes one
-    Adam step on a batch of B = min(N, _BATCH_ROWS) rows: past _BATCH_ROWS
-    it first draws B distinct row indices from the seed's stream and
-    gathers those rows, then draws the (B, D) noise; a table of at most
-    _BATCH_ROWS rows draws only the noise and trains on all its rows. The
-    gradient runs in chunks of _CHUNK_ROWS on two lanes (see
-    dsm_loss_and_grad). The batch, the noise, the lanes' chunk-high
-    activations and the gradients live in buffers allocated once per call
-    and reused every epoch, so memory is O(B (D + H)) beside the O(N) index
-    draw, whatever N is.
+    the input network is left untouched. seed, an integer >= 0, drives
+    every draw, so the result is deterministic per (net, x, cfg, seed).
+    Each epoch takes one Adam step on a batch of B = min(N, _BATCH_ROWS)
+    rows: past _BATCH_ROWS it first draws B distinct row indices from the
+    seed's stream and gathers those rows, then draws the (B, D) noise; a
+    table of at most _BATCH_ROWS rows draws only the noise and trains on
+    all its rows. The gradient runs in chunks of _CHUNK_ROWS on two lanes
+    (see dsm_loss_and_grad). The batch, the noise, the lanes' chunk-high
+    activations, the gradients and Adam's state live in buffers allocated
+    once per call and reused every epoch, so memory is O(B (D + H)) beside
+    the O(N) index draw and the parameter-sized sets, whatever N is.
     """
+    check_count("seed", seed, least=0)
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("training data contains non-finite values")

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .score import check_count
 
 STD_FLOOR = 1e-12
 
@@ -153,39 +156,48 @@ def _read_cells(
 ) -> tuple[Optional[list[str]], np.ndarray]:
     """(header names or None, matrix of parse(cell.strip()) over the data rows).
 
-    Rows and columns are 1-indexed in error messages, rows counted after the
-    header; every error names the file.
+    Each row is parsed as csv.reader yields it and appended to one flat
+    float64 buffer, so no list of the file's cell strings is ever held: the
+    peak is the buffer and its one copy into the result. The checks run in
+    file order and the first failure is raised: an empty file, a header
+    whose width differs from the first data row's, a row of another width,
+    a bad cell, and at the end a file without data rows. Rows and columns
+    are 1-indexed in error messages, rows counted after the header; every
+    error names the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
     names: Optional[list[str]] = None
-    if has_header:
-        if not rows:
-            raise CsvFormatError(f"{path}: empty file")
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    width = len(rows[0])
-    if names is not None and len(names) != width:
-        raise CsvFormatError(
-            f"{path}: header has {len(names)} cells, data rows have {width}"
-        )
-    data = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise CsvFormatError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            try:
-                data[i, j] = parse(text)
-            except CsvFormatError as exc:
+    n_rows = width = 0
+    flat = array("d")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if has_header:
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file")
+            names = [c.strip() for c in header]
+        for i, row in enumerate(reader):
+            n_rows += 1
+            if i == 0:
+                width = len(row)
+                if names is not None and len(names) != width:
+                    raise CsvFormatError(
+                        f"{path}: header has {len(names)} cells, data rows have {width}"
+                    )
+            elif len(row) != width:
                 raise CsvFormatError(
-                    f"{path}: cell at row {i + 1}, column {j + 1} {exc}: {text!r}"
-                ) from None
-    return names, data
+                    f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
+                )
+            for j, cell in enumerate(row):
+                text = cell.strip()
+                try:
+                    flat.append(parse(text))
+                except CsvFormatError as exc:
+                    raise CsvFormatError(
+                        f"{path}: cell at row {i + 1}, column {j + 1} {exc}: {text!r}"
+                    ) from None
+    if not n_rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return names, np.array(flat, dtype=np.float64).reshape(n_rows, width)
 
 
 def load_csv(path: str, has_header: bool = False) -> TabularDataset:
@@ -266,8 +278,9 @@ def initialize_missing(ds: TabularDataset, seed: int) -> np.ndarray:
 
     The jitter keeps initial particles distinct so kernel interactions are
     non-degenerate; on standardized data it is a tenth of a column's spread.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, which must be an integer >= 0.
     """
+    check_count("seed", seed, least=0)
     means = observed_column_means(ds)
     rng = np.random.default_rng(seed)
     noise = 0.1 * rng.standard_normal(ds.values.shape)

@@ -8,6 +8,7 @@ import pytest
 from knewimp.cli import _build_configs, _check_config, build_parser, main
 from knewimp.imputer import WgfConfig, knewimp
 from knewimp.kernel import KernelConfig
+from knewimp.missingness import MissingSpec, simulate
 from knewimp.score import DsmConfig, init_network, save_network
 from knewimp.tabular import load_csv, load_mask_csv, write_csv
 from test_lanes import blas_threads  # noqa: F401  (fixture)
@@ -430,6 +431,25 @@ class TestExperiment:
         assert code == 0
         assert seen == [[1] * n, [1] * n]
         assert blas_threads() == [2] * n
+
+    def test_w2_larger_than_memory_fails_before_training(
+        self, tmp_path, complete_csv, capsys, monkeypatch
+    ):
+        # One 4096-byte page holds a cost matrix of 22 rows at most, and the
+        # seed's mask leaves more of the 80 rows incomplete.
+        mask = simulate(load_csv(complete_csv, has_header=True).values,
+                        MissingSpec("mcar", 0.3, 4))
+        incomplete = int((mask == 0.0).any(axis=1).sum())
+        assert incomplete > 22
+        called = []
+        monkeypatch.setattr("knewimp.cli.knewimp", lambda *a, **k: called.append(1))
+        memory = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        code, out = self.run(tmp_path, complete_csv, "4", "too_large")
+        assert code == 2
+        assert f"exact W2 over {incomplete} rows" in capsys.readouterr().err
+        assert not called
+        assert not (out / "summary.json").exists()
 
 
 class TestRetiredBenchmark:

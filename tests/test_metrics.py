@@ -1,10 +1,13 @@
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from knewimp import metrics as metrics_mod
 from knewimp.metrics import MetricReport, evaluate, mae, wasserstein2
 from knewimp.tabular import from_complete
 from oracles import wasserstein2_bruteforce
@@ -121,6 +124,39 @@ class TestExact:
         with pytest.raises(MemoryError, match=r"72 rows .* 41472 bytes"):
             wasserstein2(a, a)
         assert wasserstein2(a[:71], a[:71]) == 0.0
+
+    def test_one_cost_matrix_at_a_time(self, monkeypatch):
+        # Four threads evaluate at once; each solve waits a little, so
+        # without the module's lock two solves would overlap.
+        in_flight, most = [0], [0]
+        count = threading.Lock()
+
+        def slow_solve(cost):
+            with count:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+            time.sleep(0.02)
+            with count:
+                in_flight[0] -= 1
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(metrics_mod, "linear_sum_assignment", slow_solve)
+        rng = np.random.default_rng(8)
+        clouds = [rng.standard_normal((2, 20, 3)) for _ in range(4)]
+        results = [None] * len(clouds)
+
+        def run(k):
+            results[k] = wasserstein2(*clouds[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(clouds))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert most[0] == 1
+        monkeypatch.undo()
+        assert results == [wasserstein2(*c) for c in clouds]
 
 
 class TestEvaluate:

@@ -68,6 +68,11 @@ class TestSigmoid:
         assert np.array_equal(z, expected)
 
 
+BAD_SEEDS = pytest.mark.parametrize(
+    "bad", [2.5, 3.0, True, -1], ids=["fraction", "whole-float", "bool", "negative"]
+)
+
+
 class TestInit:
     def test_layer_shapes(self):
         net = init_network(3, 8, seed=0)
@@ -93,6 +98,15 @@ class TestInit:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             init_network(0, 8, seed=0)
+
+    @BAD_SEEDS
+    def test_bad_seed_names_the_field(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            init_network(3, 8, seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        a, b = init_network(3, 8, seed=np.uint32(7)), init_network(3, 8, seed=7)
+        assert all(np.array_equal(p, q) for p, q in zip(a.parameters(), b.parameters()))
 
 
 class TestForward:
@@ -196,6 +210,11 @@ class TestAdam:
             opt.step(p, [2.0 * p[0]])
         assert abs(p[0][0]) < 0.1
 
+    def test_non_contiguous_parameter_refused(self):
+        # Adam steps flat views; a strided parameter would only be copied.
+        with pytest.raises(ValueError, match="C-contiguous"):
+            Adam([np.ones((4, 3)).T], lr=0.1)
+
 
 class TestTrain:
     def test_epoch_validation(self):
@@ -236,6 +255,18 @@ class TestTrain:
         bad = np.array([[1.0, np.inf]])
         with pytest.raises(ValueError):
             train(net, bad, DsmConfig(epochs=1), seed=0)
+
+    @BAD_SEEDS
+    def test_bad_seed_names_the_field(self, bad):
+        x = np.random.default_rng(10).standard_normal((10, 2))
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            train(init_network(2, 4, seed=0), x, DsmConfig(epochs=1), seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        x = np.random.default_rng(10).standard_normal((10, 2))
+        net = init_network(2, 4, seed=0)
+        cfg = DsmConfig(epochs=3)
+        assert train(net, x, cfg, seed=np.int64(5))[1] == train(net, x, cfg, seed=5)[1]
 
 
 def checkpoint_payload(dims):
@@ -346,7 +377,9 @@ class TestBitExactOracle:
 
     def test_adam_step(self):
         rng = np.random.default_rng(52)
-        shapes = [(16, 9), (9,), (1,)]
+        # 300 x 300 spans three Adam blocks, the last one short.
+        shapes = [(16, 9), (9,), (1,), (300, 300)]
+        assert 2 * score_mod._ADAM_BLOCK < 300 * 300 < 3 * score_mod._ADAM_BLOCK
         params = [rng.standard_normal(s) for s in shapes]
         ref_params = [p.copy() for p in params]
         m = [np.zeros(s) for s in shapes]
@@ -582,23 +615,34 @@ class TestMemory:
         self.chunk = score_mod._CHUNK_ROWS
         self.chunk_h = self.chunk * self.H
         self.batch = score_mod._BATCH_ROWS
+        self.adam_block = score_mod._ADAM_BLOCK
         assert self.N > self.batch > (LANES + 1) * self.chunk
 
     def test_train_peak(self):
-        # Per lane: six chunk-high (rows, H) buffers serve the forward and
+        # Per lane: five chunk-high (rows, H) buffers serve the forward and
         # the backward pass, beside the lane's noised input, target and
         # output chunks and two parameter-sized sets (its gradient sum and
         # a later chunk's gradients). Shared: the (B, D) gathered batch and
-        # noise, the index draw (at most one int64 per row) and five
-        # parameter-sized sets (the network copy, Adam's m, v and two
-        # scratch arrays). Half a chunk-high buffer covers the small
-        # temporaries, so a seventh buffer in either lane fails.
+        # noise, the index draw (at most one int64 per row), three
+        # parameter-sized sets (the network copy and Adam's m and v) and
+        # Adam's two block-sized scratch arrays. Half a chunk-high buffer
+        # covers the small temporaries, so a sixth buffer in either lane
+        # fails.
         cfg = DsmConfig(epochs=2)
         peak = self.peak_bytes(lambda: train(self.net, self.x, cfg, seed=0))
-        per_lane = 6 * self.chunk_h + 3 * self.chunk * self.D + 2 * self.params
-        shared = 2 * self.batch * self.D + self.N + 5 * self.params
+        per_lane = 5 * self.chunk_h + 3 * self.chunk * self.D + 2 * self.params
+        shared = 2 * self.batch * self.D + self.N + 3 * self.params + 2 * self.adam_block
         bound = 8 * (LANES * per_lane + shared) + 8 * self.chunk_h // 2
         assert peak <= bound, (peak, bound)
+
+    def test_adam_allocates_m_v_and_two_blocks(self):
+        # The 256 x 256 weight is two Adam blocks. A scratch pair per
+        # parameter would be two more parameter-sized sets (1.1 MB here);
+        # the blocks need two arrays of 256 KB.
+        params = self.net.parameters()
+        assert max(p.size for p in params) > self.adam_block
+        peak = self.peak_bytes(lambda: Adam(params, lr=1e-3))
+        assert peak <= 8 * (2 * self.params + 2 * self.adam_block) + 16384, peak
 
     def test_train_peak_grows_by_the_index_draw_alone(self):
         # From 5000 to 20 000 rows the peak may grow by one int64 per row

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,34 @@ class TestLoadCsv:
     def test_scientific_notation(self, tmp_path):
         ds = load_csv(write(tmp_path, "1e-3,2.5E+2\n"))
         assert ds.values.tolist() == [[1e-3, 250.0]]
+
+    def test_no_data_rows_after_header(self, tmp_path):
+        with pytest.raises(CsvFormatError, match=r"data\.csv: no data rows"):
+            load_csv(write(tmp_path, "a,b\n"), has_header=True)
+
+    @pytest.mark.parametrize("text, header, message", [
+        ("a,b,c\n1,2\nx,1,1,1\n", True, "header has 3 cells, data rows have 2"),
+        ("1,2\n3,x\n4\n", False, "cell at row 2, column 2 is not numeric"),
+        ("1,2\n4\n3,x\n", False, "row 2 has 1 cells, expected 2"),
+    ], ids=["header", "cell-before-width", "width-before-cell"])
+    def test_first_failure_in_file_order_wins(self, tmp_path, text, header, message):
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(write(tmp_path, text), has_header=header)
+
+    def test_traced_peak_within_twice_the_output(self, tmp_path):
+        # Rows are parsed as they stream: no list of the file's 55 000 cell
+        # strings is held, so the peak stays within twice the values and
+        # mask that load_csv returns.
+        path = str(tmp_path / "big.csv")
+        write_csv(path, np.random.default_rng(3).standard_normal((5000, 11)))
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = ds.values.nbytes + ds.mask.nbytes
+        assert peak <= 2 * output, (peak, output)
 
 
 class TestCsvRoundTrip:
@@ -246,6 +276,18 @@ class TestInitializeMissing:
         assert jitter.size > 9000
         assert abs(jitter.mean()) <= 0.005
         assert 0.09 <= jitter.std() <= 0.11
+
+    @pytest.mark.parametrize(
+        "bad", [2.5, 3.0, True, -1], ids=["fraction", "whole-float", "bool", "negative"]
+    )
+    def test_bad_seed_names_the_field(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            initialize_missing(self.make(), seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        ds = self.make()
+        assert np.array_equal(initialize_missing(ds, seed=np.uint32(4)),
+                              initialize_missing(ds, seed=4))
 
     def test_fully_missing_column_rejected(self):
         values = np.array([[np.nan, 1.0]])
