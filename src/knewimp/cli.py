@@ -1,8 +1,9 @@
 """Command-line experiment harness.
 
-Subcommands: simulate (draw a missingness mask over complete data), impute
-(fill a masked CSV; it never reads ground truth), evaluate (score an imputed
-CSV against ground truth), and experiment (simulate + impute + evaluate
+Subcommands: simulate (empty the cells of complete data that a drawn
+missingness mask hides), impute (fill a masked CSV; it never reads ground
+truth), evaluate (score an imputed CSV against ground truth on the empty
+cells of the masked CSV), and experiment (simulate + impute + evaluate
 across seeds, with a mean-fill baseline). Timings come from the benchmark,
 `python3 bench/run.py`.
 
@@ -32,25 +33,23 @@ from .imputer import WgfConfig, knewimp, mean_impute
 from .kernel import KernelConfig
 from .missingness import Mechanism, MissingSpec, simulate
 from .score import DsmConfig, load_network, save_network
-from .tabular import (
-    from_complete,
-    load_csv,
-    load_mask_csv,
-    standardize,
-    write_csv,
-    write_mask_csv,
-)
+from .tabular import TabularDataset, from_complete, load_csv, standardize, write_csv
 
 # Path flags: a config file may not supply them.
 _PATH_KEYS = frozenset({
-    "input", "output", "output_dir", "mask", "truth", "save_net", "load_net", "imputed",
+    "input", "output", "output_dir", "masked", "truth", "save_net", "load_net", "imputed",
 })
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1 and without flag
+    abbreviations, so a removed flag (evaluate --mask) is refused instead of
+    read as the flag it prefixes (--masked)."""
 
     commands: dict[str, argparse.ArgumentParser]  # subcommand parsers, top level only
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -91,7 +90,7 @@ def build_parser() -> _Parser:
     p.add_argument("--has-header", dest="has_header", action="store_true")
     _add_mechanism_options(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default=".", help="where mask.csv/masked.csv go")
+    p.add_argument("--output-dir", default=".", help="where masked.csv goes")
 
     p = sub.add_parser("impute", help="fill the missing cells of a CSV")
     p.add_argument("--input", required=True, help="CSV whose empty cells are missing")
@@ -105,7 +104,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score an imputed CSV against ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--imputed", required=True)
-    p.add_argument("--mask", required=True)
+    p.add_argument("--masked", required=True, help="masked CSV; its empty cells are scored")
     p.add_argument("--has-header", dest="has_header", action="store_true")
     p.add_argument("--output", help="report JSON path (stdout if omitted)")
 
@@ -187,20 +186,24 @@ def _missing_spec(args: argparse.Namespace, seed: int) -> MissingSpec:
     return MissingSpec(args.mechanism, args.rate, seed)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    ds = load_csv(args.input, has_header=args.has_header)
+def _load_complete(path: str, has_header: bool, role: str) -> TabularDataset:
+    """load_csv(path), refused unless no cell is missing."""
+    ds = load_csv(path, has_header=has_header)
     if ds.mask.min() < 1.0:
-        raise ValueError(f"{args.input}: input must be complete to simulate masks")
+        raise ValueError(f"{path}: {role} must be complete")
+    return ds
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    ds = _load_complete(args.input, args.has_header, "simulate input")
     spec = _missing_spec(args, args.seed)
     mask = simulate(ds.values, spec)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_mask_csv(out / "mask.csv", mask)
     masked = np.where(mask == 1.0, ds.values, np.nan)
     write_csv(out / "masked.csv", masked, ds.column_names)
     achieved = float(1.0 - mask.mean())
-    print(f"wrote {out / 'mask.csv'} and {out / 'masked.csv'}; "
-          f"achieved missing rate {achieved:.4f}")
+    print(f"wrote {out / 'masked.csv'}; achieved missing rate {achieved:.4f}")
     return 0
 
 
@@ -233,15 +236,11 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    truth = load_csv(args.truth, has_header=args.has_header)
-    imputed = load_csv(args.imputed, has_header=args.has_header)
-    mask = load_mask_csv(args.mask)
-    if truth.mask.min() < 1.0:
-        raise ValueError(f"{args.truth}: truth CSV must be complete")
-    if imputed.mask.min() < 1.0:
-        raise ValueError(f"{args.imputed}: imputed CSV must be complete")
+    truth = _load_complete(args.truth, args.has_header, "truth CSV")
+    imputed = _load_complete(args.imputed, args.has_header, "imputed CSV")
+    mask = load_csv(args.masked, has_header=args.has_header).mask
     if mask.shape != truth.values.shape or imputed.values.shape != truth.values.shape:
-        raise ValueError("truth, imputed, and mask shapes must match")
+        raise ValueError("truth, imputed, and masked shapes must match")
     ds = from_complete(truth.values, mask, truth.column_names)
     ds_std, stats = standardize(ds)
     report = metrics_mod.evaluate(ds_std, stats.apply(imputed.values))
@@ -296,9 +295,7 @@ def _aggregate(values: list[float]) -> dict:
 def cmd_experiment(args: argparse.Namespace) -> int:
     model = _build_configs(args)
     seeds = _seed_list(args.seeds)
-    truth_ds = load_csv(args.input, has_header=args.has_header)
-    if truth_ds.mask.min() < 1.0:
-        raise ValueError(f"{args.input}: experiment input must be complete")
+    truth_ds = _load_complete(args.input, args.has_header, "experiment input")
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

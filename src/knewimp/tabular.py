@@ -1,9 +1,10 @@
 """Data model for partially observed numeric tables.
 
-A table is an N x D float64 matrix with a {0, 1} observation mask; missing
-cells carry NaN. Loading, masking, column-wise standardization, and
-missing-entry initialization all live here. Everything is value-semantic:
-operations return new objects and never mutate their inputs.
+A table is an N x D float64 matrix whose NaN cells are its missing ones;
+its {0, 1} observation mask is derived from them. Loading, masking,
+column-wise standardization, and missing-entry initialization all live
+here. Everything is value-semantic: operations return new objects and
+never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,15 +83,15 @@ def checked_mask(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TabularDataset:
-    """N x D numeric table with observation mask and optional ground truth.
+    """N x D numeric table with optional ground truth.
 
-    values[i, d] is NaN exactly where mask[i, d] == 0. truth, when present,
-    is fully observed and aligned with values. Instances are treated as
-    immutable; all operations hand back new arrays.
+    The NaN cells of values are the missing ones: mask is derived from them
+    (1 = observed), never given, so it cannot disagree with values. truth,
+    when present, is fully observed and aligned with values. Instances are
+    treated as immutable; all operations hand back new arrays.
     """
 
     values: np.ndarray
-    mask: np.ndarray
     truth: Optional[np.ndarray] = None
     column_names: Optional[list[str]] = field(default=None)
 
@@ -97,11 +99,7 @@ class TabularDataset:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"values must be a non-empty 2-D matrix, got {values.shape}")
-        mask = checked_mask(self.mask, values.shape)
-        if not np.array_equal(np.isnan(values), mask == 0.0):
-            raise ValueError("values must be NaN exactly where mask == 0")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
         if self.truth is not None:
             truth = np.asarray(self.truth, dtype=np.float64)
             if truth.shape != values.shape:
@@ -114,6 +112,13 @@ class TabularDataset:
                 f"{len(self.column_names)} column names for {values.shape[1]} columns"
             )
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """1.0 where values is observed, 0.0 where it is NaN. Built on first
+        use, so the copies that standardize and dataclasses.replace make do
+        not each hold one."""
+        return (~np.isnan(self.values)).astype(np.float64)
+
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
@@ -124,12 +129,13 @@ def from_complete(
     mask: np.ndarray,
     column_names: Optional[Sequence[str]] = None,
 ) -> TabularDataset:
-    """Build a dataset by hiding entries of a complete matrix under mask."""
+    """Build a dataset by hiding entries of a complete matrix under a 0/1
+    mask of its shape."""
     truth = np.asarray(truth, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = checked_mask(mask, truth.shape)
     values = np.where(mask == 1.0, truth, np.nan)
     names = list(column_names) if column_names is not None else None
-    return TabularDataset(values=values, mask=mask, truth=truth, column_names=names)
+    return TabularDataset(values=values, truth=truth, column_names=names)
 
 
 def _parse_cell(text: str) -> float:
@@ -145,39 +151,38 @@ def _parse_cell(text: str) -> float:
     return value
 
 
-def _parse_mask_cell(text: str) -> float:
-    if text not in ("0", "1"):
-        raise CsvFormatError("must be 0 or 1")
-    return float(text)
-
-
-def _read_cells(
-    path: str, has_header: bool, parse: Callable[[str], float]
-) -> tuple[Optional[list[str]], np.ndarray]:
-    """(header names or None, matrix of parse(cell.strip()) over the data rows).
+def _read_cells(path: str, has_header: bool) -> tuple[Optional[list[str]], np.ndarray]:
+    """(header names or None, matrix of _parse_cell(cell.strip()) over the
+    data rows).
 
     Each row is parsed as csv.reader yields it and appended to one flat
     float64 buffer, so no list of the file's cell strings is ever held: the
     peak is the buffer and its one copy into the result. The checks run in
     file order and the first failure is raised: an empty file, a header
     whose width differs from the first data row's, a row of another width,
-    a bad cell, and at the end a file without data rows. Rows and columns
-    are 1-indexed in error messages, rows counted after the header; every
-    error names the file.
+    a bad cell, an empty line before a data row, and at the end a file
+    without data rows. Empty lines at the end are skipped, and a leading
+    UTF-8 byte order mark is dropped. Rows and columns are 1-indexed in
+    error messages, rows counted after the header; every error names the
+    file.
     """
     names: Optional[list[str]] = None
-    n_rows = width = 0
+    n_rows = width = blank = 0
     flat = array("d")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         if has_header:
             header = next(reader, None)
             if header is None:
                 raise CsvFormatError(f"{path}: empty file")
             names = [c.strip() for c in header]
-        for i, row in enumerate(reader):
-            n_rows += 1
-            if i == 0:
+        for i, row in enumerate(reader, 1):
+            if not row:
+                blank = blank or i
+                continue
+            if blank:
+                raise CsvFormatError(f"{path}: row {blank} is empty")
+            if not n_rows:
                 width = len(row)
                 if names is not None and len(names) != width:
                     raise CsvFormatError(
@@ -185,15 +190,16 @@ def _read_cells(
                     )
             elif len(row) != width:
                 raise CsvFormatError(
-                    f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
+                    f"{path}: row {i} has {len(row)} cells, expected {width}"
                 )
-            for j, cell in enumerate(row):
+            n_rows += 1
+            for j, cell in enumerate(row, 1):
                 text = cell.strip()
                 try:
-                    flat.append(parse(text))
+                    flat.append(_parse_cell(text))
                 except CsvFormatError as exc:
                     raise CsvFormatError(
-                        f"{path}: cell at row {i + 1}, column {j + 1} {exc}: {text!r}"
+                        f"{path}: cell at row {i}, column {j} {exc}: {text!r}"
                     ) from None
     if not n_rows:
         raise CsvFormatError(f"{path}: no data rows")
@@ -202,9 +208,8 @@ def _read_cells(
 
 def load_csv(path: str, has_header: bool = False) -> TabularDataset:
     """Read a numeric CSV; empty/NaN cells become missing entries."""
-    names, data = _read_cells(path, has_header, _parse_cell)
-    mask = (~np.isnan(data)).astype(np.float64)
-    return TabularDataset(values=data, mask=mask, column_names=names)
+    names, data = _read_cells(path, has_header)
+    return TabularDataset(values=data, column_names=names)
 
 
 def write_csv(
@@ -224,19 +229,6 @@ def write_csv(
             writer.writerow(list(column_names))
         for row in values:
             writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
-
-
-def load_mask_csv(path: str) -> np.ndarray:
-    """Read a 0/1 mask CSV (no header)."""
-    return _read_cells(path, False, _parse_mask_cell)[1]
-
-
-def write_mask_csv(path: str, mask: np.ndarray) -> None:
-    mask = np.asarray(mask)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in mask:
-            writer.writerow([str(int(v)) for v in row])
 
 
 def observed_column_means(ds: TabularDataset) -> np.ndarray:

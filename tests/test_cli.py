@@ -1,16 +1,19 @@
 import inspect
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from knewimp import metrics
 from knewimp.cli import _build_configs, _check_config, build_parser, main
 from knewimp.imputer import WgfConfig, knewimp
 from knewimp.kernel import KernelConfig
 from knewimp.missingness import MissingSpec, simulate
 from knewimp.score import DsmConfig, init_network, save_network
-from knewimp.tabular import load_csv, load_mask_csv, write_csv
+from knewimp.tabular import from_complete, load_csv, standardize, write_csv
 from test_lanes import blas_threads  # noqa: F401  (fixture)
 from test_score import MALFORMED_CHECKPOINTS, write_checkpoint
 
@@ -43,8 +46,8 @@ class TestSimulate:
         ]
         assert main(args + ["--output-dir", str(tmp_path / "a")]) == 0
         assert main(args + ["--output-dir", str(tmp_path / "b")]) == 0
-        for name in ("mask.csv", "masked.csv"):
-            assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
+        assert os.listdir(tmp_path / "a") == ["masked.csv"]
+        assert read(tmp_path / "a" / "masked.csv") == read(tmp_path / "b" / "masked.csv")
 
     def test_bad_rate_is_usage_error(self, tmp_path, complete_csv):
         with pytest.raises(SystemExit) as exc:
@@ -64,7 +67,7 @@ class TestSimulate:
             "simulate", "--input", path, "--mechanism", "mar",
             "--rate", "0.3", "--seed", "2", "--output-dir", str(out),
         ]) == 0
-        mask = load_mask_csv(str(out / "mask.csv"))
+        mask = load_csv(str(out / "masked.csv")).mask
         assert ((mask == 0.0).sum(axis=0) == 0).sum() == 3
 
     def test_masked_data_matches_mask(self, tmp_path, complete_csv):
@@ -73,9 +76,11 @@ class TestSimulate:
             "simulate", "--input", complete_csv, "--has-header",
             "--rate", "0.4", "--seed", "3", "--output-dir", str(out),
         ])
-        mask = load_mask_csv(str(out / "mask.csv"))
+        truth = load_csv(complete_csv, has_header=True).values
+        mask = simulate(truth, MissingSpec("mcar", 0.4, 3))
         ds = load_csv(str(out / "masked.csv"), has_header=True)
         assert np.array_equal(ds.mask, mask)
+        assert np.array_equal(ds.values[mask == 1.0], truth[mask == 1.0])
 
     def test_incomplete_input_rejected(self, tmp_path):
         path = str(tmp_path / "holes.csv")
@@ -282,7 +287,7 @@ class TestEvaluate:
         report_path = str(tmp_path / "report.json")
         assert main([
             "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
-            "--has-header", "--mask", str(sim / "mask.csv"),
+            "--has-header", "--masked", str(sim / "masked.csv"),
             "--output", report_path,
         ]) == 0
         report = json.loads(read(report_path))
@@ -302,7 +307,7 @@ class TestEvaluate:
         monkeypatch.setattr(os, "sysconf", memory.__getitem__)
         assert main([
             "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
-            "--has-header", "--mask", str(sim / "mask.csv"),
+            "--has-header", "--masked", str(sim / "masked.csv"),
             "--output", str(tmp_path / "report.json"),
         ]) == 2
         assert "cost matrix" in capsys.readouterr().err
@@ -311,7 +316,7 @@ class TestEvaluate:
     def test_missing_mask_file_is_runtime_error(self, tmp_path, complete_csv):
         assert main([
             "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
-            "--has-header", "--mask", str(tmp_path / "absent.csv"),
+            "--has-header", "--masked", str(tmp_path / "absent.csv"),
         ]) == 2
 
     def test_report_to_stdout(self, tmp_path, complete_csv, capsys):
@@ -323,17 +328,47 @@ class TestEvaluate:
         capsys.readouterr()  # drop the simulate chatter
         assert main([
             "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
-            "--has-header", "--mask", str(sim / "mask.csv"),
+            "--has-header", "--masked", str(sim / "masked.csv"),
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["m0"] > 0
+
+    def test_report_matches_library_over_simulated_mask(self, tmp_path, complete_csv, capsys):
+        # The mask comes from the empty cells of simulate's masked.csv.
+        sim = tmp_path / "sim"
+        main([
+            "simulate", "--input", complete_csv, "--has-header", "--mechanism", "mar",
+            "--rate", "0.4", "--seed", "5", "--output-dir", str(sim),
+        ])
+        imputed = str(tmp_path / "imputed.csv")
+        truth = load_csv(complete_csv, has_header=True).values
+        write_csv(imputed, truth + 0.25, column_names=["u", "v"])
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--truth", complete_csv, "--imputed", imputed,
+            "--has-header", "--masked", str(sim / "masked.csv"),
+        ]) == 0
+        mask = simulate(truth, MissingSpec("mar", 0.4, 5))
+        ds_std, stats = standardize(from_complete(truth, mask))
+        expected = metrics.evaluate(ds_std, stats.apply(truth + 0.25)).to_json()
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_mask_flag_is_usage_error(self, tmp_path, complete_csv, capsys):
+        # The mask is read from the empty cells of --masked.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
+                "--has-header", "--mask", str(tmp_path / "mask.csv"),
+            ])
+        assert exc.value.code == 1
+        assert "--mask" in capsys.readouterr().err
 
 
     def test_wass_method_flag_is_usage_error(self, tmp_path, complete_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main([
                 "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
-                "--has-header", "--mask", str(tmp_path / "mask.csv"),
+                "--has-header", "--masked", str(tmp_path / "masked.csv"),
                 "--wass-method", "exact",
             ])
         assert exc.value.code == 1
@@ -492,7 +527,7 @@ class TestConfigFile:
             "--config", str(cfg), "simulate", "--input", complete_csv,
             "--has-header", "--output-dir", str(out_a),
         ]) == 0
-        mask_a = load_mask_csv(str(out_a / "mask.csv"))
+        mask_a = load_csv(str(out_a / "masked.csv"), has_header=True).mask
         rate_a = 1.0 - mask_a.mean()
         assert 0.35 < rate_a < 0.65  # config rate 0.5 in effect
         out_b = tmp_path / "cfgB"
@@ -500,7 +535,7 @@ class TestConfigFile:
             "--config", str(cfg), "simulate", "--input", complete_csv,
             "--has-header", "--rate", "0.1", "--output-dir", str(out_b),
         ]) == 0
-        mask_b = load_mask_csv(str(out_b / "mask.csv"))
+        mask_b = load_csv(str(out_b / "masked.csv"), has_header=True).mask
         assert 1.0 - mask_b.mean() < 0.25  # flag overrides config
         # A key of another subcommand is allowed, and a config switch stands in
         # for its flag: the header is honoured without --has-header.
@@ -512,7 +547,6 @@ class TestConfigFile:
             "--config", str(cfg), "simulate", "--input", complete_csv,
             "--output-dir", str(out_c),
         ]) == 0
-        assert read(out_c / "mask.csv") == read(out_a / "mask.csv")
         assert read(out_c / "masked.csv") == read(out_a / "masked.csv")
         assert read(out_c / "masked.csv").startswith("u,v\n")
 
@@ -567,7 +601,7 @@ class TestConfigFile:
         assert not (tmp_path / "im.csv").exists()
 
     @pytest.mark.parametrize("key", [
-        "input", "output", "output_dir", "mask", "truth", "save_net", "load_net", "imputed",
+        "input", "output", "output_dir", "masked", "truth", "save_net", "load_net", "imputed",
     ])
     def test_path_key_is_usage_error(
         self, tmp_path, complete_csv, capsys, monkeypatch, key
@@ -614,3 +648,22 @@ class TestConfigFile:
             "rate": 0.5, "mechanism": "mar",
         }
         assert type(checked["steps"]) is int and type(checked["lr"]) is float
+
+
+def readme_commands():
+    """The knewimp command lines of README's CLI block, with backslash
+    continuations joined, as argument lists without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("knewimp ")]
+
+
+def test_readme_walkthrough_parses():
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["simulate", "impute", "evaluate", "experiment"]
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's `knewimp {shlex.join(argv)}` is not a valid command")

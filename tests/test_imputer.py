@@ -617,8 +617,7 @@ class TestMeanImpute:
 
     def test_column_mean_value(self):
         values = np.array([[1.0, 0.0], [3.0, 0.0], [np.nan, 0.0]])
-        mask = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-        ds = TabularDataset(values=values, mask=mask)
+        ds = TabularDataset(values=values)
         assert mean_impute(ds)[2, 0] == pytest.approx(2.0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,8 @@ from knewimp.tabular import (
     from_complete,
     initialize_missing,
     load_csv,
-    load_mask_csv,
     standardize,
     write_csv,
-    write_mask_csv,
 )
 
 
@@ -85,6 +84,34 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=message):
             load_csv(write(tmp_path, text), has_header=header)
 
+    def test_trailing_empty_lines_skipped(self, tmp_path):
+        ds = load_csv(write(tmp_path, "1,2\n3,4\n\n\n"))
+        assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("text, header, row", [
+        ("1,2\n\n3,4\n", False, 2),
+        ("a,b\n1,2\n\n\n3,4\n", True, 2),
+        ("\n1,2\n", False, 1),
+    ], ids=["middle", "after-header", "first"])
+    def test_empty_line_before_data_names_row(self, tmp_path, text, header, row):
+        with pytest.raises(CsvFormatError, match=rf"data\.csv: row {row} is empty"):
+            load_csv(write(tmp_path, text), has_header=header)
+
+    def test_only_empty_lines_is_no_data(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(write(tmp_path, "a,b\n\n"), has_header=True)
+
+    def test_utf8_bom_dropped(self, tmp_path):
+        ds = load_csv(write(tmp_path, "\ufeff1,2\n3,4\n"))
+        assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_utf8_bom_dropped_from_header(self, tmp_path):
+        ds = load_csv(write(tmp_path, "\ufeffa,b\n1,2\n"), has_header=True)
+        assert ds.column_names == ["a", "b"]
+        out = str(tmp_path / "out.csv")
+        write_csv(out, ds.values, ds.column_names)
+        assert open(out, encoding="utf-8").read() == "a,b\n1.0,2.0\n"
+
     def test_traced_peak_within_twice_the_output(self, tmp_path):
         # Rows are parsed as they stream: no list of the file's 55 000 cell
         # strings is held, so the peak stays within twice the values and
@@ -114,43 +141,32 @@ class TestCsvRoundTrip:
         assert np.array_equal(ds.values, values, equal_nan=True)
         assert ds.column_names == list("abcd")
 
-    def test_mask_round_trip(self, tmp_path):
-        mask = (np.random.default_rng(1).random((8, 3)) > 0.5).astype(float)
-        path = str(tmp_path / "mask.csv")
-        write_mask_csv(path, mask)
-        assert np.array_equal(load_mask_csv(path), mask)
-
-    def test_mask_rejects_other_values(self, tmp_path):
-        path = write(tmp_path, "0,2\n", "m.csv")
-        with pytest.raises(CsvFormatError, match="must be 0 or 1"):
-            load_mask_csv(path)
-
-    def test_mask_errors_name_file_and_cell(self, tmp_path):
-        path = write(tmp_path, "0,1\n1,x\n", "m.csv")
-        with pytest.raises(CsvFormatError, match=r"m\.csv: cell at row 2, column 2 must be 0 or 1"):
-            load_mask_csv(path)
-        with pytest.raises(CsvFormatError, match=r"m\.csv: row 2 has 1 cells"):
-            load_mask_csv(write(tmp_path, "0,1\n1\n", "m.csv"))
-        with pytest.raises(CsvFormatError, match=r"m\.csv: no data rows"):
-            load_mask_csv(write(tmp_path, "", "m.csv"))
-
 
 class TestDatasetInvariants:
-    def test_mask_values_agreement_enforced(self):
-        with pytest.raises(ValueError, match="NaN exactly where"):
-            TabularDataset(values=np.array([[1.0, 2.0]]), mask=np.array([[1.0, 0.0]]))
+    def test_mask_is_derived_from_empty_cells(self):
+        values = np.array([[1.0, np.nan], [np.nan, 4.0], [5.0, 6.0]])
+        ds = TabularDataset(values=values, truth=np.arange(6.0).reshape(3, 2))
+        assert np.array_equal(ds.mask, (~np.isnan(values)).astype(np.float64))
+        assert ds.mask.dtype == np.float64
+        bare = dataclasses.replace(ds, truth=None)
+        assert bare.truth is None
+        assert np.array_equal(bare.mask, ds.mask)
+
+    def test_mask_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            TabularDataset(values=np.array([[1.0]]), mask=np.array([[1.0]]))
 
     def test_mask_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            TabularDataset(values=np.array([[1.0]]), mask=np.array([[0.5]]))
+            from_complete(np.array([[1.0, 2.0]]), np.array([[0.5, 1.0]]))
+
+    def test_from_complete_rejects_mis_shaped_mask(self):
+        with pytest.raises(ValueError, match="mask shape"):
+            from_complete(np.array([[1.0, 2.0]]), np.array([[1.0, 0.0, 1.0]]))
 
     def test_truth_must_be_complete(self):
         with pytest.raises(ValueError, match="truth"):
-            TabularDataset(
-                values=np.array([[1.0]]),
-                mask=np.array([[1.0]]),
-                truth=np.array([[np.nan]]),
-            )
+            TabularDataset(values=np.array([[1.0]]), truth=np.array([[np.nan]]))
 
     def test_from_complete(self):
         truth = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -218,8 +234,7 @@ class TestStandardize:
 
     def test_fully_missing_column_rejected(self):
         values = np.array([[1.0, np.nan], [2.0, np.nan]])
-        mask = np.array([[1.0, 0.0], [1.0, 0.0]])
-        ds = TabularDataset(values=values, mask=mask)
+        ds = TabularDataset(values=values)
         with pytest.raises(ValueError, match="no observed entries"):
             standardize(ds)
 
@@ -232,11 +247,7 @@ class TestStandardize:
 
 class TestInitializeMissing:
     def make(self):
-        truth = np.array([[1.0, 10.0], [3.0, 20.0], [np.nan, 30.0]])
-        values = truth.copy()
-        mask = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        values[mask == 0.0] = np.nan
-        return TabularDataset(values=values, mask=mask)
+        return TabularDataset(values=np.array([[1.0, 10.0], [3.0, np.nan], [np.nan, 30.0]]))
 
     def test_zero_noise_gives_column_means(self):
         # Once the seed's N(0, 0.1^2) jitter is taken off, every missing
@@ -291,8 +302,7 @@ class TestInitializeMissing:
 
     def test_fully_missing_column_rejected(self):
         values = np.array([[np.nan, 1.0]])
-        mask = np.array([[0.0, 1.0]])
-        ds = TabularDataset(values=values, mask=mask)
+        ds = TabularDataset(values=values)
         with pytest.raises(ValueError, match="no observed entries"):
             initialize_missing(ds, seed=0)
 
@@ -304,6 +314,6 @@ class TestInitializeMissing:
 )
 def test_empty_column_is_named(fill):
     values = np.array([[1.0, np.nan, 2.0], [3.0, np.nan, np.nan]])
-    ds = TabularDataset(values=values, mask=(~np.isnan(values)).astype(float))
+    ds = TabularDataset(values=values)
     with pytest.raises(ValueError, match="column 1 has no observed entries"):
         fill(ds)
