@@ -3,9 +3,10 @@
 Subcommands: simulate (empty the cells of complete data that a drawn
 missingness mask hides), impute (fill a masked CSV; it never reads ground
 truth), evaluate (score an imputed CSV against ground truth on the empty
-cells of the masked CSV), and experiment (simulate + impute + evaluate
-across seeds, with a mean-fill baseline). Timings come from the benchmark,
-`python3 bench/run.py`.
+cells of the masked CSV, whose observed cells must be the truth's), and
+experiment (simulate + impute + evaluate across seeds, with a mean-fill
+baseline; the seeds run at once through lanes.each, which owns the pool
+and its BLAS pin). Timings come from the benchmark, `python3 bench/run.py`.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/data error. All commands
 are deterministic given their full flag set. A JSON config file may supply
@@ -19,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -182,10 +181,6 @@ def _build_configs(args: argparse.Namespace) -> dict:
     }
 
 
-def _missing_spec(args: argparse.Namespace, seed: int) -> MissingSpec:
-    return MissingSpec(args.mechanism, args.rate, seed)
-
-
 def _load_complete(path: str, has_header: bool, role: str) -> TabularDataset:
     """load_csv(path), refused unless no cell is missing."""
     ds = load_csv(path, has_header=has_header)
@@ -196,7 +191,7 @@ def _load_complete(path: str, has_header: bool, role: str) -> TabularDataset:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     ds = _load_complete(args.input, args.has_header, "simulate input")
-    spec = _missing_spec(args, args.seed)
+    spec = MissingSpec(args.mechanism, args.rate, args.seed)
     mask = simulate(ds.values, spec)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,10 +233,19 @@ def cmd_impute(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = _load_complete(args.truth, args.has_header, "truth CSV")
     imputed = _load_complete(args.imputed, args.has_header, "imputed CSV")
-    mask = load_csv(args.masked, has_header=args.has_header).mask
-    if mask.shape != truth.values.shape or imputed.values.shape != truth.values.shape:
+    masked = load_csv(args.masked, has_header=args.has_header)
+    if masked.values.shape != truth.values.shape or imputed.values.shape != truth.values.shape:
         raise ValueError("truth, imputed, and masked shapes must match")
-    ds = from_complete(truth.values, mask, truth.column_names)
+    # Only the empty cells are scored, so a masked table of other data would
+    # score without a word unless its observed cells are the truth's.
+    differ = np.argwhere((masked.mask == 1.0) & (masked.values != truth.values))
+    if differ.size:
+        i, j = differ[0]
+        raise ValueError(
+            f"{args.masked}: cell at row {i + 1}, column {j + 1} is {masked.values[i, j]}, "
+            f"where --truth has {truth.values[i, j]}"
+        )
+    ds = from_complete(truth.values, masked.mask, truth.column_names)
     ds_std, stats = standardize(ds)
     report = metrics_mod.evaluate(ds_std, stats.apply(imputed.values))
     payload = report.to_json()
@@ -253,7 +257,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _experiment_seed(truth_ds, args, model, seed):
-    spec = _missing_spec(args, seed)
+    spec = MissingSpec(args.mechanism, args.rate, seed)
     mask = simulate(truth_ds.values, spec)
     # The W2 evaluation of the incomplete rows must fit before any training.
     metrics_mod.check_w2_memory(int((mask == 0.0).any(axis=1).sum()))
@@ -305,14 +309,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         except Exception as exc:
             raise RuntimeError(f"seed {seed} failed: {exc}") from exc
 
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    # Every seed's BLAS calls run one thread, so the seeds share the cores
-    # instead of each spreading its products over all of them.
-    with lanes.pinned(), ThreadPoolExecutor(max_workers=min(len(seeds), cores)) as pool:
-        reports = list(pool.map(run_one, seeds))
+    reports = lanes.each(run_one, seeds)
 
     for report in reports:
         path = out / f"seed_{report['seed']}.json"
@@ -379,7 +376,7 @@ def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if args.command in ("simulate", "impute") and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command in ("simulate", "experiment"):
-            _missing_spec(args, 0)
+            MissingSpec(args.mechanism, args.rate, 0)
         if args.command in ("impute", "experiment"):
             _build_configs(args)
         if args.command == "experiment":

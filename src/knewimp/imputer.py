@@ -146,7 +146,7 @@ def euler_impute(
 
     The bandwidth is fixed for the whole round: median_bandwidth(x0) in
     median mode when x0 has at least 2 rows, else kcfg.bandwidth.
-    Observed entries are pinned to x0 bit-for-bit on every step. Errors
+    Observed entries are held at x0 bit-for-bit on every step. Errors
     name the step within the round.
     """
     x0 = np.asarray(x0, dtype=np.float64)
@@ -155,7 +155,7 @@ def euler_impute(
     if not np.all(np.isfinite(x)):
         raise ValueError("initial matrix contains non-finite values")
     observed = mask == 1.0
-    pinned = x0[observed]
+    held = x0[observed]
     use_median = kcfg.use_median_heuristic and x0.shape[0] >= 2
     h = kernel.median_bandwidth(x0) if use_median else kcfg.bandwidth
     for step in range(1, wcfg.num_steps + 1):
@@ -172,7 +172,7 @@ def euler_impute(
                 f"state became non-finite at step {step}; "
                 "reduce the step size"
             )
-    if not np.array_equal(x[observed], pinned):
+    if not np.array_equal(x[observed], held):
         raise RuntimeError("internal invariant violation: observed entries changed")
     return x
 

@@ -1,23 +1,30 @@
-"""Two lanes of work for the kernels that run in row chunks or tiles.
+"""Every thread knewimp starts, and the BLAS pin they run under.
 
 run(fn, blocks) deals a range of block starts to two lanes, block c to
 lane c % 2, calls fn(k, lane k's blocks) for each lane that gets one, and
 returns the lanes' results in lane order. Lane 0 runs on the caller and
-lane 1 on a thread started for that call; the thread is joined and its
-error re-raised, so no thread outlives a call. A lane owns whatever it
-allocates and returns its own result (a sum, say), and the caller adds
-the results in lane order, so the arithmetic depends only on the blocks a
-lane is given, not on whether the lanes ran at once, on the BLAS thread
-count or on the cores. A batch of fewer than two blocks runs on the caller
-alone, unpinned, and starts no thread. deal(blocks) gives the split ahead
-of a call, for callers that size per-lane buffers once and reuse them.
+lane 1 on a one-thread executor made for that call; the executor is shut
+down and lane 1's error re-raised before the call returns, so no thread
+outlives a call. A lane owns whatever it allocates and returns its own
+result (a sum, say), and the caller adds the results in lane order, so the
+arithmetic depends only on the blocks a lane is given, not on whether the
+lanes ran at once, on the BLAS thread count or on the cores. A batch of
+fewer than two blocks runs on the caller alone, unpinned, and starts no
+thread. deal(blocks) gives the split ahead of a call, for callers that
+size per-lane buffers once and reuse them.
 
-While any caller is inside, every OpenBLAS loaded in the process runs one
-thread, so the lanes share the cores instead of each spreading its products
-over all of them. The pin is counted under a lock: the last caller to leave
-restores the thread counts the first one found. Where no OpenBLAS thread
-setter is found (another BLAS, or no /proc/self/maps to find it by), the
-lanes run one after the other on the caller.
+each(fn, items) returns [fn(item) for item in items], the items run at
+once on a pool no wider than the CPUs the process may run on (experiment's
+seeds, one item each). The pool is shut down before the call returns, and
+the first failing item's error is re-raised.
+
+While any caller of run or each is inside, every OpenBLAS loaded in the
+process runs one thread, so the threads share the cores instead of each
+spreading its products over all of them. The pin is counted under a lock:
+the last caller to leave restores the thread counts the first one found.
+Where no OpenBLAS thread setter is found (another BLAS, or no
+/proc/self/maps to find it by), run's lanes run one after the other on the
+caller.
 
 The lanes pay on a 2-core machine because about 40% of a DSM epoch and of a
 Gram product is single-threaded ufunc work (Swish, sigmoid, the clamp and
@@ -28,14 +35,17 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 # Lanes a batch is dealt to: block c goes to lane c % LANES.
 LANES = 2
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 # Thread-count (get, set) symbols: numpy's and scipy's builds, plain ones.
 _SYMBOLS = [
@@ -76,7 +86,7 @@ def _openblas() -> tuple:
 
 
 @contextmanager
-def pinned() -> Iterator[bool]:
+def _pinned() -> Iterator[bool]:
     """Every loaded OpenBLAS at one thread inside; yields whether any was found."""
     global _inside, _restore
     with _lock:
@@ -110,24 +120,22 @@ def run(fn: Callable[[int, range], T], blocks: range) -> list[T]:
     dealt = deal(blocks)
     if len(dealt) < 2:
         return [fn(0, blocks)]
-    with pinned() as concurrent:
+    with _pinned() as concurrent:
         if not concurrent:
             return [fn(k, own) for k, own in enumerate(dealt)]
-        results: list = [None] * len(dealt)
-        errors: list[BaseException] = []
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="knewimp-lane") as pool:
+            second = pool.submit(fn, 1, dealt[1])
+            return [fn(0, dealt[0]), second.result()]
 
-        def second() -> None:
-            try:
-                results[1] = fn(1, dealt[1])
-            except BaseException as exc:  # re-raised on the caller below
-                errors.append(exc)
 
-        thread = threading.Thread(target=second, name="knewimp-lane-1")
-        thread.start()
-        try:
-            results[0] = fn(0, dealt[0])
-        finally:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
+def each(fn: Callable[[U], T], items: Sequence[U]) -> list[T]:
+    """[fn(item) for item in items], the items run at once on
+    min(len(items), usable CPUs) threads under the pin. The error of the
+    first item in item order that fails propagates once the running items
+    have finished; items not started by then never run."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with _pinned(), ThreadPoolExecutor(max_workers=min(len(items), cpus) or 1) as pool:
+        return list(pool.map(fn, items))

@@ -161,10 +161,10 @@ def _read_cells(path: str, has_header: bool) -> tuple[Optional[list[str]], np.nd
     file order and the first failure is raised: an empty file, a header
     whose width differs from the first data row's, a row of another width,
     a bad cell, an empty line before a data row, and at the end a file
-    without data rows. Empty lines at the end are skipped, and a leading
-    UTF-8 byte order mark is dropped. Rows and columns are 1-indexed in
-    error messages, rows counted after the header; every error names the
-    file.
+    without data rows. Empty lines at the end are skipped; a line of
+    whitespace alone is an empty line. A leading UTF-8 byte order mark is
+    dropped. Rows and columns are 1-indexed in error messages, rows counted
+    after the header; every error names the file.
     """
     names: Optional[list[str]] = None
     n_rows = width = blank = 0
@@ -177,7 +177,7 @@ def _read_cells(path: str, has_header: bool) -> tuple[Optional[list[str]], np.nd
                 raise CsvFormatError(f"{path}: empty file")
             names = [c.strip() for c in header]
         for i, row in enumerate(reader, 1):
-            if not row:
+            if not row or len(row) == 1 and row[0].isspace():
                 blank = blank or i
                 continue
             if blank:

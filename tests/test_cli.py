@@ -353,6 +353,27 @@ class TestEvaluate:
         expected = metrics.evaluate(ds_std, stats.apply(truth + 0.25)).to_json()
         assert capsys.readouterr().out == expected + "\n"
 
+    def test_masked_table_of_other_data_is_data_error(self, tmp_path, complete_csv, capsys):
+        # The observed cells of --masked must be the truth's: the same
+        # empty cells over another table would otherwise score silently.
+        sim = tmp_path / "sim"
+        main([
+            "simulate", "--input", complete_csv, "--has-header",
+            "--rate", "0.3", "--seed", "7", "--output-dir", str(sim),
+        ])
+        ds = load_csv(str(sim / "masked.csv"), has_header=True)
+        other = str(tmp_path / "other.csv")
+        write_csv(other, ds.values * 100 + 7, ds.column_names)
+        i, j = np.argwhere(ds.mask == 1.0)[0]
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--truth", complete_csv, "--imputed", complete_csv,
+            "--has-header", "--masked", other,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{other}: cell at row {i + 1}, column {j + 1} is " in captured.err
+
     def test_mask_flag_is_usage_error(self, tmp_path, complete_csv, capsys):
         # The mask is read from the empty cells of --masked.
         with pytest.raises(SystemExit) as exc:
@@ -442,11 +463,11 @@ class TestExperiment:
 
     def test_serial_and_parallel_seeds_agree(self, tmp_path, complete_csv, monkeypatch):
         # The pool is sized by the CPUs the process may run on.
-        monkeypatch.setattr("knewimp.cli.os.sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 1)
+        monkeypatch.setattr("knewimp.lanes.os.sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr("knewimp.lanes.os.cpu_count", lambda: 1)
         _, out_serial = self.run(tmp_path, complete_csv, "7,8", "serial")
-        monkeypatch.setattr("knewimp.cli.os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr("knewimp.cli.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("knewimp.lanes.os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr("knewimp.lanes.os.cpu_count", lambda: 2)
         _, out_parallel = self.run(tmp_path, complete_csv, "7,8", "parallel")
         assert read(out_serial / "summary.json") == read(out_parallel / "summary.json")
 

@@ -157,7 +157,7 @@ class TestOneGram:
                     for c in range(s, n, block):
                         f = min(c + block, n)
                         out = np.empty((e - s, f - c))
-                        with lanes.pinned():
+                        with lanes._pinned():
                             ref = _gram_tile(left[s:e], right[:, c:f], out=out)
                         assert np.array_equal(g[s:e, c:f], ref)
                         lo = max(c, e)

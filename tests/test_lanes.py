@@ -39,7 +39,7 @@ def serial_run(fn, blocks):
     the same one-thread pin; block c still goes to lane c % 2."""
     if len(blocks) < 2:
         return [fn(0, blocks)]
-    with lanes.pinned():
+    with lanes._pinned():
         return [fn(k, blocks[k::2]) for k in range(2)]
 
 
@@ -111,12 +111,89 @@ class TestRun:
 
     def test_nested_pins_restore_once(self, blas_threads):
         n = len(blas_threads())
-        with lanes.pinned() as found:
+        with lanes._pinned() as found:
             assert found and blas_threads() == [1] * n
-            with lanes.pinned():
+            with lanes._pinned():
                 assert blas_threads() == [1] * n
             assert blas_threads() == [1] * n
         assert blas_threads() == [2] * n
+
+
+class TestEach:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPUs the process may run on to n, and records the width
+        of every pool lanes makes."""
+        widths = []
+
+        class Recorded(lanes.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(lanes, "ThreadPoolExecutor", Recorded)
+
+        def set_cpus(n):
+            monkeypatch.setattr(lanes.os, "sched_getaffinity", lambda pid: set(range(n)),
+                                raising=False)
+            monkeypatch.setattr(lanes.os, "cpu_count", lambda: n)
+            return widths
+
+        return set_cpus
+
+    def test_results_come_back_in_item_order(self, cpus):
+        # Each item returns only after the item behind it has, so the items
+        # finish in reverse order.
+        cpus(3)
+        done = [threading.Event() for _ in range(3)]
+
+        def fn(i):
+            if i < 2:
+                assert done[i + 1].wait(timeout=30)
+            done[i].set()
+            return f"item {i}"
+
+        assert lanes.each(fn, range(3)) == ["item 0", "item 1", "item 2"]
+
+    @pytest.mark.parametrize("n_items, n_cpus, width", [(3, 1, 1), (3, 2, 2), (2, 4, 2)])
+    def test_pool_is_as_wide_as_items_or_cpus(self, cpus, n_items, n_cpus, width):
+        widths = cpus(n_cpus)
+        idents = lanes.each(lambda _: threading.get_ident(), range(n_items))
+        assert widths == [width]
+        assert threading.get_ident() not in idents
+
+    def test_cpu_count_without_affinity(self, cpus, monkeypatch):
+        widths = cpus(2)
+        monkeypatch.delattr(lanes.os, "sched_getaffinity", raising=False)
+        assert lanes.each(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert widths == [2]
+
+    def test_blas_at_one_thread_inside_and_restored_after(self, blas_threads):
+        n = len(blas_threads())
+        alive = threading.active_count()
+        assert lanes.each(lambda _: blas_threads(), range(2)) == [[1] * n] * 2
+        assert blas_threads() == [2] * n
+        assert threading.active_count() == alive
+
+    def test_first_failing_item_error_reaches_the_caller(self, blas_threads, cpus):
+        cpus(3)
+
+        def fn(i):
+            if i:
+                raise KeyError(f"item {i}")
+            return i
+
+        alive = threading.active_count()
+        with pytest.raises(KeyError, match="item 1"):
+            lanes.each(fn, range(3))
+        assert blas_threads() == [2] * len(blas_threads())
+        assert threading.active_count() == alive
+
+    def test_one_item_or_none(self, cpus):
+        widths = cpus(2)
+        assert lanes.each(lambda x: 2 * x, [5]) == [10]
+        assert lanes.each(lambda x: 2 * x, []) == []
+        assert widths == [1, 1]
 
 
 def lane_workload():

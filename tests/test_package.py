@@ -1,9 +1,15 @@
 import ast
+import re
+import sys
 from pathlib import Path
 
+import pytest
+
 import knewimp
+import knewimp.lanes
 
 PACKAGE = Path(knewimp.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 SIBLINGS = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -49,9 +55,18 @@ def test_walker_sees_both_forms(tmp_path):
     assert private_cross_module_names(probe) == [(2, "score._forward"), (3, "k._gram_tile")]
 
 
+# Packages that start threads or processes, and the pool classes they
+# start them with.
+THREAD_PACKAGES = {"concurrent", "multiprocessing"}
+EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+PIN = {"pinned", "_pinned"}
+
+
 def lane_knowledge(path):
-    """(line, name) of each place the module at path reads LANES or names
-    threading.Thread: imported, read bare or read off a module."""
+    """(line, name) of each place the module at path reads LANES or the BLAS
+    pin of lanes, imports concurrent.futures or multiprocessing, or names
+    threading.Thread or a pool executor: imported, read bare or read off a
+    module."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     threading_aliases = {
         alias.asname or alias.name
@@ -60,26 +75,49 @@ def lane_knowledge(path):
         for alias in node.names
         if alias.name == "threading"
     }
+    lanes_aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+        if alias.name == "lanes"
+    }
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Import):
             found += [
-                (node.lineno, f"{node.module}.{alias.name}")
+                (node.lineno, alias.name)
                 for alias in node.names
-                if alias.name == "LANES" or (node.module == "threading" and alias.name == "Thread")
+                if alias.name.split(".")[0] in THREAD_PACKAGES
             ]
-        elif isinstance(node, ast.Name) and node.id == "LANES":
-            found.append((node.lineno, "LANES"))
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found += [
+                (node.lineno, f"{module}.{alias.name}")
+                for alias in node.names
+                if (node.level == 0 and module.split(".")[0] in THREAD_PACKAGES)
+                or alias.name == "LANES"
+                or alias.name in EXECUTORS
+                or (module == "threading" and alias.name == "Thread")
+                or (node.level == 1 and module == "lanes" and alias.name in PIN)
+            ]
+        elif isinstance(node, ast.Name) and (node.id == "LANES" or node.id in EXECUTORS):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and (
             node.attr == "LANES"
-            or (node.attr == "Thread" and node.value.id in threading_aliases)
+            or node.attr in EXECUTORS
+            or isinstance(node.value, ast.Name) and (
+                (node.attr == "Thread" and node.value.id in threading_aliases)
+                or (node.attr in PIN and node.value.id in lanes_aliases)
+            )
         ):
-            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+            found.append((node.lineno, ast.unparse(node)))
     return sorted(found)
 
 
 def test_only_lanes_knows_the_lanes():
-    # Dealing blocks to lanes and starting their threads is lanes.run's job.
+    # Dealing blocks to lanes, starting every thread or pool and pinning
+    # BLAS for them is lanes.py's job.
     found = {
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
@@ -87,6 +125,10 @@ def test_only_lanes_knows_the_lanes():
     }
     assert found == {}
     assert lane_knowledge(PACKAGE / "lanes.py") != []
+
+
+def test_lanes_exports_no_pin():
+    assert not hasattr(knewimp.lanes, "pinned")
 
 
 def test_lane_walker_sees_every_form(tmp_path):
@@ -98,13 +140,77 @@ def test_lane_walker_sees_every_form(tmp_path):
         "from threading import Thread, Lock\n"
         "n = ln.LANES + LANES\n"
         "th.Thread(target=print)\n"
-        "th.Lock()\n",
+        "th.Lock()\n"
+        "import concurrent.futures as cf\n"
+        "from concurrent.futures import ThreadPoolExecutor, wait\n"
+        "from concurrent import futures\n"
+        "cf.ProcessPoolExecutor()\n"
+        "import multiprocessing, os\n"
+        "from multiprocessing.pool import ThreadPool\n"
+        "with ln.pinned(), ln._pinned(), ln.run(print, range(0)):\n"
+        "    pass\n"
+        "from .lanes import _pinned, deal\n",
         encoding="utf-8",
     )
     assert lane_knowledge(probe) == [
         (1, "lanes.LANES"), (4, "threading.Thread"), (5, "LANES"), (5, "ln.LANES"),
-        (6, "th.Thread"),
+        (6, "th.Thread"), (8, "concurrent.futures"),
+        (9, "concurrent.futures.ThreadPoolExecutor"), (9, "concurrent.futures.wait"),
+        (10, "concurrent.futures"), (11, "cf.ProcessPoolExecutor"), (12, "multiprocessing"),
+        (13, "multiprocessing.pool.ThreadPool"), (14, "ln._pinned"), (14, "ln.pinned"),
+        (16, "lanes._pinned"),
     ]
+
+
+# What the package may import besides the standard library and itself: the
+# dependencies pyproject.toml names.
+DEPENDENCIES = {"numpy", "scipy"}
+
+
+def outside_imports(path):
+    """(line, module) of each import in the module at path that is neither
+    the standard library, the package itself, numpy nor scipy."""
+    allowed = set(sys.stdlib_module_names) | DEPENDENCIES | {"knewimp"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue  # a relative import names a sibling module
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_package_imports_only_its_dependencies():
+    # A BLAS helper such as threadpoolctl would otherwise slip in unlisted.
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := outside_imports(path))
+    }
+    assert found == {}
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    listed = [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in pyproject["project"]["dependencies"]]
+    assert sorted(listed) == sorted(DEPENDENCIES)
+
+
+def test_import_walker_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import threadpoolctl\n"
+        "from scipy.optimize import linear_sum_assignment\n"
+        "import os, numpy.linalg, sklearn.utils as su\n"
+        "from . import lanes\n"
+        "from .score import forward\n"
+        "from pandas import DataFrame\n"
+        "from __future__ import annotations\n"
+        "import knewimp.kernel\n",
+        encoding="utf-8",
+    )
+    assert outside_imports(probe) == [(1, "threadpoolctl"), (3, "sklearn.utils"), (6, "pandas")]
 
 
 def environment_reads(path):

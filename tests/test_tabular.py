@@ -97,6 +97,22 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=rf"data\.csv: row {row} is empty"):
             load_csv(write(tmp_path, text), has_header=header)
 
+    @pytest.mark.parametrize("blank", [" ", "\t", "  \t "])
+    def test_whitespace_line_is_an_empty_line(self, tmp_path, blank):
+        ds = load_csv(write(tmp_path, f"1\n2\n{blank}\n"))
+        assert ds.values.tolist() == [[1.0], [2.0]]
+        with pytest.raises(CsvFormatError, match=r"data\.csv: row 2 is empty"):
+            load_csv(write(tmp_path, f"1,2\n{blank}\n3,4\n"))
+
+    def test_missing_cells_are_rows(self, tmp_path):
+        # A line with a comma, or a quoted empty cell, is a row of missing
+        # cells, as write_csv writes one.
+        ds = load_csv(write(tmp_path, "1,2\n , \n3,4\n"))
+        assert ds.mask.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+        out = str(tmp_path / "out.csv")
+        write_csv(out, np.array([[1.0], [np.nan], [2.0]]))
+        assert load_csv(out).mask.tolist() == [[1.0], [0.0], [1.0]]
+
     def test_only_empty_lines_is_no_data(self, tmp_path):
         with pytest.raises(CsvFormatError, match="no data rows"):
             load_csv(write(tmp_path, "a,b\n\n"), has_header=True)
