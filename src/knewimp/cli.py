@@ -195,8 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mask = simulate(ds.values, spec)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    masked = np.where(mask == 1.0, ds.values, np.nan)
-    write_csv(out / "masked.csv", masked, ds.column_names)
+    write_csv(out / "masked.csv", from_complete(ds.values, mask).values, ds.column_names)
     achieved = float(1.0 - mask.mean())
     print(f"wrote {out / 'masked.csv'}; achieved missing rate {achieved:.4f}")
     return 0
@@ -363,8 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit:
         raise
     except (ValueError, RuntimeError, FloatingPointError, OSError, MemoryError) as exc:
-        origin = type(exc).__module__.rsplit(".", 1)[-1]
-        print(f"knewimp {args.command} ({origin}): {exc}", file=sys.stderr)
+        print(f"knewimp {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

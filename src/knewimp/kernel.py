@@ -22,7 +22,7 @@ from scipy.spatial.distance import pdist
 
 from . import lanes
 
-# Rows of the Gram tile dealt to a lane at a time in gram_matmul(). One
+# Rows of the Gram tile a lane takes at a time in gram_matmul(). One
 # product at 4792 x 11 with a 22-wide right-hand side (12 interleaved
 # rounds, 2-core VM) took 64.2 / 60.7 / 67.0 ms at 64 / 128 / 256 rows per
 # lane, against 87.1 ms for one lane of 256 rows with two BLAS threads.
@@ -90,12 +90,12 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     x with itself; x is (N, D), rhs is (N, K) and the result is (N, K).
 
     The operands are built once and G is built in upper-triangular tiles of
-    _TILE_ROWS rows, dealt to lanes.run. Tile [s:e] covers only G[s:e, s:],
-    the diagonal block and the columns to its right, and the lane builds it
-    one block of _BLOCK_COLS columns [c:f] at a time, clamping and
-    exponentiating the block in place in its own reused buffer. G is
-    symmetric, so each block serves two products while it is still in
-    cache:
+    _TILE_ROWS rows, split between lanes.run's lanes. Tile [s:e] covers
+    only G[s:e, s:], the diagonal block and the columns to its right, and
+    the lane builds it one block of _BLOCK_COLS columns [c:f] at a time,
+    clamping and exponentiating the block in place in its own reused
+    buffer. G is symmetric, so each block serves two products while it is
+    still in cache:
 
     - G[s:e, c:f] @ rhs[c:f] is added into rows s:e of the lane's (N, K)
       sum: after the tile's last block they hold their sum over columns s

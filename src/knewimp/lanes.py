@@ -1,7 +1,7 @@
 """Every thread knewimp starts, and the BLAS pin they run under.
 
-run(fn, blocks) deals a range of block starts to two lanes, block c to
-lane c % 2, calls fn(k, lane k's blocks) for each lane that gets one, and
+run(fn, blocks) splits a range of block starts between two lanes, block c
+to lane c % 2, calls fn(k, lane k's blocks) for each lane that gets one, and
 returns the lanes' results in lane order. Lane 0 runs on the caller and
 lane 1 on a one-thread executor made for that call; the executor is shut
 down and lane 1's error re-raised before the call returns, so no thread
@@ -10,8 +10,7 @@ result (a sum, say), and the caller adds the results in lane order, so the
 arithmetic depends only on the blocks a lane is given, not on whether the
 lanes ran at once, on the BLAS thread count or on the cores. A batch of
 fewer than two blocks runs on the caller alone, unpinned, and starts no
-thread. deal(blocks) gives the split ahead of a call, for callers that
-size per-lane buffers once and reuse them.
+thread.
 
 each(fn, items) returns [fn(item) for item in items], the items run at
 once on a pool no wider than the CPUs the process may run on (experiment's
@@ -41,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence, TypeVar
 
-# Lanes a batch is dealt to: block c goes to lane c % LANES.
+# Lanes a batch is split between: block c goes to lane c % LANES.
 LANES = 2
 
 T = TypeVar("T")
@@ -106,26 +105,19 @@ def _pinned() -> Iterator[bool]:
                     set_(count)
 
 
-def deal(blocks: range) -> list[range]:
-    """The blocks of each lane that gets one, in lane order: lane k gets
-    blocks[k::LANES]."""
-    return [blocks[k::LANES] for k in range(min(LANES, len(blocks)))]
-
-
 def run(fn: Callable[[int, range], T], blocks: range) -> list[T]:
     """[fn(0, blocks)] alone on the caller when there are fewer than two
-    blocks; otherwise fn(k, deal(blocks)[k]) for each lane under the pin, at
-    once where OpenBLAS was found and one after the other where not. Returns
-    the lanes' results in lane order."""
-    dealt = deal(blocks)
-    if len(dealt) < 2:
+    blocks; otherwise fn(k, blocks[k::LANES]) for each lane under the pin,
+    at once where OpenBLAS was found and one after the other where not.
+    Returns the lanes' results in lane order."""
+    if len(blocks) < 2:
         return [fn(0, blocks)]
     with _pinned() as concurrent:
         if not concurrent:
-            return [fn(k, own) for k, own in enumerate(dealt)]
+            return [fn(k, blocks[k::LANES]) for k in range(LANES)]
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="knewimp-lane") as pool:
-            second = pool.submit(fn, 1, dealt[1])
-            return [fn(0, dealt[0]), second.result()]
+            second = pool.submit(fn, 1, blocks[1::LANES])
+            return [fn(0, blocks[::LANES]), second.result()]
 
 
 def each(fn: Callable[[U], T], items: Sequence[U]) -> list[T]:

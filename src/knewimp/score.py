@@ -18,14 +18,17 @@ that height with in-place ufuncs and matmul(out=), in the operation order
 of the plain expressions, so hidden-layer memory is O(2 * _CHUNK_ROWS * H)
 whatever N is. Up to _CHUNK_ROWS rows there is one chunk and results are
 bit-identical to the plain expressions; past it they agree to round-off.
-train() allocates one set of batch-sized buffers per call and reuses it
-every epoch: per lane, five chunk-high (rows, H) buffers hold the forward
-activations (the two Swish outputs share one, and the backward pass
-recomputes the first from z1 and s1), and the backward pass writes each of
-its values into one of them that is dead by then. Adam steps each
-parameter in flat blocks of at most _ADAM_BLOCK elements through one pair
-of block-sized scratch arrays. Buffers never outlive the call that made
-them, so concurrent calls share nothing.
+Each lane of a DSM evaluation takes its buffers from a dict that the
+caller passes, and makes them the first time under a key of its lane and
+the evaluation's shape; train() makes one dict per call and passes it
+every epoch, so the first epoch allocates and the later ones reuse. Per
+lane, five chunk-high (rows, H) buffers hold the forward activations (the
+two Swish outputs share one, and the backward pass recomputes the first
+from z1 and s1), and the backward pass writes each of its values into one
+of them that is dead by then. Adam steps each parameter in flat blocks of
+at most _ADAM_BLOCK elements through one pair of block-sized scratch
+arrays. Buffers never outlive the call that made them, so concurrent calls
+share nothing.
 """
 
 from __future__ import annotations
@@ -232,27 +235,8 @@ class _LaneBuffers:
         self.scratch = _gradient_set(net) if chunks > 1 else None
 
 
-class _DsmBuffers:
-    """The lanes' buffers for one DSM loss-and-gradient evaluation, for one
-    network shape and batch size N: one _LaneBuffers per lane that gets a
-    chunk. train() allocates one per call and reuses it every epoch; it is
-    never shared between calls."""
-
-    def __init__(self, net: ScoreNetwork, n: int) -> None:
-        self.shape = _buffer_shape(net, n)
-        self.per_lane = [
-            _LaneBuffers(net, self.shape[1], len(starts))
-            for starts in lanes.deal(range(0, n, _CHUNK_ROWS))
-        ]
-
-
 def _gradient_set(net: ScoreNetwork) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
-
-
-def _buffer_shape(net: ScoreNetwork, n: int) -> tuple[int, int, int, int]:
-    """(N, chunk rows, D, H): what a _DsmBuffers for net and N is sized for."""
-    return (n, min(n, _CHUNK_ROWS), net.input_dim, net.weights[0].shape[1])
 
 
 def _dsm_chunk(
@@ -313,7 +297,7 @@ def dsm_loss_and_grad(
     x_clean: np.ndarray,
     noise: np.ndarray,
     sigma: float,
-    buffers: Optional[_DsmBuffers] = None,
+    buffers: Optional[dict] = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """DSM loss and its exact parameter gradients.
 
@@ -326,14 +310,17 @@ def dsm_loss_and_grad(
     net.weights / net.biases. The rows run in chunks of _CHUNK_ROWS on
     lanes.run's lanes: a lane writes its first chunk's gradients straight
     into its gradient set and adds each later chunk's to it, and returns
-    its chunks' summed squared residuals. Lane 1's sums are then added to
-    lane 0's, which are the result; the loss divides the summed squares by
-    N. A lane stops at a chunk whose sum is not finite, and
-    TrainingDivergence is raised once both have stopped. buffers, when
-    given, must be sized for this network and N (a ValueError names both
-    shapes otherwise); the pass then allocates only a chunk's (rows, D)
-    noised input, target and output, and the returned gradients are its
-    arrays, overwritten by the next call.
+    its chunks' summed squared residuals with its buffers. Lane 1's sums
+    are then added to lane 0's, which are the result; the loss divides the
+    summed squares by N. A lane stops at a chunk whose sum is not finite,
+    and TrainingDivergence is raised once both have stopped. buffers, when
+    given, is a dict in which each lane keeps its _LaneBuffers under
+    (lane, N, chunk rows, D, H), made on first use, so a call of another
+    shape never gets arrays sized for this one. A call that finds its
+    lanes' entries allocates only a chunk's (rows, D) noised input, target
+    and output, and the returned gradients are arrays of the dict,
+    overwritten by the next call of this shape. Calls running at once must
+    not share a dict.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -344,15 +331,14 @@ def dsm_loss_and_grad(
     n = x_clean.shape[0]
     if n < 1:
         raise ValueError("DSM needs at least one row")
-    buf = _DsmBuffers(net, n) if buffers is None else buffers
-    if buf.shape != _buffer_shape(net, n):
-        raise ValueError(
-            f"buffers sized for (N, chunk rows, D, H) = {buf.shape}, "
-            f"this call needs {_buffer_shape(net, n)}"
-        )
+    cache = {} if buffers is None else buffers
+    shape = (n, min(n, _CHUNK_ROWS), *net.weights[0].shape)
 
-    def lane(k: int, starts: range) -> float:
-        own = buf.per_lane[k]
+    def lane(k: int, starts: range) -> tuple[float, _LaneBuffers]:
+        key = (k, *shape)
+        own = cache.get(key)
+        if own is None:
+            own = cache[key] = _LaneBuffers(net, shape[1], len(starts))
         sq = 0.0
         for i, start in enumerate(starts):
             rows = slice(start, start + _CHUNK_ROWS)
@@ -363,13 +349,14 @@ def dsm_loss_and_grad(
             if i:
                 for g, c in zip(own.g_w + own.g_b, c_w + c_b):
                     g += c
-        return sq
+        return sq, own
 
-    total = sum(lanes.run(lane, range(0, n, _CHUNK_ROWS)))
+    results = lanes.run(lane, range(0, n, _CHUNK_ROWS))
+    total = sum(sq for sq, _ in results)
     if not np.isfinite(total):
         raise TrainingDivergence("DSM loss is not finite")
-    first, *others = buf.per_lane
-    for other in others:
+    (_, first), *others = results
+    for _, other in others:
         for g, c in zip(first.g_w + first.g_b, other.g_w + other.g_b):
             g += c
     return 0.5 * total / n, first.g_w, first.g_b
@@ -445,8 +432,9 @@ def train(
     seed's stream and gathers those rows, then draws the (B, D) noise; a
     table of at most _BATCH_ROWS rows draws only the noise and trains on
     all its rows. The gradient runs in chunks of _CHUNK_ROWS on two lanes
-    (see dsm_loss_and_grad). The batch, the noise, the lanes' chunk-high
-    activations, the gradients and Adam's state live in buffers allocated
+    (see dsm_loss_and_grad), which take their chunk-high activations and
+    gradients from one buffers dict made here and passed every epoch. The
+    batch, the noise, those lane buffers and Adam's state are allocated
     once per call and reused every epoch, so memory is O(B (D + H)) beside
     the O(N) index draw and the parameter-sized sets, whatever N is.
     """
@@ -460,7 +448,7 @@ def train(
     opt = Adam(params, cfg.lr)
     n = x.shape[0]
     rows = min(n, _BATCH_ROWS)
-    buffers = _DsmBuffers(net, rows)
+    buffers: dict = {}
     batch = x if rows == n else np.empty((rows, x.shape[1]))
     noise = np.empty(batch.shape)
     history: list[float] = []

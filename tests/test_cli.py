@@ -174,7 +174,7 @@ class TestImpute:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"knewimp impute (tabular): {path}: header has 3 cells" in err
+        assert f"knewimp impute: {path}: header has 3 cells" in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_no_missing_cells_is_runtime_error(self, tmp_path, complete_csv, capsys):
@@ -216,7 +216,7 @@ class TestImpute:
         net_path = write_checkpoint(tmp_path, MALFORMED_CHECKPOINTS[case])
         code, out, _ = self.run_pipeline(tmp_path, complete_csv, extra=["--load-net", net_path])
         assert code == 2
-        assert f"knewimp impute (builtins): {net_path}: " in capsys.readouterr().err
+        assert f"knewimp impute: {net_path}: " in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_hidden_width_must_match_checkpoint(self, tmp_path, complete_csv, capsys):
@@ -225,7 +225,7 @@ class TestImpute:
         code, out, _ = self.run_pipeline(tmp_path, complete_csv, extra=["--load-net", net_path])
         assert code == 2  # FAST passes --hidden 16
         err = capsys.readouterr().err
-        assert f"knewimp impute (builtins): {net_path}: --hidden" in err
+        assert f"knewimp impute: {net_path}: --hidden" in err
         assert "hidden width 16" in err and "hidden width 8" in err
         assert not os.path.exists(out)
 

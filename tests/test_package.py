@@ -129,6 +129,7 @@ def test_only_lanes_knows_the_lanes():
 
 def test_lanes_exports_no_pin():
     assert not hasattr(knewimp.lanes, "pinned")
+    assert not hasattr(knewimp.lanes, "deal")
 
 
 def test_lane_walker_sees_every_form(tmp_path):

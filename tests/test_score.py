@@ -477,30 +477,22 @@ class TestChunking:
             for p, ref in zip(got_net.parameters(), ref_net.parameters()):
                 assert self.close(p, ref)
 
-    def test_buffers_for_another_network_rejected(self):
-        x = np.zeros((10, 3))
-        buffers = score_mod._DsmBuffers(init_network(3, 8, seed=0), 10)
-        with pytest.raises(ValueError, match=r"\(10, 10, 3, 8\).*\(10, 10, 3, 16\)"):
-            dsm_loss_and_grad(init_network(3, 16, seed=0), x, x, 0.1, buffers)
-
-    def test_buffers_for_another_chunk_height_rejected(self, monkeypatch):
-        net = init_network(3, 8, seed=0)
-        x = np.zeros((20, 3))
-        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
-        buffers = score_mod._DsmBuffers(net, 20)
-        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 8)
-        with pytest.raises(ValueError, match=r"\(20, 7, 3, 8\).*\(20, 8, 3, 8\)"):
-            dsm_loss_and_grad(net, x, x, 0.1, buffers)
-
-    def test_buffers_only_for_lanes_that_get_chunks(self, monkeypatch):
-        # Chunks of 7 go to lanes 0, 1, 0, 1: a lane gets buffers only with a
-        # chunk, and a second gradient set only with a second chunk.
-        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
-        net = init_network(3, 8, seed=0)
-        for n, second_sets in ((5, [False]), (14, [False, False]), (20, [True, False]),
-                               (28, [True, True])):
-            buffers = score_mod._DsmBuffers(net, n)
-            assert [own.scratch is not None for own in buffers.per_lane] == second_sets
+    def test_one_buffers_dict_across_shapes(self, monkeypatch):
+        # Calls of another N, width or chunk height share one dict and get
+        # bit for bit what a call without one gets. 13 rows in chunks of 7
+        # give each lane one chunk; 20 rows give lane 0 two.
+        rng = np.random.default_rng(82)
+        buffers = {}
+        for n, d, hidden, chunk in ((5, 3, 8, 7), (13, 3, 8, 7), (20, 3, 8, 7), (20, 3, 16, 7),
+                                    (20, 4, 8, 7), (20, 3, 8, 8), (13, 3, 8, 7), (20, 3, 8, 7)):
+            monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
+            net = random_network(rng, d, hidden)
+            x = rng.standard_normal((n, d))
+            noise = 0.1 * rng.standard_normal((n, d))
+            want_loss, want_w, want_b = dsm_loss_and_grad(net, x, noise, 0.1)
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1, buffers)
+            assert loss == want_loss
+            assert all(np.array_equal(g, w) for g, w in zip(g_w + g_b, want_w + want_b))
 
     def test_divergence_in_last_chunk_only(self, monkeypatch):
         # Rows 14-19 form the third chunk of 7; the first two train finitely.
@@ -560,25 +552,47 @@ class TestMinibatch:
         for p, r in zip(trained.parameters(), ref.parameters()):
             assert np.array_equal(p, r)
 
-    def test_each_epoch_sees_batch_rows_distinct_rows(self, monkeypatch):
-        # Recorded through the module attribute, which the benchmark's
-        # score.epoch probe wraps: one call per epoch, with buffers.
-        x = np.random.default_rng(56).standard_normal((50, 3))
-        row_of = {row.tobytes(): i for i, row in enumerate(x)}
+    @staticmethod
+    def record_epochs(monkeypatch):
+        """Record each call through the module attribute, which the
+        benchmark's score.epoch probe wraps; returns the list of (batch
+        copy, buffers) that the calls append to."""
         real = score_mod.dsm_loss_and_grad
-        seen = []
+        calls = []
 
         def recording(net, x_clean, noise, sigma, buffers=None):
-            assert buffers is not None
-            seen.append([row_of[row.tobytes()] for row in x_clean])
+            calls.append((x_clean.copy(), buffers))
             return real(net, x_clean, noise, sigma, buffers=buffers)
 
         monkeypatch.setattr(score_mod, "dsm_loss_and_grad", recording)
+        return calls
+
+    def test_each_epoch_sees_batch_rows_distinct_rows(self, monkeypatch):
+        x = np.random.default_rng(56).standard_normal((50, 3))
+        row_of = {row.tobytes(): i for i, row in enumerate(x)}
+        calls = self.record_epochs(monkeypatch)
         train(init_network(3, 8, seed=0), x, DsmConfig(epochs=20), seed=1)
+        seen = [[row_of[row.tobytes()] for row in batch] for batch, _ in calls]
         assert len(seen) == 20
         assert all(len(set(rows)) == len(rows) == self.B for rows in seen)
         # Each epoch draws afresh, so the batches do not repeat one subset.
         assert len(set().union(*seen)) > self.B
+
+    @pytest.mark.parametrize("n, chunk, scratch", [
+        (5, 7, [False]), (14, 7, [False, False]), (40, 7, [True, False]), (40, 4, [True, True]),
+    ])
+    def test_every_epoch_reuses_one_buffers_dict(self, monkeypatch, n, chunk, scratch):
+        # Batches of min(n, B) rows in chunks go to lanes 0, 1, 0, 1: a lane
+        # keeps buffers only with a chunk, and a scratch set only with two.
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
+        calls = self.record_epochs(monkeypatch)
+        x = np.random.default_rng(58).standard_normal((n, 3))
+        train(init_network(3, 8, seed=0), x, DsmConfig(epochs=4), seed=1)
+        buffers = calls[0][1]
+        assert len(calls) == 4 and all(b is buffers for _, b in calls)
+        keys = sorted(buffers)
+        assert [key[0] for key in keys] == list(range(len(scratch)))
+        assert [buffers[key].scratch is not None for key in keys] == scratch
 
     def test_deterministic_per_seed(self):
         x = np.random.default_rng(57).standard_normal((45, 3))
