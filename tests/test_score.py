@@ -477,6 +477,40 @@ class TestChunking:
             for p, ref in zip(got_net.parameters(), ref_net.parameters()):
                 assert self.close(p, ref)
 
+    @staticmethod
+    def assert_others_left_alone(buffers, net, x):
+        """A call on a dict filled for another shape gets arrays of its own:
+        the old entries stay as they were, none of them backs the returned
+        gradients, and the result is bit for bit an uncached call's."""
+        before = {key: (own, [a.copy() for a in own.act + tuple(own.g_w + own.g_b)])
+                  for key, own in buffers.items()}
+        noise = 0.1 * np.ones_like(x)
+        want_loss, want_w, want_b = dsm_loss_and_grad(net, x, noise, 0.1)
+        loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1, buffers)
+        assert loss == want_loss
+        assert all(np.array_equal(g, w) for g, w in zip(g_w + g_b, want_w + want_b))
+        assert len(buffers) > len(before)
+        for key, (own, arrays) in before.items():
+            assert buffers[key] is own
+            mine = own.act + tuple(own.g_w + own.g_b)
+            assert all(np.array_equal(a, b) for a, b in zip(mine, arrays))
+            assert not any(np.shares_memory(g, a) for g in g_w + g_b for a in mine)
+
+    def test_buffers_for_another_network_rejected(self):
+        x = np.random.default_rng(83).standard_normal((10, 3))
+        buffers = {}
+        dsm_loss_and_grad(init_network(3, 8, seed=0), x, 0.1 * x, 0.1, buffers)
+        self.assert_others_left_alone(buffers, init_network(3, 16, seed=0), x)
+
+    def test_buffers_for_another_chunk_height_rejected(self, monkeypatch):
+        net = init_network(3, 8, seed=0)
+        x = np.random.default_rng(84).standard_normal((20, 3))
+        buffers = {}
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
+        dsm_loss_and_grad(net, x, 0.1 * x, 0.1, buffers)
+        monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 8)
+        self.assert_others_left_alone(buffers, net, x)
+
     def test_one_buffers_dict_across_shapes(self, monkeypatch):
         # Calls of another N, width or chunk height share one dict and get
         # bit for bit what a call without one gets. 13 rows in chunks of 7
