@@ -13,7 +13,6 @@ from .imputer import (
     WgfConfig,
     euler_impute,
     knewimp,
-    mean_impute,
     velocity,
 )
 from .kernel import KernelConfig, gram_matmul, median_bandwidth
@@ -38,6 +37,7 @@ from .tabular import (
     from_complete,
     initialize_missing,
     load_csv,
+    mean_impute,
     standardize,
     write_csv,
 )

@@ -28,11 +28,13 @@ import numpy as np
 
 from . import lanes
 from . import metrics as metrics_mod
-from .imputer import WgfConfig, knewimp, mean_impute
+from .imputer import WgfConfig, knewimp
 from .kernel import KernelConfig
 from .missingness import Mechanism, MissingSpec, simulate
 from .score import DsmConfig, load_network, save_network
-from .tabular import TabularDataset, from_complete, load_csv, standardize, write_csv
+from .tabular import (
+    TabularDataset, from_complete, load_csv, mean_impute, standardize, write_csv,
+)
 
 # Path flags: a config file may not supply them.
 _PATH_KEYS = frozenset({
@@ -189,6 +191,13 @@ def _load_complete(path: str, has_header: bool, role: str) -> TabularDataset:
     return ds
 
 
+def _check_out_dir(flag: str, path: Optional[str]) -> None:
+    """ValueError naming flag and path unless path's directory exists, so a
+    file that cannot be written fails before any work."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     ds = _load_complete(args.input, args.has_header, "simulate input")
     spec = MissingSpec(args.mechanism, args.rate, args.seed)
@@ -203,6 +212,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_impute(args: argparse.Namespace) -> int:
     model = _build_configs(args)
+    _check_out_dir("--output", args.output)
+    _check_out_dir("--save-net", args.save_net)
     ds = load_csv(args.input, has_header=args.has_header)
     ds_std, stats = standardize(ds)
     net0 = None
@@ -230,6 +241,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_out_dir("--output", args.output)
     truth = _load_complete(args.truth, args.has_header, "truth CSV")
     imputed = _load_complete(args.imputed, args.has_header, "imputed CSV")
     masked = load_csv(args.masked, has_header=args.has_header)

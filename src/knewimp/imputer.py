@@ -7,8 +7,11 @@ pulls particles together (weighted by ner_weight) to discourage the spread
 a pure sampling procedure would produce. The field is integrated by forward
 Euler; training the score model and simulating the flow alternate for a
 configured number of rounds. Each round's flow runs at one bandwidth h,
-which euler_impute() takes from the round's starting matrix. The flow never
-reads the ground truth; metrics.evaluate() scores the finished matrix.
+which euler_impute() takes from the round's starting matrix; h, like
+KernelConfig.bandwidth, must be finite and > 0. The flow starts from
+tabular.initialize_missing (the mean fill, tabular.mean_impute, plus
+jitter) and never reads the ground truth; metrics.evaluate() scores the
+finished matrix.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
 them over the incomplete rows only. The attraction is folded into the
@@ -31,16 +34,12 @@ from .score import (
     ScoreNetwork,
     TrainingDivergence,
     check_count,
+    check_positive,
     forward,
     init_network,
     train,
 )
-from .tabular import (
-    TabularDataset,
-    checked_mask,
-    initialize_missing,
-    observed_column_means,
-)
+from .tabular import TabularDataset, checked_mask, initialize_missing
 
 ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
 
@@ -61,8 +60,7 @@ class WgfConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.ner_weight < np.inf:
             raise ValueError(f"ner_weight must be finite and >= 0, got {self.ner_weight}")
-        if not 0.0 < self.step_size < np.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        check_positive("step_size", self.step_size)
         check_count("num_steps", self.num_steps)
         check_count("num_loops", self.num_loops)
 
@@ -111,12 +109,12 @@ def velocity(
     without a missing cell get zero velocity and add zero to every sum, so
     only the incomplete rows are evaluated: the score network runs on them
     alone (it must act row by row), and G is built over them alone. The
-    divisor stays N. The mask must hold only 0 and 1.
+    divisor stays N. The mask must hold only 0 and 1, and h must be finite
+    and > 0.
     """
     x = np.asarray(x, dtype=np.float64)
     mask = checked_mask(mask, x.shape)
-    if not h > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {h}")
+    check_positive("bandwidth", h)
     n, d = x.shape
     rows = np.flatnonzero((mask == 0.0).any(axis=1))
     v = np.zeros_like(x)
@@ -241,9 +239,3 @@ def knewimp(
         impute_seconds=impute_seconds,
         network=net,
     )
-
-
-def mean_impute(ds: TabularDataset) -> np.ndarray:
-    """Baseline: every missing cell gets its column's observed mean."""
-    means = observed_column_means(ds)
-    return np.where(ds.mask == 1.0, ds.values, np.broadcast_to(means, ds.values.shape))

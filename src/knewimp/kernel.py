@@ -21,6 +21,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import lanes
+from .score import check_positive
 
 # Rows of the Gram tile a lane takes at a time in gram_matmul(). One
 # product at 4792 x 11 with a 22-wide right-hand side (12 interleaved
@@ -54,8 +55,7 @@ class KernelConfig:
     use_median_heuristic: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.bandwidth < np.inf:
-            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        check_positive("bandwidth", self.bandwidth)
 
 
 def _gram_operands(x: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +87,8 @@ def _gram_tile(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     """G @ rhs for the RBF Gram G[i, j] = exp(-||x_i - x_j||^2 / (2 h^2)) of
-    x with itself; x is (N, D), rhs is (N, K) and the result is (N, K).
+    x with itself; x is (N, D), rhs is (N, K) and the result is (N, K). The
+    bandwidth h must be finite and > 0.
 
     The operands are built once and G is built in upper-triangular tiles of
     _TILE_ROWS rows, split between lanes.run's lanes. Tile [s:e] covers
@@ -117,8 +118,7 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
         raise ValueError(
             f"x and rhs must be 2-D with equal row counts, got {x.shape} and {rhs.shape}"
         )
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    check_positive("bandwidth", bandwidth)
     n, k = rhs.shape
     left, right = _gram_operands(x, bandwidth)
 

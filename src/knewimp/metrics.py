@@ -1,9 +1,10 @@
 """Imputation quality metrics.
 
-MAE averages absolute errors over the missing cells. The distributional
-metric is the squared 2-Wasserstein distance between the imputed and true
-versions of the rows that contain at least one missing cell, each cloud
-carrying uniform weights. For equal-size uniform measures its exact value
+MAE averages absolute errors over the missing cells, those where the mask
+is 0; tabular.checked_mask checks that it holds only 0 and 1. The
+distributional metric is the squared 2-Wasserstein distance between the
+imputed and true versions of the rows that contain at least one missing
+cell, each cloud carrying uniform weights. For equal-size uniform measures its exact value
 is a minimum-cost assignment, which wasserstein2 solves at every size: the
 m x m cost matrix takes O(m^2) memory and the solver cubic time in the
 worst case. A cost matrix larger than the machine's physical memory is
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .tabular import TabularDataset
+from .tabular import TabularDataset, checked_mask
 
 # Held while a cost matrix exists, so that experiment's seed pool never
 # holds two at once.
@@ -47,16 +48,13 @@ class MetricReport:
 
 
 def mae(truth: np.ndarray, imputed: np.ndarray, mask: np.ndarray) -> float:
-    """Mean absolute error over the missing cells (mask == 0)."""
+    """Mean absolute error over the missing cells (mask == 0). mask must have
+    truth's shape and only 0/1 entries."""
     truth = np.asarray(truth, dtype=np.float64)
     imputed = np.asarray(imputed, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if truth.shape != imputed.shape or truth.shape != mask.shape:
-        raise ValueError(
-            f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}, "
-            f"mask {mask.shape}"
-        )
-    missing = mask == 0.0
+    if truth.shape != imputed.shape:
+        raise ValueError(f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}")
+    missing = checked_mask(mask, truth.shape) == 0.0
     m0 = int(missing.sum())
     if m0 == 0:
         raise ValueError("no missing cells: MAE is undefined")

@@ -2,10 +2,10 @@
 
 MCAR draws each cell independently. MAR keeps a random 30% of the columns
 (rounded up) fully observed and masks the rest through a logistic model of
-the observed columns, with the bias calibrated by bisection to hit the
-requested rate (the recipe of Muzellec et al., ICML 2020). MNAR reuses the
-MAR construction and then hides the logistic model's own inputs with an
-MCAR overlay at the same rate. simulate() draws all three, redrawing from
+the observed columns, standardized by tabular.standardize, with the bias
+calibrated by bisection to hit the requested rate (the recipe of Muzellec
+et al., ICML 2020). MNAR reuses the MAR construction and then hides the
+logistic model's own inputs with an MCAR overlay at the same rate. simulate() draws all three, redrawing from
 the same generator until each column keeps an observed cell.
 """
 
@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .score import check_count, sigmoid
+from .tabular import TabularDataset, standardize
 
 MAX_MASK_ATTEMPTS = 100
 
@@ -88,12 +89,6 @@ def calibrate_bias(logits: np.ndarray, target_rate: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _standardize_columns(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1]), 1e-12)
-    return (x - mean) / std
-
-
 def _draw(truth: np.ndarray, spec: MissingSpec, rng: np.random.Generator) -> np.ndarray:
     """One mask under spec from rng; its columns are not checked.
 
@@ -117,7 +112,7 @@ def _draw(truth: np.ndarray, spec: MissingSpec, rng: np.random.Generator) -> np.
         )
     observed_cols = rng.choice(d, size=k, replace=False)
     maskable_cols = np.setdiff1d(np.arange(d), observed_cols)
-    inputs = _standardize_columns(truth[:, observed_cols])
+    inputs = standardize(TabularDataset(truth[:, observed_cols]))[0].values
     weights = rng.standard_normal((k, maskable_cols.size))
     logits = inputs @ weights
     bias = calibrate_bias(logits, spec.rate)

@@ -73,6 +73,12 @@ def check_count(name: str, value: int, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_positive(name: str, value: float) -> None:
+    """ValueError naming name unless value is finite and > 0 (NaN is not)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class DsmConfig:
     """Denoising-score-matching training settings."""
@@ -82,11 +88,9 @@ class DsmConfig:
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        check_positive("sigma", self.sigma)
         check_count("epochs", self.epochs)
-        if not 0.0 < self.lr < np.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        check_positive("lr", self.lr)
 
 
 @dataclass
@@ -306,8 +310,9 @@ def dsm_loss_and_grad(
 
         loss = 1/2 * mean_i || f(x_i + e_i) + e_i / sigma^2 ||^2
 
-    Returns (loss, weight gradients, bias gradients), index-aligned with
-    net.weights / net.biases. The rows run in chunks of _CHUNK_ROWS on
+    sigma must be finite and > 0, as in DsmConfig. Returns (loss, weight
+    gradients, bias gradients), index-aligned with net.weights /
+    net.biases. The rows run in chunks of _CHUNK_ROWS on
     lanes.run's lanes: a lane writes its first chunk's gradients straight
     into its gradient set and adds each later chunk's to it, and returns
     its chunks' summed squared residuals with its buffers. Lane 1's sums
@@ -322,8 +327,7 @@ def dsm_loss_and_grad(
     overwritten by the next call of this shape. Calls running at once must
     not share a dict.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    check_positive("sigma", sigma)
     x_clean = np.asarray(x_clean, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x_clean.shape:

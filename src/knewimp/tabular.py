@@ -2,9 +2,14 @@
 
 A table is an N x D float64 matrix whose NaN cells are its missing ones;
 its {0, 1} observation mask is derived from them. Loading, masking,
-column-wise standardization, and missing-entry initialization all live
-here. Everything is value-semantic: operations return new objects and
-never mutate their inputs.
+column-wise standardization, the mean fill and missing-entry
+initialization all live here, and each table rule has one implementation
+that the other modules call: standardize (missingness standardizes the
+MAR/MNAR model's inputs with it), mean_impute (the baseline, and the
+centre of initialize_missing's jitter) and checked_mask (the 0/1 mask
+check of the flow, of from_complete and of metrics.mae). Everything is
+value-semantic: operations return new objects and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -86,9 +91,11 @@ class TabularDataset:
     """N x D numeric table with optional ground truth.
 
     The NaN cells of values are the missing ones: mask is derived from them
-    (1 = observed), never given, so it cannot disagree with values. truth,
-    when present, is fully observed and aligned with values. Instances are
-    treated as immutable; all operations hand back new arrays.
+    (1 = observed), never given, so it cannot disagree with values. Every
+    other cell must be finite: a ValueError names the first ±inf cell.
+    truth, when present, is fully observed and aligned with values.
+    Instances are treated as immutable; all operations hand back new
+    arrays.
     """
 
     values: np.ndarray
@@ -99,6 +106,10 @@ class TabularDataset:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"values must be a non-empty 2-D matrix, got {values.shape}")
+        infinite = np.argwhere(np.isinf(values))
+        if infinite.size:
+            i, j = infinite[0]
+            raise ValueError(f"values[{i}, {j}] is {values[i, j]}; values must be finite or NaN")
         object.__setattr__(self, "values", values)
         if self.truth is not None:
             truth = np.asarray(self.truth, dtype=np.float64)
@@ -239,6 +250,12 @@ def observed_column_means(ds: TabularDataset) -> np.ndarray:
     return np.nanmean(ds.values, axis=0)
 
 
+def mean_impute(ds: TabularDataset) -> np.ndarray:
+    """Baseline: every missing cell gets its column's observed mean."""
+    means = observed_column_means(ds)
+    return np.where(ds.mask == 1.0, ds.values, np.broadcast_to(means, ds.values.shape))
+
+
 def _observed_stats(ds: TabularDataset) -> StandardizationStats:
     mean = observed_column_means(ds)
     std = np.empty(ds.n_cols, dtype=np.float64)
@@ -266,15 +283,14 @@ def standardize(ds: TabularDataset) -> tuple[TabularDataset, StandardizationStat
 
 def initialize_missing(ds: TabularDataset, seed: int) -> np.ndarray:
     """Dense starting matrix: observed cells verbatim, missing cells set to
-    the observed column mean plus N(0, 0.1^2) jitter.
+    mean_impute's fill (the observed column mean) plus N(0, 0.1^2) jitter.
 
     The jitter keeps initial particles distinct so kernel interactions are
     non-degenerate; on standardized data it is a tenth of a column's spread.
     Deterministic for a fixed seed, which must be an integer >= 0.
     """
     check_count("seed", seed, least=0)
-    means = observed_column_means(ds)
+    filled = mean_impute(ds)
     rng = np.random.default_rng(seed)
     noise = 0.1 * rng.standard_normal(ds.values.shape)
-    filled = np.broadcast_to(means, ds.values.shape) + noise
-    return np.where(ds.mask == 1.0, ds.values, filled)
+    return np.where(ds.mask == 1.0, ds.values, filled + noise)

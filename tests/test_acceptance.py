@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from knewimp.cli import main as cli_main
-from knewimp.imputer import WgfConfig, euler_impute, knewimp, mean_impute, velocity
+from knewimp.imputer import WgfConfig, euler_impute, knewimp, velocity
 from knewimp.kernel import KernelConfig, gram_matmul
 from knewimp.metrics import mae, wasserstein2
 from knewimp.missingness import calibrate_bias, simulate, MissingSpec, Mechanism
 from knewimp.score import DsmConfig, dsm_loss_and_grad, forward, init_network
-from knewimp.tabular import from_complete, initialize_missing, load_csv, standardize, write_csv
+from knewimp.tabular import (
+    from_complete, initialize_missing, load_csv, mean_impute, standardize, write_csv,
+)
 from oracles import grad_gram_second, wasserstein2_bruteforce
 
 DEFAULT_DCFG = DsmConfig()          # sigma 0.1, epochs 200, lr 1e-3

@@ -396,6 +396,30 @@ class TestEvaluate:
         assert "--wass-method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["impute", "--input", "in.csv", "--output", "{gone}/out.csv"], "--output"),
+    (["impute", "--input", "in.csv", "--output", "out.csv", "--save-net", "{gone}/net.json"],
+     "--save-net"),
+    (["evaluate", "--truth", "t.csv", "--imputed", "i.csv", "--masked", "m.csv",
+      "--output", "{gone}/report.json"], "--output"),
+], ids=["impute-output", "impute-save-net", "evaluate-output"])
+def test_missing_output_directory_fails_before_any_read(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    # An output that cannot be written must not cost a whole imputation.
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read before the output path was checked")
+
+    monkeypatch.setattr("knewimp.cli.load_csv", no_read)
+    gone = tmp_path / "gone"
+    argv = [arg.format(gone=gone) for arg in command]
+    assert main(argv) == 2
+    path = argv[argv.index(flag) + 1]
+    assert f"knewimp {command[0]}: {flag} {path}: directory {gone} does not exist" in (
+        capsys.readouterr().err
+    )
+
+
 class TestExperiment:
     def run(self, tmp_path, complete_csv, seeds, subdir):
         out = tmp_path / subdir

@@ -16,7 +16,6 @@ from knewimp.imputer import (
     WgfConfig,
     euler_impute,
     knewimp,
-    mean_impute,
     velocity,
 )
 from knewimp.kernel import KernelConfig, median_bandwidth
@@ -24,7 +23,9 @@ from knewimp.lanes import LANES
 from knewimp.metrics import mae
 from knewimp.missingness import Mechanism, MissingSpec, simulate
 from knewimp.score import DsmConfig, TrainingDivergence, forward, init_network, train
-from knewimp.tabular import TabularDataset, from_complete, initialize_missing, standardize
+from knewimp.tabular import (
+    TabularDataset, from_complete, initialize_missing, mean_impute, standardize,
+)
 from oracles import (
     dense_velocity,
     gaussian_conditional_mean,
@@ -361,10 +362,10 @@ class TestMaskEntries:
 
 
 class TestBandwidth:
-    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
     def test_velocity_rejects_bad_bandwidth(self, h):
         x = np.random.default_rng(15).standard_normal((4, 2))
-        with pytest.raises(ValueError, match="bandwidth must be > 0"):
+        with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
             velocity(x, np.zeros((4, 2)), zero_score, h, 1.0)
 
     def test_median_mode_holds_the_starting_median(self):

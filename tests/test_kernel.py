@@ -88,8 +88,8 @@ class TestGram:
                 gram_matmul(x, rhs, 1.0)
 
     def test_bad_bandwidth(self):
-        for h in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="bandwidth must be > 0"):
+        for h in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
                 gram_matmul(np.zeros((1, 1)), np.eye(1), h)
 
     def test_monotone_decay_in_distance(self):

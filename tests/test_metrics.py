@@ -43,6 +43,14 @@ class TestMae:
         with pytest.raises(ValueError, match="no missing cells"):
             mae(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
 
+    def test_mask_must_be_zero_or_one(self):
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            mae(np.zeros((2, 2)), np.ones((2, 2)), np.array([[0.5, 0.0], [1.0, 2.0]]))
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ValueError, match="mask shape"):
+            mae(np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 3)))
+
 
 class TestBruteForce:
     def test_single_pair(self):

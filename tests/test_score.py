@@ -192,6 +192,13 @@ class TestDsmLossAndGrad:
         with pytest.raises(ValueError, match="at least one row"):
             dsm_loss_and_grad(net, np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        # The rule of DsmConfig.sigma: at sigma = inf the target would be 0.
+        net = init_network(3, 8, seed=0)
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            dsm_loss_and_grad(net, np.zeros((2, 3)), np.zeros((2, 3)), sigma)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):

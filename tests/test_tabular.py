@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knewimp.imputer import mean_impute
 from knewimp.tabular import (
     CsvFormatError,
     StandardizationStats,
@@ -12,6 +11,7 @@ from knewimp.tabular import (
     from_complete,
     initialize_missing,
     load_csv,
+    mean_impute,
     standardize,
     write_csv,
 )
@@ -179,6 +179,13 @@ class TestDatasetInvariants:
     def test_from_complete_rejects_mis_shaped_mask(self):
         with pytest.raises(ValueError, match="mask shape"):
             from_complete(np.array([[1.0, 2.0]]), np.array([[1.0, 0.0, 1.0]]))
+
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinite_value_names_its_cell(self, inf):
+        # Only NaN marks a missing cell; an infinite one would pass as observed.
+        values = np.array([[1.0, np.nan], [2.0, inf], [inf, 3.0]])
+        with pytest.raises(ValueError, match=rf"values\[1, 1\] is {inf}; values must be finite"):
+            TabularDataset(values=values)
 
     def test_truth_must_be_complete(self):
         with pytest.raises(ValueError, match="truth"):
