@@ -6,36 +6,22 @@ denoising score matching, and moving the missing coordinates of every row
 along a kernel-smoothed, attraction-regularized velocity field integrated
 with forward Euler. Masks for the standard missingness mechanisms and the
 usual pointwise/distributional metrics round out the toolkit.
+
+The package exports the pipeline: tables, masks, the configs, knewimp()
+and the metrics. The layers under it (the velocity and the Euler flow,
+the Gram product and the bandwidth, the score network's training, the
+bias calibration) are imported from their own modules.
 """
 
-from .imputer import (
-    ImputationResult,
-    WgfConfig,
-    euler_impute,
-    knewimp,
-    velocity,
-)
-from .kernel import KernelConfig, gram_matmul, median_bandwidth
+from .imputer import ImputationResult, WgfConfig, knewimp
+from .kernel import KernelConfig
 from .metrics import MetricReport, evaluate, mae, wasserstein2
-from .missingness import (
-    Mechanism,
-    MissingSpec,
-    calibrate_bias,
-    simulate,
-)
-from .score import (
-    DsmConfig,
-    ScoreNetwork,
-    dsm_loss_and_grad,
-    forward,
-    init_network,
-    train,
-)
+from .missingness import Mechanism, MissingSpec, simulate
+from .score import DsmConfig, ScoreNetwork
 from .tabular import (
     StandardizationStats,
     TabularDataset,
     from_complete,
-    initialize_missing,
     load_csv,
     mean_impute,
     standardize,
@@ -53,24 +39,14 @@ __all__ = [
     "StandardizationStats",
     "TabularDataset",
     "WgfConfig",
-    "calibrate_bias",
-    "dsm_loss_and_grad",
-    "euler_impute",
     "evaluate",
-    "forward",
     "from_complete",
-    "gram_matmul",
-    "init_network",
-    "initialize_missing",
     "knewimp",
     "load_csv",
     "mae",
     "mean_impute",
-    "median_bandwidth",
     "simulate",
     "standardize",
-    "train",
-    "velocity",
     "wasserstein2",
     "write_csv",
 ]

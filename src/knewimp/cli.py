@@ -31,7 +31,7 @@ from . import metrics as metrics_mod
 from .imputer import WgfConfig, knewimp
 from .kernel import KernelConfig
 from .missingness import Mechanism, MissingSpec, simulate
-from .score import DsmConfig, load_network, save_network
+from .score import DsmConfig, check_count, load_network, save_network
 from .tabular import (
     TabularDataset, from_complete, load_csv, mean_impute, standardize, write_csv,
 )
@@ -168,8 +168,8 @@ def _build_configs(args: argparse.Namespace) -> dict:
     the default of the object that owns it."""
     if args.bandwidth is not None and args.median_bandwidth:
         raise ValueError("--bandwidth and --median-bandwidth both set the bandwidth; give one")
-    if args.hidden is not None and args.hidden < 1:
-        raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
+    if args.hidden is not None:
+        check_count("--hidden", args.hidden)
     return {
         "dcfg": DsmConfig(**_given(sigma=args.sigma, epochs=args.epochs, lr=args.lr)),
         "kcfg": KernelConfig(**_given(
@@ -246,7 +246,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     imputed = _load_complete(args.imputed, args.has_header, "imputed CSV")
     masked = load_csv(args.masked, has_header=args.has_header)
     if masked.values.shape != truth.values.shape or imputed.values.shape != truth.values.shape:
-        raise ValueError("truth, imputed, and masked shapes must match")
+        raise ValueError(
+            f"truth, imputed, and masked shapes must match: truth {truth.values.shape}, "
+            f"imputed {imputed.values.shape}, masked {masked.values.shape}"
+        )
     # Only the empty cells are scored, so a masked table of other data would
     # score without a word unless its observed cells are the truth's.
     differ = np.argwhere((masked.mask == 1.0) & (masked.values != truth.values))
@@ -383,8 +386,8 @@ def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     as usage errors before any file is read. parser is the subcommand's, so
     the error shows that command's usage, as argparse's own errors do."""
     try:
-        if args.command in ("simulate", "impute") and args.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.command in ("simulate", "impute"):
+            check_count("--seed", args.seed, least=0)
         if args.command in ("simulate", "experiment"):
             MissingSpec(args.mechanism, args.rate, 0)
         if args.command in ("impute", "experiment"):

@@ -34,6 +34,7 @@ from .score import (
     ScoreNetwork,
     TrainingDivergence,
     check_count,
+    check_finite,
     check_positive,
     forward,
     init_network,
@@ -150,8 +151,7 @@ def euler_impute(
     x0 = np.asarray(x0, dtype=np.float64)
     x = x0.copy()
     mask = checked_mask(mask, x0.shape)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial matrix contains non-finite values")
+    check_finite("initial matrix", x)
     observed = mask == 1.0
     held = x0[observed]
     use_median = kcfg.use_median_heuristic and x0.shape[0] >= 2

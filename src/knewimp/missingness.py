@@ -3,10 +3,13 @@
 MCAR draws each cell independently. MAR keeps a random 30% of the columns
 (rounded up) fully observed and masks the rest through a logistic model of
 the observed columns, standardized by tabular.standardize, with the bias
-calibrated by bisection to hit the requested rate (the recipe of Muzellec
-et al., ICML 2020). MNAR reuses the MAR construction and then hides the
-logistic model's own inputs with an MCAR overlay at the same rate. simulate() draws all three, redrawing from
-the same generator until each column keeps an observed cell.
+that hits the requested rate found by Brent's method (scipy's brentq;
+the recipe of Muzellec et al., ICML 2020). MNAR reuses the MAR
+construction and then hides the logistic model's own inputs with an MCAR
+overlay at the same rate. simulate() refuses a truth with a NaN or
+infinite cell (score.check_finite) and draws all three, redrawing from
+the same generator until tabular.first_empty_column finds no empty
+column.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .score import check_count, sigmoid
-from .tabular import TabularDataset, standardize
+from .score import check_count, check_finite, sigmoid
+from .tabular import TabularDataset, first_empty_column, standardize
 
 MAX_MASK_ATTEMPTS = 100
 
@@ -62,31 +66,22 @@ class MissingSpec:
 def calibrate_bias(logits: np.ndarray, target_rate: float) -> float:
     """Bias b with mean(sigmoid(logits + b)) within 1e-6 of target_rate.
 
-    mean sigmoid is strictly increasing in b, so a bracketing bisection
-    always succeeds for target_rate in (0, 1).
+    The mean rate rises strictly with b, so Brent's method finds b on the
+    bracket ±(max|logits| + 800): there sigmoid is exactly 0 at one end
+    and exactly 1 at the other, which brackets every rate in (0, 1). The
+    rate's slope in b is at most 1/4, so xtol = 1e-9 keeps it well inside
+    1e-6. logits must be non-empty and finite.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError(f"target_rate must be in (0, 1), got {target_rate}")
     logits = np.asarray(logits, dtype=np.float64).ravel()
-
-    def mean_prob(b: float) -> float:
-        return float(sigmoid(logits + b).mean())
-
-    lo, hi = -1.0, 1.0
-    while mean_prob(lo) > target_rate:
-        lo *= 2.0
-    while mean_prob(hi) < target_rate:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rate = mean_prob(mid)
-        if abs(rate - target_rate) <= 1e-6:
-            return mid
-        if rate < target_rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not logits.size:
+        raise ValueError("logits must hold at least one value")
+    check_finite("logits", logits)
+    reach = float(np.abs(logits).max()) + 800.0
+    return brentq(
+        lambda b: float(sigmoid(logits + b).mean()) - target_rate, -reach, reach, xtol=1e-9
+    )
 
 
 def _draw(truth: np.ndarray, spec: MissingSpec, rng: np.random.Generator) -> np.ndarray:
@@ -136,15 +131,14 @@ def simulate(truth: np.ndarray, spec: MissingSpec) -> np.ndarray:
     truth = np.asarray(truth, dtype=np.float64)
     if truth.ndim != 2:
         raise ValueError(f"truth must be 2-D, got shape {truth.shape}")
-    if not np.all(np.isfinite(truth)):
-        raise ValueError("truth must be complete (no NaN or infinite entries)")
+    check_finite("truth", truth)
     rng = np.random.default_rng(spec.seed)
     for _ in range(MAX_MASK_ATTEMPTS):
         mask = _draw(truth, spec, rng)
-        observed = mask.sum(axis=0)
-        if np.all(observed >= 1.0):
+        empty = first_empty_column(mask)
+        if empty is None:
             return mask
     raise RuntimeError(
         f"could not draw a mask without a fully missing column "
-        f"(column {int(np.argmin(observed))}) in {MAX_MASK_ATTEMPTS} attempts"
+        f"(column {empty}) in {MAX_MASK_ATTEMPTS} attempts"
     )

@@ -5,7 +5,9 @@ density at that row. Training perturbs the data with Gaussian noise of
 scale sigma and regresses the network output at the noised point onto the
 conditional score -noise / sigma^2. Gradients are computed by hand so the
 whole stack stays in float64 numpy and can be checked against finite
-differences.
+differences. The package's argument checks live here too: check_count
+(integers), check_positive (finite and > 0) and check_finite (arrays
+without NaN or ±inf).
 
 Each training epoch is one Adam step on a minibatch of at most
 _BATCH_ROWS rows, drawn without replacement from the training seed's
@@ -77,6 +79,13 @@ def check_positive(name: str, value: float) -> None:
     """ValueError naming name unless value is finite and > 0 (NaN is not)."""
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """ValueError naming name unless every entry of values is finite (no
+    NaN, no ±inf)."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be complete (no NaN or infinite entries)")
 
 
 @dataclass(frozen=True)
@@ -206,8 +215,7 @@ def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"expected (N, {net.input_dim}) input, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("network input contains non-finite values")
+    check_finite("network input", x)
     n = x.shape[0]
     shape = (min(n, _CHUNK_ROWS), net.weights[0].shape[1])
     out = np.empty((n, net.layer_dims[-1]))
@@ -444,8 +452,7 @@ def train(
     """
     check_count("seed", seed, least=0)
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("training data contains non-finite values")
+    check_finite("training data", x)
     rng = np.random.default_rng(seed)
     net = net.copy()
     params = net.parameters()

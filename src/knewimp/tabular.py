@@ -6,10 +6,12 @@ column-wise standardization, the mean fill and missing-entry
 initialization all live here, and each table rule has one implementation
 that the other modules call: standardize (missingness standardizes the
 MAR/MNAR model's inputs with it), mean_impute (the baseline, and the
-centre of initialize_missing's jitter) and checked_mask (the 0/1 mask
-check of the flow, of from_complete and of metrics.mae). Everything is
-value-semantic: operations return new objects and never mutate their
-inputs.
+centre of initialize_missing's jitter), checked_mask (the 0/1 mask
+check of the flow, of from_complete and of metrics.mae) and
+first_empty_column (the "every column keeps an observed cell" check of
+the column means and of missingness.simulate's redraws, which numbers
+columns from 1 as the CSV errors do). Everything is value-semantic:
+operations return new objects and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .score import check_count
+from .score import check_count, check_finite
 
 STD_FLOOR = 1e-12
 
@@ -115,8 +117,7 @@ class TabularDataset:
             truth = np.asarray(self.truth, dtype=np.float64)
             if truth.shape != values.shape:
                 raise ValueError(f"truth shape {truth.shape} != values shape {values.shape}")
-            if not np.all(np.isfinite(truth)):
-                raise ValueError("truth must not contain missing or non-finite values")
+            check_finite("truth", truth)
             object.__setattr__(self, "truth", truth)
         if self.column_names is not None and len(self.column_names) != values.shape[1]:
             raise ValueError(
@@ -242,11 +243,21 @@ def write_csv(
             writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
 
 
+def first_empty_column(mask: np.ndarray) -> Optional[int]:
+    """Number, counted from 1, of the first column of a 0/1 mask (1 =
+    observed) without an observed cell; None when every column has one."""
+    empty = np.flatnonzero(~mask.any(axis=0))
+    return int(empty[0]) + 1 if empty.size else None
+
+
 def observed_column_means(ds: TabularDataset) -> np.ndarray:
-    """Per-column mean of the observed cells; every column must have one."""
-    empty = np.flatnonzero(~ds.mask.any(axis=0))
-    if empty.size:
-        raise ValueError(f"column {int(empty[0])} has no observed entries")
+    """Per-column mean of the observed cells; every column must have one.
+    The error names the first empty column from 1, and by its header name
+    when the table has one."""
+    empty = first_empty_column(ds.mask)
+    if empty is not None:
+        name = f" ({ds.column_names[empty - 1]!r})" if ds.column_names else ""
+        raise ValueError(f"column {empty}{name} has no observed entries")
     return np.nanmean(ds.values, axis=0)
 
 

@@ -177,6 +177,17 @@ class TestImpute:
         assert f"knewimp impute: {path}: header has 3 cells" in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_empty_column_named_from_one_with_its_header(self, tmp_path, capsys):
+        path = tmp_path / "holes.csv"
+        path.write_text("a,b,c\n1,,3\n4,,\n7,,9\n", encoding="utf-8")
+        code = main([
+            "impute", "--input", str(path), "--has-header",
+            "--output", str(tmp_path / "out.csv"), *FAST,
+        ])
+        assert code == 2
+        assert "column 2 ('b') has no observed entries" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_no_missing_cells_is_runtime_error(self, tmp_path, complete_csv, capsys):
         code = main([
             "impute", "--input", complete_csv, "--has-header",
@@ -373,6 +384,18 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{other}: cell at row {i + 1}, column {j + 1} is " in captured.err
+
+    def test_shape_mismatch_names_the_three_shapes(self, tmp_path, capsys):
+        truth = str(tmp_path / "truth.csv")
+        write_csv(truth, np.arange(6.0).reshape(3, 2))
+        imputed = str(tmp_path / "imputed.csv")
+        write_csv(imputed, np.arange(4.0).reshape(2, 2))
+        masked = str(tmp_path / "masked.csv")
+        write_csv(masked, np.array([[0.0, np.nan], [2.0, 3.0], [np.nan, 5.0]]))
+        assert main([
+            "evaluate", "--truth", truth, "--imputed", imputed, "--masked", masked,
+        ]) == 2
+        assert "truth (3, 2), imputed (2, 2), masked (3, 2)" in capsys.readouterr().err
 
     def test_mask_flag_is_usage_error(self, tmp_path, complete_csv, capsys):
         # The mask is read from the empty cells of --masked.

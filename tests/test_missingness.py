@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from knewimp import missingness
 from knewimp.missingness import (
     Mechanism,
     MissingSpec,
@@ -48,6 +49,23 @@ class TestCalibrateBias:
             calibrate_bias(np.zeros(3), 0.0)
         with pytest.raises(ValueError):
             calibrate_bias(np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("target", [1e-12, 1.0 - 1e-9])
+    def test_extreme_rates_hit_target(self, scale, target):
+        # The bracket must reach where sigmoid saturates to exactly 0 and 1.
+        logits = np.random.default_rng(2).standard_normal(300) * scale
+        b = calibrate_bias(logits, target)
+        with np.errstate(over="ignore"):
+            assert abs(sigmoid(logits + b).mean() - target) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "logits", [np.zeros(0), np.array([np.nan, 1.0]), np.array([1.0, -np.inf])],
+        ids=["empty", "nan", "inf"],
+    )
+    def test_empty_or_non_finite_logits_refused(self, logits):
+        with pytest.raises(ValueError, match="logits"):
+            calibrate_bias(logits, 0.3)
 
 
 def mcar(n, d, rate, seed):
@@ -187,6 +205,16 @@ class TestDispatchAndGuard:
         spec = MissingSpec(mechanism, rate=0.85, seed=1)
         mask = simulate(truth, spec)
         assert mask.sum(axis=0).min() >= 1.0
+
+    def test_exhausted_redraws_name_a_column_from_one(self, monkeypatch):
+        monkeypatch.setattr(missingness, "MAX_MASK_ATTEMPTS", 1)
+        truth = np.zeros((1, 4))
+        spec = MissingSpec(Mechanism.MCAR, rate=0.9, seed=3)
+        mask = _draw(truth, spec, np.random.default_rng(spec.seed))
+        empty = np.flatnonzero(mask[0] == 0.0)
+        assert empty.size
+        with pytest.raises(RuntimeError, match=rf"\(column {empty[0] + 1}\) in 1 attempts"):
+            simulate(truth, spec)
 
     def test_mcar_incomplete_truth_rejected(self):
         truth = make_truth()

@@ -273,3 +273,13 @@ def test_every_exported_name_resolves():
     missing = [name for name in knewimp.__all__ if not hasattr(knewimp, name)]
     assert missing == []
     assert len(set(knewimp.__all__)) == len(knewimp.__all__)
+
+
+def test_package_exports_the_pipeline_only():
+    # The layers under knewimp() are imported from their own modules.
+    assert set(knewimp.__all__) == {
+        "DsmConfig", "ImputationResult", "KernelConfig", "Mechanism", "MetricReport",
+        "MissingSpec", "ScoreNetwork", "StandardizationStats", "TabularDataset",
+        "WgfConfig", "evaluate", "from_complete", "knewimp", "load_csv", "mae",
+        "mean_impute", "simulate", "standardize", "wasserstein2", "write_csv",
+    }

@@ -338,5 +338,5 @@ class TestInitializeMissing:
 def test_empty_column_is_named(fill):
     values = np.array([[1.0, np.nan, 2.0], [3.0, np.nan, np.nan]])
     ds = TabularDataset(values=values)
-    with pytest.raises(ValueError, match="column 1 has no observed entries"):
+    with pytest.raises(ValueError, match="column 2 has no observed entries"):
         fill(ds)
