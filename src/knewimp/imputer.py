@@ -1,17 +1,21 @@
 """Particle-flow imputation loop.
 
 Each data row is a particle whose missing coordinates move along a velocity
-field built from two ingredients: the score model's gradient estimates,
-smoothed across particles by an RBF kernel, and a kernel-gradient term that
-pulls particles together (weighted by ner_weight) to discourage the spread
-a pure sampling procedure would produce. The field is integrated by forward
-Euler; training the score model and simulating the flow alternate for a
-configured number of rounds. Each round's flow runs at one bandwidth h,
-which euler_impute() takes from the round's starting matrix; h, like
-KernelConfig.bandwidth, must be finite and > 0. The flow starts from
-tabular.initialize_missing (the mean fill, tabular.mean_impute, plus
-jitter) and never reads the ground truth; metrics.evaluate() scores the
-finished matrix.
+field built from two ingredients: a score function (rows in, their
+estimates of grad log p out), smoothed across particles by an RBF kernel,
+and a kernel-gradient term that pulls particles together (weighted by
+ner_weight) to discourage the spread a pure sampling procedure would
+produce. The field is integrated by forward Euler; training the score
+model and simulating the flow alternate for a configured number of rounds.
+velocity() and euler_impute() take any score function; knewimp() hands
+each round's flow partial(forward, net), its trained network bound to
+score.forward. Each round's flow runs at one bandwidth h, which
+euler_impute() takes from the round's starting matrix; h, like
+KernelConfig.bandwidth, must be finite and > 0. In median mode knewimp()
+checks that the pairwise distances fit in memory before any training.
+The flow starts from tabular.initialize_missing (the mean fill,
+tabular.mean_impute, plus jitter) and never reads the ground truth;
+metrics.evaluate() scores the finished matrix.
 
 Each Euler step costs O(N^2 D) in the kernel sums. velocity() evaluates
 them over the incomplete rows only. The attraction is folded into the
@@ -23,7 +27,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +47,9 @@ from .score import (
 )
 from .tabular import TabularDataset, checked_mask, initialize_missing
 
-ScoreFn = Union[ScoreNetwork, Callable[[np.ndarray], np.ndarray]]
+# A score function: rows in, the score at each row out.
+ScoreFn = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class WgfConfig:
@@ -81,19 +88,13 @@ class ImputationResult:
     network: Optional[ScoreNetwork] = None
 
 
-def _eval_score(score: ScoreFn, x: np.ndarray) -> np.ndarray:
-    if isinstance(score, ScoreNetwork):
-        return forward(score, x)
-    return np.asarray(score(x), dtype=np.float64)
-
-
 def velocity(
     x: np.ndarray, mask: np.ndarray, score: ScoreFn, h: float, ner_weight: float
 ) -> np.ndarray:
     """Per-particle velocity under the RBF bandwidth h, zero on observed coordinates.
 
-    With s_j the masked score of row j and free_j = 1 - mask_j, row i
-    receives
+    score maps rows to their scores. With s_j the masked score of row j
+    and free_j = 1 - mask_j, row i receives
 
         v_i = (1/N) * sum_j [ G[i,j] * s_j
                               - ner_weight * grad_y K(x_i, y)|_{y=x_j} ⊙ free_j ]
@@ -108,8 +109,8 @@ def velocity(
     and one product of G with the 2D-wide right-hand side
     [(S + lam X) ⊙ F | F], kernel.gram_matmul, gives both sums. Rows
     without a missing cell get zero velocity and add zero to every sum, so
-    only the incomplete rows are evaluated: the score network runs on them
-    alone (it must act row by row), and G is built over them alone. The
+    only the incomplete rows are evaluated: score runs on them alone (it
+    must act row by row), and G is built over them alone. The
     divisor stays N. The mask must hold only 0 and 1, and h must be finite
     and > 0.
     """
@@ -122,7 +123,7 @@ def velocity(
     x_rows, free_rows = x[rows], 1.0 - mask[rows]
     lam = ner_weight / (h * h)
     rhs = np.empty((rows.size, 2 * d))
-    rhs[:, :d] = (_eval_score(score, x_rows) + lam * x_rows) * free_rows
+    rhs[:, :d] = (score(x_rows) + lam * x_rows) * free_rows
     rhs[:, d:] = free_rows
     prod = kernel.gram_matmul(x_rows, rhs, h)
     v_rows = prod[:, :d]
@@ -188,23 +189,27 @@ def knewimp(
 
     Each round trains the score model on the current imputed matrix (warm
     starting from the previous round's parameters) and then advances the
-    particles along the flow. The master seed drives initialization, the
-    network draw, and every round's training batches and noise through
-    independent child streams. initial_net, when given, replaces the fresh
-    seeded network (checkpoint warm start). hidden is the network's hidden
-    width: None means 256 for a fresh network and initial_net's width for a
-    warm start, and a width initial_net does not have is a ValueError
-    naming both. A dataset without a missing cell is rejected before any
-    training. ds.truth is never read. A diverging round re-raises its
-    error with "round r of R" added to the message. seed must be an
-    integer >= 0; anything else is a ValueError before any work.
+    particles along the flow, whose score is partial(forward, net). The
+    master seed drives initialization, the network draw, and every round's
+    training batches and noise through independent child streams.
+    initial_net, when given, replaces the fresh seeded network (checkpoint
+    warm start). hidden is the network's hidden width: None means 256 for a
+    fresh network and initial_net's width for a warm start, and a width
+    initial_net does not have is a ValueError naming both. A dataset
+    without a missing cell is rejected before any training, and so, in
+    median mode, is one whose pairwise distances do not fit in physical
+    memory (a MemoryError naming the rows and bytes). ds.truth is never
+    read. A diverging round re-raises its error with "round r of R" added
+    to the message. seed must be an integer >= 0; anything else is a
+    ValueError before any work.
     """
     check_count("seed", seed, least=0)
     if not np.any(ds.mask == 0.0):
         raise ValueError("dataset has no missing cells; nothing to impute")
+    if kcfg.use_median_heuristic:
+        kernel.check_median_memory(ds.values.shape[0])
     seeds = np.random.SeedSequence(seed).spawn(wcfg.num_loops + 2)
-    init_seed = int(seeds[0].generate_state(1)[0])
-    net_seed = int(seeds[1].generate_state(1)[0])
+    init_seed, net_seed, *train_seeds = (int(s.generate_state(1)[0]) for s in seeds)
 
     x = initialize_missing(ds, seed=init_seed)
     if initial_net is None:
@@ -222,14 +227,14 @@ def knewimp(
         )
     estimate_seconds = 0.0
     impute_seconds = 0.0
-    for loop in range(wcfg.num_loops):
+    for loop, train_seed in enumerate(train_seeds):
         try:
             t0 = time.perf_counter()
-            net, _ = train(net, x, dcfg, seed=int(seeds[loop + 2].generate_state(1)[0]))
+            net, _ = train(net, x, dcfg, seed=train_seed)
             estimate_seconds += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            x = euler_impute(x, ds.mask, net, kcfg, wcfg)
+            x = euler_impute(x, ds.mask, partial(forward, net), kcfg, wcfg)
             impute_seconds += time.perf_counter() - t0
         except (TrainingDivergence, FloatingPointError) as exc:
             raise type(exc)(f"round {loop + 1} of {wcfg.num_loops}: {exc}") from exc

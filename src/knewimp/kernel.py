@@ -11,6 +11,12 @@ There is one Gram computation, gram_matmul(x, rhs, h) = G(x, x) @ rhs. It
 builds G in tiles of rows, one cache-sized column block at a time, computes
 each entry once and never holds G, or even one full-width tile of it. The
 tiles run on lanes.run's two lanes.
+
+The bandwidth of median mode is SVGD's median heuristic: median_bandwidth
+takes np.median of scipy's pdist distances, in place, over sqrt(2). Its
+N(N-1)/2 distances are the one O(N^2) array of the package's flow, so
+check_median_memory sizes them against physical memory first (through
+score.check_memory), and knewimp() makes that check before any training.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import lanes
-from .score import check_positive
+from .score import check_memory, check_positive
 
 # Rows of the Gram tile a lane takes at a time in gram_matmul(). One
 # product at 4792 x 11 with a 22-wide right-hand side (12 interleaved
@@ -143,20 +149,24 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     return prod
 
 
+def check_median_memory(n: int) -> None:
+    """MemoryError naming n unless the n(n-1)/2 float64 pairwise distances
+    of the median heuristic over n rows fit in physical memory."""
+    pairs = n * (n - 1) // 2
+    check_memory(8 * pairs, f"median bandwidth over {n} rows ({pairs} pairwise distances)")
+
+
 def median_bandwidth(x: np.ndarray) -> float:
-    """Median pairwise distance divided by sqrt(2), floored at 1e-6."""
+    """Median pairwise distance divided by sqrt(2), floored at 1e-6.
+
+    The distances are checked against physical memory (check_median_memory)
+    before they are built, and np.median(overwrite_input=True) reorders
+    them in place, so the peak is the one array of n(n-1)/2 distances.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 points")
-    sq = pdist(x, "sqeuclidean")
-    k = sq.size // 2
-    # One in-place partition at k: sq[k] is the upper middle, and the lower
-    # middle of an even count is the largest value left of it.
-    sq.partition(k)
-    if sq.size % 2:
-        med = float(np.sqrt(sq[k]))
-    else:
-        med = float((np.sqrt(sq[:k].max()) + np.sqrt(sq[k])) / 2.0)
+    check_median_memory(n)
+    med = float(np.median(pdist(x), overwrite_input=True))
     return max(med / np.sqrt(2.0), 1e-6)
-

@@ -8,15 +8,14 @@ cell, each cloud carrying uniform weights. For equal-size uniform measures its e
 is a minimum-cost assignment, which wasserstein2 solves at every size: the
 m x m cost matrix takes O(m^2) memory and the solver cubic time in the
 worst case. A cost matrix larger than the machine's physical memory is
-refused with MemoryError before it is allocated (check_w2_memory), and only
-one is built and solved at a time, whatever the number of threads: at
-m = 4800 one is 184 MB.
+refused with MemoryError before it is allocated (check_w2_memory sizes it
+for score.check_memory), and only one is built and solved at a time,
+whatever the number of threads: at m = 4800 one is 184 MB.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from .score import check_memory
 from .tabular import TabularDataset, checked_mask
 
 # Held while a cost matrix exists, so that experiment's seed pool never
@@ -64,12 +64,7 @@ def mae(truth: np.ndarray, imputed: np.ndarray, mask: np.ndarray) -> float:
 def check_w2_memory(m: int) -> None:
     """MemoryError naming m unless the m x m float64 cost matrix of an exact
     W2 over m rows fits in the machine's physical memory."""
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * m * m > memory:
-        raise MemoryError(
-            f"exact W2 over {m} rows needs a {m} x {m} cost matrix of "
-            f"{8 * m * m} bytes; this machine has {memory} bytes of memory"
-        )
+    check_memory(8 * m * m, f"exact W2 over {m} rows ({m} x {m} cost matrix)")
 
 
 def wasserstein2(truth_rows: np.ndarray, imputed_rows: np.ndarray) -> float:

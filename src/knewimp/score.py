@@ -6,8 +6,9 @@ scale sigma and regresses the network output at the noised point onto the
 conditional score -noise / sigma^2. Gradients are computed by hand so the
 whole stack stays in float64 numpy and can be checked against finite
 differences. The package's argument checks live here too: check_count
-(integers), check_positive (finite and > 0) and check_finite (arrays
-without NaN or ±inf).
+(integers), check_positive (finite and > 0), check_finite (arrays
+without NaN or ±inf) and check_memory (an array that fits in the
+machine's physical memory).
 
 Each training epoch is one Adam step on a minibatch of at most
 _BATCH_ROWS rows, drawn without replacement from the training seed's
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -86,6 +88,14 @@ def check_finite(name: str, values: np.ndarray) -> None:
     NaN, no ±inf)."""
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be complete (no NaN or infinite entries)")
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """MemoryError unless nbytes fit in the machine's physical memory; the
+    message reads "<what> needs <nbytes> bytes; ..."."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise MemoryError(f"{what} needs {nbytes} bytes; this machine has {memory} bytes")
 
 
 @dataclass(frozen=True)

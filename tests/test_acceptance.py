@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_criterion_4_masking_invariants():
         mask = (rng.random((n, d)) > 0.5).astype(float)
         net = init_network(d, 16, seed=int(rng.integers(10_000)))
         lam = float(rng.uniform(0.0, 2.0))
-        v = velocity(x, mask, net, 0.5, lam)
+        v = velocity(x, mask, partial(forward, net), 0.5, lam)
         zeros_ok = zeros_ok and bool(np.all(v[mask == 1.0] == 0.0))
 
     truth = rng.standard_normal((150, 3)) @ np.diag([1.0, 0.5, 2.0])

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ class TestVelocity:
         net = init_network(2, 8, seed=2)
         x = np.array([[0.7, -0.3]])
         mask = np.array([[0.0, 0.0]])
-        v = velocity(x, mask, net, 1.0, ner_weight=3.0)
+        v = velocity(x, mask, partial(forward, net), 1.0, ner_weight=3.0)
         assert v == pytest.approx(forward(net, x), rel=1e-14)
 
     def test_two_particle_attraction_value(self):
@@ -71,7 +72,7 @@ class TestVelocity:
             x = rng.standard_normal((n, d))
             mask = (rng.random((n, d)) > 0.5).astype(float)
             net = init_network(d, 8, seed=int(rng.integers(1000)))
-            v = velocity(x, mask, net, 0.5, ner_weight=1.0)
+            v = velocity(x, mask, partial(forward, net), 0.5, ner_weight=1.0)
             assert np.all(v[mask == 1.0] == 0.0)
 
     def test_pairwise_distance_shrinks_under_attraction(self):
@@ -122,16 +123,17 @@ class TestVelocityOracle:
             drawn = float(rng.uniform(0.4, 2.0))
             h = median_bandwidth(x) if use_median else drawn
             lam = float(rng.uniform(0.0, 3.0))
-            v = velocity(x, mask, net, h, lam)
+            v = velocity(x, mask, partial(forward, net), h, lam)
             ref = reference_velocity(x, mask, net, h, lam)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_complete_and_empty_masks(self):
         x = np.random.default_rng(32).standard_normal((6, 3))
         net = init_network(3, 8, seed=0)
-        assert np.array_equal(velocity(x, np.ones((6, 3)), net, 1.0, 1.0), np.zeros((6, 3)))
+        v = velocity(x, np.ones((6, 3)), partial(forward, net), 1.0, 1.0)
+        assert np.array_equal(v, np.zeros((6, 3)))
         ref = reference_velocity(x, np.zeros((6, 3)), net, 1.0, 1.0)
-        v = velocity(x, np.zeros((6, 3)), net, 1.0, 1.0)
+        v = velocity(x, np.zeros((6, 3)), partial(forward, net), 1.0, 1.0)
         assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_euler_impute_independent_of_tile_height(self, monkeypatch):
@@ -143,7 +145,7 @@ class TestVelocityOracle:
         runs = []
         for tile in TILE_HEIGHTS:
             monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
-            runs.append(euler_impute(x0, mask, net, KCFG, cfg))
+            runs.append(euler_impute(x0, mask, partial(forward, net), KCFG, cfg))
         for x in runs[1:]:
             assert np.abs(x - runs[0]).max() <= 1e-12 * np.abs(runs[0]).max()
 
@@ -170,7 +172,7 @@ class TestVelocityAcrossTiles:
         x, mask = incomplete_rows_table(m, 23, 5, seed=m)
         net = init_network(5, 16, seed=m)
         for h in (1.5, median_bandwidth(x)):
-            v = velocity(x, mask, net, h, 0.7)
+            v = velocity(x, mask, partial(forward, net), h, 0.7)
             ref = dense_velocity(x, mask, forward(net, x), h, 0.7)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -184,7 +186,7 @@ class TestVelocityAcrossTiles:
         net = init_network(5, 16, seed=m + 1)
         scores = forward(net, x)
         for ner_weight in (0.0, 3.0, 10.0):
-            v = velocity(x, mask, net, h, ner_weight)
+            v = velocity(x, mask, partial(forward, net), h, ner_weight)
             ref = dense_velocity(x, mask, scores, h, ner_weight)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -373,15 +375,15 @@ class TestBandwidth:
         rng = np.random.default_rng(16)
         x0 = rng.standard_normal((40, 3))
         mask = (rng.random((40, 3)) > 0.4).astype(float)
-        net = init_network(3, 16, seed=17)
+        score = partial(forward, init_network(3, 16, seed=17))
         cfg = WgfConfig(step_size=0.1, num_steps=10, num_loops=1)
-        median = euler_impute(x0, mask, net, KernelConfig(use_median_heuristic=True), cfg)
-        fixed = euler_impute(x0, mask, net, KernelConfig(bandwidth=median_bandwidth(x0)), cfg)
+        median = euler_impute(x0, mask, score, KernelConfig(use_median_heuristic=True), cfg)
+        fixed = euler_impute(x0, mask, score, KernelConfig(bandwidth=median_bandwidth(x0)), cfg)
         assert np.array_equal(median, fixed)
         # One row has no pairwise distance: the fixed bandwidth stands in.
         x1, mask1 = x0[:1], np.zeros((1, 3))
-        median = euler_impute(x1, mask1, net, KernelConfig(use_median_heuristic=True), cfg)
-        fixed = euler_impute(x1, mask1, net, KernelConfig(), cfg)
+        median = euler_impute(x1, mask1, score, KernelConfig(use_median_heuristic=True), cfg)
+        fixed = euler_impute(x1, mask1, score, KernelConfig(), cfg)
         assert np.array_equal(median, fixed)
 
 
@@ -401,7 +403,7 @@ class TestEulerImpute:
         x0 = np.random.default_rng(6).standard_normal((5, 2))
         mask = (np.random.default_rng(7).random((5, 2)) > 0.5).astype(float)
         cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=20, num_loops=1)
-        x = euler_impute(x0, mask, net, KCFG, cfg)
+        x = euler_impute(x0, mask, partial(forward, net), KCFG, cfg)
         assert np.array_equal(x, x0)
 
     def test_observed_entries_bit_identical(self):
@@ -410,7 +412,7 @@ class TestEulerImpute:
         mask = (rng.random((20, 3)) > 0.4).astype(float)
         net = init_network(3, 16, seed=9)
         cfg = WgfConfig(step_size=0.1, num_steps=50, num_loops=1)
-        x = euler_impute(x0, mask, net, KCFG, cfg)
+        x = euler_impute(x0, mask, partial(forward, net), KCFG, cfg)
         obs = mask == 1.0
         assert np.array_equal(x[obs], x0[obs])
         assert not np.array_equal(x[~obs], x0[~obs])
@@ -474,7 +476,7 @@ class TestKnewimp:
         x = initialize_missing(ds, seed=seeds[0].generate_state(1)[0])
         net = init_network(ds.n_cols, 32, seed=seeds[1].generate_state(1)[0])
         net, _ = train(net, x, cfg["dcfg"], seed=seeds[2].generate_state(1)[0])
-        x = euler_impute(x, ds.mask, net, cfg["kcfg"], cfg["wcfg"])
+        x = euler_impute(x, ds.mask, partial(forward, net), cfg["kcfg"], cfg["wcfg"])
         assert np.array_equal(result.imputed, x)
 
     def test_metric_improves_on_correlated_data(self):
@@ -552,6 +554,22 @@ class TestKnewimp:
         monkeypatch.setattr(imputer_mod, "train", fail_train)
         with pytest.raises(ValueError, match="no missing cells"):
             knewimp(ds, seed=0, **self.FAST)
+
+    def test_median_distances_larger_than_memory_fail_before_training(self, monkeypatch):
+        # One 4096-byte page holds the pairwise distances of 32 rows at most;
+        # the dataset has 120.
+        ds = make_dataset()
+
+        def fail_train(*args, **kwargs):
+            raise AssertionError("trained before the memory check")
+
+        monkeypatch.setattr(imputer_mod, "train", fail_train)
+        memory = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        cfg = dict(self.FAST, kcfg=KernelConfig(use_median_heuristic=True))
+        match = r"120 rows \(7140 pairwise distances\) needs 57120 bytes"
+        with pytest.raises(MemoryError, match=match):
+            knewimp(ds, seed=0, **cfg)
 
     def test_network_rides_along(self):
         ds = make_dataset(seed=7)

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -311,6 +312,35 @@ class TestMedianBandwidth:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             median_bandwidth(np.zeros((1, 2)))
+
+    def test_peak_is_the_one_distance_array(self):
+        # 3000 rows have 4498500 distances, 36 MB. np.median reorders them
+        # in place; a copy of them (np.median without overwrite_input) or
+        # of their squares would double the peak.
+        n = 3000
+        x = np.random.default_rng(41).standard_normal((n, 11))
+        tracemalloc.start()
+        try:
+            median_bandwidth(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (n - 1) // 2 + 2**20
+
+    def test_distances_larger_than_memory_fail_first(self, monkeypatch):
+        # 10 pages of 4096 B hold the 8 n(n-1)/2 bytes of distances up to
+        # n = 101; at 102 rows pdist is never called.
+        memory = {"SC_PHYS_PAGES": 10, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        assert median_bandwidth(np.zeros((101, 2))) == 1e-6
+
+        def fail_pdist(*args, **kwargs):
+            raise AssertionError("pdist called")
+
+        monkeypatch.setattr(kernel_mod, "pdist", fail_pdist)
+        match = r"102 rows \(5151 pairwise distances\) needs 41208 bytes"
+        with pytest.raises(MemoryError, match=match):
+            median_bandwidth(np.zeros((102, 2)))
 
 
 def brute_median(x):
