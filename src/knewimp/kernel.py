@@ -14,9 +14,10 @@ tiles run on lanes.run's two lanes.
 
 The bandwidth of median mode is SVGD's median heuristic: median_bandwidth
 takes np.median of scipy's pdist distances, in place, over sqrt(2). Its
-N(N-1)/2 distances are the one O(N^2) array of the package's flow, so
-check_median_memory sizes them against physical memory first (through
-score.check_memory), and knewimp() makes that check before any training.
+n(n-1)/2 distances are O(n^2), so check_median_memory sizes them against
+physical memory first (through score.check_memory). The flow never holds
+them for all N rows: euler_impute passes median_bandwidth a seeded
+subsample of 2000 rows when N is larger.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class KernelConfig:
 
     bandwidth: the length scale h > 0.
     use_median_heuristic: when set, h is taken once per round, from the
-    round's starting matrix (median pairwise distance / sqrt(2)).
+    round's starting matrix (median pairwise distance / sqrt(2)), and
+    bandwidth must keep its default: any other bandwidth is a ValueError
+    naming both fields, since the median would override it.
     """
 
     bandwidth: float = 0.5
@@ -62,6 +65,11 @@ class KernelConfig:
 
     def __post_init__(self) -> None:
         check_positive("bandwidth", self.bandwidth)
+        if self.use_median_heuristic and self.bandwidth != KernelConfig.bandwidth:
+            raise ValueError(
+                f"bandwidth={self.bandwidth} would be ignored with "
+                "use_median_heuristic=True; set one or the other"
+            )
 
 
 def _gram_operands(x: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:

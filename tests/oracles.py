@@ -23,21 +23,36 @@ def grad_gram_second(x_i, y_j, bandwidth):
     return (diff / (bandwidth * bandwidth)) * k
 
 
-def dense_velocity(x, mask, scores, bandwidth, ner_weight):
+def dense_velocity(x, mask, scores, bandwidth, ner_weight, weights=1.0):
     """The flow velocity from the full N x N Gram and the N x N x D array of
     pairwise kernel gradients, summed over every row j at once.
 
-    v_i = (1/N) sum_j [G_ij s_j - ner_weight grad_y K(x_i, x_j) ⊙ f_j] ⊙ f_i,
-    with f = 1 - mask and s the score at x, masked by f.
+    v_i = (1/N) sum_j W_ij [G_ij s_j - ner_weight grad_y K(x_i, x_j) ⊙ f_j] ⊙ f_i,
+    with f = 1 - mask, s the score at x, masked by f, and W the pair
+    weights: 1 everywhere for the exact sums, rbm_pair_weights for random
+    batches.
     """
     x = np.asarray(x, dtype=np.float64)
     free = 1.0 - np.asarray(mask, dtype=np.float64)
     h2 = bandwidth * bandwidth
     diff = x[:, None, :] - x[None, :, :]
-    g = np.exp((diff * diff).sum(axis=2) / (-2.0 * h2))
+    g = weights * np.exp((diff * diff).sum(axis=2) / (-2.0 * h2))
     smoothed = g @ (np.asarray(scores, dtype=np.float64) * free)
     attraction = ((diff / h2) * g[:, :, None] * free[None, :, :]).sum(axis=1)
     return (smoothed - ner_weight * attraction) / x.shape[0] * free
+
+
+def rbm_pair_weights(n, batches):
+    """The N x N pair weights of the random batch method over the given
+    batches of row indices, m rows in all: (m - 1)/(n_b - 1) between two
+    rows of one batch of n_b rows, 0 across batches, and 1 on the self
+    term."""
+    m = sum(len(b) for b in batches)
+    weights = np.zeros((n, n))
+    for b in batches:
+        weights[np.ix_(b, b)] = (m - 1) / (len(b) - 1)
+    np.fill_diagonal(weights, 1.0)
+    return weights
 
 
 def gaussian_conditional_mean(x, mask, cov):

@@ -141,7 +141,7 @@ def test_criterion_4_masking_invariants():
         mask = (rng.random((n, d)) > 0.5).astype(float)
         net = init_network(d, 16, seed=int(rng.integers(10_000)))
         lam = float(rng.uniform(0.0, 2.0))
-        v = velocity(x, mask, partial(forward, net), 0.5, lam)
+        v = velocity(x, mask, partial(forward, net), 0.5, lam, np.random.default_rng(0))
         zeros_ok = zeros_ok and bool(np.all(v[mask == 1.0] == 0.0))
 
     truth = rng.standard_normal((150, 3)) @ np.diag([1.0, 0.5, 2.0])
@@ -200,7 +200,7 @@ def test_criterion_6_mode_seeking_contraction():
     x0 = np.array([[1.3]])
     mask = np.zeros((1, 1))
     cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=200, num_loops=1)
-    x = euler_impute(x0, mask, lambda x: -x, KernelConfig(bandwidth=1.0), cfg)
+    x = euler_impute(x0, mask, lambda x: -x, KernelConfig(bandwidth=1.0), cfg, 0)
     bound = 0.9**200 * abs(x0[0, 0]) + 1e-12
     report(
         6,

@@ -29,6 +29,7 @@ from knewimp.tabular import (
 )
 from oracles import (
     dense_velocity,
+    rbm_pair_weights,
     gaussian_conditional_mean,
     grad_gram_second,
     mixture_conditional_mean,
@@ -50,7 +51,7 @@ class TestVelocity:
         net = init_network(2, 8, seed=2)
         x = np.array([[0.7, -0.3]])
         mask = np.array([[0.0, 0.0]])
-        v = velocity(x, mask, partial(forward, net), 1.0, ner_weight=3.0)
+        v = velocity(x, mask, partial(forward, net), 1.0, 3.0, np.random.default_rng(0))
         assert v == pytest.approx(forward(net, x), rel=1e-14)
 
     def test_two_particle_attraction_value(self):
@@ -59,7 +60,7 @@ class TestVelocity:
         x = np.array([[0.0], [2.0]])
         mask = np.zeros((2, 1))
         for lam in (0.5, 1.0, 2.0):
-            v = velocity(x, mask, zero_score, 1.0, ner_weight=lam)
+            v = velocity(x, mask, zero_score, 1.0, ner_weight=lam, rng=np.random.default_rng(0))
             expect = lam * np.exp(-2.0)
             assert v[0, 0] == pytest.approx(expect, rel=1e-12)
             assert v[1, 0] == pytest.approx(-expect, rel=1e-12)
@@ -72,7 +73,7 @@ class TestVelocity:
             x = rng.standard_normal((n, d))
             mask = (rng.random((n, d)) > 0.5).astype(float)
             net = init_network(d, 8, seed=int(rng.integers(1000)))
-            v = velocity(x, mask, partial(forward, net), 0.5, ner_weight=1.0)
+            v = velocity(x, mask, partial(forward, net), 0.5, 1.0, np.random.default_rng(0))
             assert np.all(v[mask == 1.0] == 0.0)
 
     def test_pairwise_distance_shrinks_under_attraction(self):
@@ -80,7 +81,7 @@ class TestVelocity:
         for _ in range(10):
             x = rng.standard_normal((2, 3))
             mask = np.zeros((2, 3))
-            v = velocity(x, mask, zero_score, 1.5, 1.0)
+            v = velocity(x, mask, zero_score, 1.5, 1.0, np.random.default_rng(0))
             stepped = x + 0.05 * v
             assert np.linalg.norm(stepped[0] - stepped[1]) < np.linalg.norm(x[0] - x[1])
 
@@ -123,17 +124,18 @@ class TestVelocityOracle:
             drawn = float(rng.uniform(0.4, 2.0))
             h = median_bandwidth(x) if use_median else drawn
             lam = float(rng.uniform(0.0, 3.0))
-            v = velocity(x, mask, partial(forward, net), h, lam)
+            v = velocity(x, mask, partial(forward, net), h, lam, np.random.default_rng(0))
             ref = reference_velocity(x, mask, net, h, lam)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_complete_and_empty_masks(self):
         x = np.random.default_rng(32).standard_normal((6, 3))
         net = init_network(3, 8, seed=0)
-        v = velocity(x, np.ones((6, 3)), partial(forward, net), 1.0, 1.0)
+        rng = np.random.default_rng(0)
+        v = velocity(x, np.ones((6, 3)), partial(forward, net), 1.0, 1.0, rng)
         assert np.array_equal(v, np.zeros((6, 3)))
         ref = reference_velocity(x, np.zeros((6, 3)), net, 1.0, 1.0)
-        v = velocity(x, np.zeros((6, 3)), partial(forward, net), 1.0, 1.0)
+        v = velocity(x, np.zeros((6, 3)), partial(forward, net), 1.0, 1.0, rng)
         assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_euler_impute_independent_of_tile_height(self, monkeypatch):
@@ -145,7 +147,7 @@ class TestVelocityOracle:
         runs = []
         for tile in TILE_HEIGHTS:
             monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
-            runs.append(euler_impute(x0, mask, partial(forward, net), KCFG, cfg))
+            runs.append(euler_impute(x0, mask, partial(forward, net), KCFG, cfg, 0))
         for x in runs[1:]:
             assert np.abs(x - runs[0]).max() <= 1e-12 * np.abs(runs[0]).max()
 
@@ -172,7 +174,7 @@ class TestVelocityAcrossTiles:
         x, mask = incomplete_rows_table(m, 23, 5, seed=m)
         net = init_network(5, 16, seed=m)
         for h in (1.5, median_bandwidth(x)):
-            v = velocity(x, mask, partial(forward, net), h, 0.7)
+            v = velocity(x, mask, partial(forward, net), h, 0.7, np.random.default_rng(0))
             ref = dense_velocity(x, mask, forward(net, x), h, 0.7)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -186,7 +188,7 @@ class TestVelocityAcrossTiles:
         net = init_network(5, 16, seed=m + 1)
         scores = forward(net, x)
         for ner_weight in (0.0, 3.0, 10.0):
-            v = velocity(x, mask, partial(forward, net), h, ner_weight)
+            v = velocity(x, mask, partial(forward, net), h, ner_weight, np.random.default_rng(0))
             ref = dense_velocity(x, mask, scores, h, ner_weight)
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -210,12 +212,110 @@ class TestVelocityAcrossTiles:
         x, mask = incomplete_rows_table(m, 0, d, seed=3)
         tracemalloc.start()
         try:
-            velocity(x, mask, gaussian_score, 1.5, 1.0)
+            velocity(x, mask, gaussian_score, 1.5, 1.0, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         per_row = LANES * per_lane_row + shared_row
         assert peak < 8 * (per_row * m + LANES * per_lane_fixed) + 2**17
+
+
+def drawn_batches(seed, mask, batch):
+    """The batches, as row indices, that velocity() draws from
+    default_rng(seed) with _KERNEL_BATCH = batch."""
+    rows = np.flatnonzero((mask == 0.0).any(axis=1))
+    perm = np.random.default_rng(seed).permutation(rows.size)
+    return [rows[b] for b in np.array_split(perm, -(-rows.size // batch))]
+
+
+class TestRandomBatches:
+    """Past _KERNEL_BATCH incomplete rows the kernel sums run within random
+    batches, rescaled by (m - 1)/(n_b - 1) off the self term."""
+
+    @pytest.mark.parametrize("batch", [7, 64])
+    @pytest.mark.parametrize("m", [129, 601])
+    def test_matches_rbm_oracle(self, monkeypatch, batch, m):
+        monkeypatch.setattr(imputer_mod, "_KERNEL_BATCH", batch)
+        x, mask = incomplete_rows_table(m, 23, 5, seed=m + 2)
+        net = init_network(5, 16, seed=m + 2)
+        scores = forward(net, x)
+        batches = drawn_batches(m, mask, batch)
+        assert all(batch // 2 <= len(b) <= batch for b in batches)
+        weights = rbm_pair_weights(x.shape[0], batches)
+        for h, ner_weight in ((1.5, 0.7), (0.25, 3.0)):
+            v = velocity(x, mask, partial(forward, net), h, ner_weight, np.random.default_rng(m))
+            ref = dense_velocity(x, mask, scores, h, ner_weight, weights)
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+            exact = dense_velocity(x, mask, scores, h, ner_weight)
+            assert np.abs(v - exact).max() > 1e-3 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("m, sizes", [(1025, [513, 512]), (2049, [683, 683, 683])])
+    def test_one_product_per_batch(self, monkeypatch, m, sizes):
+        # At the default _KERNEL_BATCH, ceil(m / 1024) batches of at least
+        # 512 rows cover every incomplete row once.
+        x, mask = incomplete_rows_table(m, 5, 2, seed=m)
+        seen, gram_matmul = [], kernel_mod.gram_matmul
+
+        def spy(rows, rhs, h):
+            seen.append(rows)
+            return gram_matmul(rows, rhs, h)
+
+        monkeypatch.setattr(kernel_mod, "gram_matmul", spy)
+        velocity(x, mask, gaussian_score, 1.5, 1.0, np.random.default_rng(0))
+        assert [len(rows) for rows in seen] == sizes
+        covered = np.sort(np.concatenate(seen), axis=0)
+        assert np.array_equal(covered, np.sort(x[5:], axis=0))
+
+    def test_exact_up_to_the_batch_size(self, monkeypatch):
+        # m == _KERNEL_BATCH takes the one exact product, bit for bit, and
+        # draws nothing from the generator.
+        x, mask = incomplete_rows_table(129, 23, 5, seed=36)
+        score = partial(forward, init_network(5, 16, seed=36))
+        exact = velocity(x, mask, score, 1.5, 0.7, np.random.default_rng(0))
+        monkeypatch.setattr(imputer_mod, "_KERNEL_BATCH", 129)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert np.array_equal(velocity(x, mask, score, 1.5, 0.7, rng), exact)
+        assert rng.bit_generator.state == state
+
+    def test_euler_impute_deterministic_per_seed_across_tiles(self, monkeypatch):
+        monkeypatch.setattr(imputer_mod, "_KERNEL_BATCH", 64)
+        x0, mask = incomplete_rows_table(200, 10, 3, seed=37)
+        score = partial(forward, init_network(3, 16, seed=37))
+        cfg = WgfConfig(step_size=0.1, num_steps=10, num_loops=1)
+        runs = []
+        for tile in (1, 7, 128):
+            monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
+            runs.append(euler_impute(x0, mask, score, KCFG, cfg, 5))
+        assert np.array_equal(euler_impute(x0, mask, score, KCFG, cfg, 5), runs[-1])
+        for x in runs[:-1]:
+            assert np.abs(x - runs[-1]).max() <= 1e-12 * np.abs(runs[-1]).max()
+        other = euler_impute(x0, mask, score, KCFG, cfg, 6)
+        assert np.abs(other - runs[-1]).max() > 1e-6
+
+
+def test_median_over_a_seeded_subsample(monkeypatch):
+    # Past 2000 rows median mode takes h over 2000 distinct rows of x0,
+    # drawn per seed; up to 2000 rows, over all of them.
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return median_bandwidth(x)
+
+    monkeypatch.setattr(kernel_mod, "median_bandwidth", spy)
+    x0, mask = incomplete_rows_table(20, 2480, 3, seed=38)
+    kcfg = KernelConfig(use_median_heuristic=True)
+    cfg = WgfConfig(num_steps=1, num_loops=1)
+    for seed in (1, 1, 2):
+        euler_impute(x0, mask, zero_score, kcfg, cfg, seed)
+    index = {row.tobytes(): i for i, row in enumerate(x0)}
+    first, again, other = ([index[row.tobytes()] for row in x] for x in seen)
+    assert len(set(first)) == len(first) == 2000
+    assert first == again and first != other
+    seen.clear()
+    euler_impute(x0[-2000:], mask[-2000:], zero_score, kcfg, cfg, 1)
+    assert len(seen) == 1 and np.array_equal(seen[0], x0[-2000:])
 
 
 def test_conditional_mean_oracle_closed_form():
@@ -333,7 +433,7 @@ def test_exact_score_flow_beats_the_linear_floor(mixture):
     x0 = initialize_missing(mixture.ds, seed=0)
     kcfg = KernelConfig(use_median_heuristic=True)
     wcfg = WgfConfig(num_steps=1000, step_size=0.1, num_loops=1)
-    ratio = mixture.ratio(euler_impute(x0, mixture.mask, mixture.score, kcfg, wcfg))
+    ratio = mixture.ratio(euler_impute(x0, mixture.mask, mixture.score, kcfg, wcfg, 0))
     assert ratio < mixture.linear_floor, (ratio, mixture.linear_floor)
 
 
@@ -358,9 +458,9 @@ class TestMaskEntries:
         else:
             mask[2, 1], match = bad, "0 or 1"
         with pytest.raises(ValueError, match=match):
-            velocity(x, mask, zero_score, 1.0, 1.0)
+            velocity(x, mask, zero_score, 1.0, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError, match=match):
-            euler_impute(x, mask, zero_score, KCFG, WgfConfig(num_steps=2, num_loops=1))
+            euler_impute(x, mask, zero_score, KCFG, WgfConfig(num_steps=2, num_loops=1), 0)
 
 
 class TestBandwidth:
@@ -368,7 +468,7 @@ class TestBandwidth:
     def test_velocity_rejects_bad_bandwidth(self, h):
         x = np.random.default_rng(15).standard_normal((4, 2))
         with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
-            velocity(x, np.zeros((4, 2)), zero_score, h, 1.0)
+            velocity(x, np.zeros((4, 2)), zero_score, h, 1.0, np.random.default_rng(0))
 
     def test_median_mode_holds_the_starting_median(self):
         # Median mode resolves h once, from x0, and keeps it for every step.
@@ -377,13 +477,13 @@ class TestBandwidth:
         mask = (rng.random((40, 3)) > 0.4).astype(float)
         score = partial(forward, init_network(3, 16, seed=17))
         cfg = WgfConfig(step_size=0.1, num_steps=10, num_loops=1)
-        median = euler_impute(x0, mask, score, KernelConfig(use_median_heuristic=True), cfg)
-        fixed = euler_impute(x0, mask, score, KernelConfig(bandwidth=median_bandwidth(x0)), cfg)
+        median = euler_impute(x0, mask, score, KernelConfig(use_median_heuristic=True), cfg, 0)
+        fixed = euler_impute(x0, mask, score, KernelConfig(bandwidth=median_bandwidth(x0)), cfg, 0)
         assert np.array_equal(median, fixed)
         # One row has no pairwise distance: the fixed bandwidth stands in.
         x1, mask1 = x0[:1], np.zeros((1, 3))
-        median = euler_impute(x1, mask1, score, KernelConfig(use_median_heuristic=True), cfg)
-        fixed = euler_impute(x1, mask1, score, KernelConfig(), cfg)
+        median = euler_impute(x1, mask1, score, KernelConfig(use_median_heuristic=True), cfg, 0)
+        fixed = euler_impute(x1, mask1, score, KernelConfig(), cfg, 0)
         assert np.array_equal(median, fixed)
 
 
@@ -393,7 +493,7 @@ class TestEulerImpute:
         x0 = np.array([[1.0]])
         mask = np.zeros((1, 1))
         cfg = WgfConfig(ner_weight=0.0, step_size=0.5, num_steps=2, num_loops=1)
-        x = euler_impute(x0, mask, gaussian_score, KCFG, cfg)
+        x = euler_impute(x0, mask, gaussian_score, KCFG, cfg, 0)
         assert x[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_velocity_fixed_point(self):
@@ -403,7 +503,7 @@ class TestEulerImpute:
         x0 = np.random.default_rng(6).standard_normal((5, 2))
         mask = (np.random.default_rng(7).random((5, 2)) > 0.5).astype(float)
         cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=20, num_loops=1)
-        x = euler_impute(x0, mask, partial(forward, net), KCFG, cfg)
+        x = euler_impute(x0, mask, partial(forward, net), KCFG, cfg, 0)
         assert np.array_equal(x, x0)
 
     def test_observed_entries_bit_identical(self):
@@ -412,7 +512,7 @@ class TestEulerImpute:
         mask = (rng.random((20, 3)) > 0.4).astype(float)
         net = init_network(3, 16, seed=9)
         cfg = WgfConfig(step_size=0.1, num_steps=50, num_loops=1)
-        x = euler_impute(x0, mask, partial(forward, net), KCFG, cfg)
+        x = euler_impute(x0, mask, partial(forward, net), KCFG, cfg, 0)
         obs = mask == 1.0
         assert np.array_equal(x[obs], x0[obs])
         assert not np.array_equal(x[~obs], x0[~obs])
@@ -421,7 +521,7 @@ class TestEulerImpute:
         x0 = np.array([[1.7]])
         mask = np.zeros((1, 1))
         cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=200, num_loops=1)
-        x = euler_impute(x0, mask, gaussian_score, KCFG, cfg)
+        x = euler_impute(x0, mask, gaussian_score, KCFG, cfg, 0)
         assert abs(x[0, 0] - 0.9**200 * 1.7) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -431,7 +531,7 @@ class TestEulerImpute:
         mask = np.zeros((1, 1))
         cfg = WgfConfig(ner_weight=0.0, step_size=10.0, num_steps=100, num_loops=1)
         with pytest.raises(FloatingPointError, match="step"):
-            euler_impute(x0, mask, big, KCFG, cfg)
+            euler_impute(x0, mask, big, KCFG, cfg, 0)
 
 
 def make_dataset(n=120, rho=0.8, rate=0.3, seed=0):
@@ -472,11 +572,15 @@ class TestKnewimp:
         seed = 7
         result = knewimp(ds, seed=seed, **cfg)
 
-        seeds = np.random.SeedSequence(seed).spawn(3)
-        x = initialize_missing(ds, seed=seeds[0].generate_state(1)[0])
-        net = init_network(ds.n_cols, 32, seed=seeds[1].generate_state(1)[0])
-        net, _ = train(net, x, cfg["dcfg"], seed=seeds[2].generate_state(1)[0])
-        x = euler_impute(x, ds.mask, partial(forward, net), cfg["kcfg"], cfg["wcfg"])
+        # Children 0-2 seed the start, the network and the round's training,
+        # child 3 the round's flow.
+        init_seed, net_seed, train_seed, flow_seed = (
+            s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(4)
+        )
+        x = initialize_missing(ds, seed=init_seed)
+        net = init_network(ds.n_cols, 32, seed=net_seed)
+        net, _ = train(net, x, cfg["dcfg"], seed=train_seed)
+        x = euler_impute(x, ds.mask, partial(forward, net), cfg["kcfg"], cfg["wcfg"], flow_seed)
         assert np.array_equal(result.imputed, x)
 
     def test_metric_improves_on_correlated_data(self):
@@ -555,22 +659,6 @@ class TestKnewimp:
         with pytest.raises(ValueError, match="no missing cells"):
             knewimp(ds, seed=0, **self.FAST)
 
-    def test_median_distances_larger_than_memory_fail_before_training(self, monkeypatch):
-        # One 4096-byte page holds the pairwise distances of 32 rows at most;
-        # the dataset has 120.
-        ds = make_dataset()
-
-        def fail_train(*args, **kwargs):
-            raise AssertionError("trained before the memory check")
-
-        monkeypatch.setattr(imputer_mod, "train", fail_train)
-        memory = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
-        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-        cfg = dict(self.FAST, kcfg=KernelConfig(use_median_heuristic=True))
-        match = r"120 rows \(7140 pairwise distances\) needs 57120 bytes"
-        with pytest.raises(MemoryError, match=match):
-            knewimp(ds, seed=0, **cfg)
-
     def test_network_rides_along(self):
         ds = make_dataset(seed=7)
         result = knewimp(ds, seed=4, **self.FAST)
@@ -581,7 +669,8 @@ class TestKnewimp:
 # One small knewimp() run, its imputed matrix saved to argv[1]; argv[2] == "1"
 # turns on the median bandwidth. With 1200 rows (1121 of them incomplete),
 # training and the flow's score forward both run over more than one chunk
-# of score._CHUNK_ROWS (three at 512 rows).
+# of score._CHUNK_ROWS (three at 512 rows), and the flow's kernel sums run
+# in random batches (two of about 560 rows at _KERNEL_BATCH = 1024).
 _BLAS_RUN = """
 import sys
 import numpy as np

@@ -370,6 +370,14 @@ def test_median_bandwidth_once_per_round(monkeypatch):
     assert calls == [(30, 3), (30, 3)]
 
 
+def test_fixed_bandwidth_with_median_refused():
+    # The median would override any bandwidth but the default, silently.
+    with pytest.raises(ValueError, match=r"bandwidth=0\.7 .*use_median_heuristic"):
+        KernelConfig(bandwidth=0.7, use_median_heuristic=True)
+    assert KernelConfig(use_median_heuristic=True).bandwidth == 0.5
+    assert KernelConfig(bandwidth=0.7).bandwidth == 0.7
+
+
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(bandwidth=-1.0)
