@@ -8,16 +8,15 @@ sum_j grad_y K(x_i, x_j) = (x_i sum_j G_ij - sum_j G_ij x_j) / h^2, which
 the flow folds into its right-hand side (imputer.velocity).
 
 There is one Gram computation, gram_matmul(x, rhs, h) = G(x, x) @ rhs. It
-builds G in tiles of rows, one cache-sized column block at a time, computes
-each entry once and never holds G, or even one full-width tile of it. The
-tiles run on lanes.run's two lanes.
+builds G in upper-triangular tiles of rows, computes each entry once and
+never holds G. The tiles run on lanes.run's two lanes.
 
 The bandwidth of median mode is SVGD's median heuristic: median_bandwidth
 takes np.median of scipy's pdist distances, in place, over sqrt(2). Its
-n(n-1)/2 distances are O(n^2), so check_median_memory sizes them against
-physical memory first (through score.check_memory). The flow never holds
-them for all N rows: euler_impute passes median_bandwidth a seeded
-subsample of 2000 rows when N is larger.
+n(n-1)/2 distances are O(n^2), so it sizes them against physical memory
+first (through score.check_memory). The flow never holds them for all N
+rows: euler_impute passes median_bandwidth a seeded subsample of 2000 rows
+when N is larger.
 """
 
 from __future__ import annotations
@@ -37,16 +36,6 @@ from .score import check_memory, check_positive
 # Up to this many rows there is one tile; past it, a row's sum is split
 # between tiles, so results agree across heights to round-off.
 _TILE_ROWS = 128
-
-# Columns of a tile built, exponentiated and multiplied at a time, so a lane
-# holds a _TILE_ROWS x _BLOCK_COLS block (512 KB, inside one core's 2 MB L2)
-# whatever N is. At 4792 x 11 with K = 22 (2-core VM) the traced peak of one
-# product fell 12.9 -> 4.1 MB against full-width tiles (128 x 4792 doubles,
-# 4.9 MB a lane), and its time did not move: medians of 36 interleaved
-# calls 54.5 / 55.8 ms full-width, 54.3 / 54.5 ms in blocks. Up to this
-# many rows every tile is one block; past it, a row's upper sum is split
-# between blocks, so results agree across widths to round-off.
-_BLOCK_COLS = 512
 
 
 @dataclass(frozen=True)
@@ -105,26 +94,22 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     bandwidth h must be finite and > 0.
 
     The operands are built once and G is built in upper-triangular tiles of
-    _TILE_ROWS rows, split between lanes.run's lanes. Tile [s:e] covers
-    only G[s:e, s:], the diagonal block and the columns to its right, and
-    the lane builds it one block of _BLOCK_COLS columns [c:f] at a time,
-    clamping and exponentiating the block in place in its own reused
-    buffer. G is symmetric, so each block serves two products while it is
-    still in cache:
+    _TILE_ROWS rows, split between lanes.run's lanes. Tile [s:e] is
+    G[s:e, s:], the diagonal block and the columns to its right, built,
+    clamped and exponentiated whole in the lane's one reused buffer. G is
+    symmetric, so each tile serves two products:
 
-    - G[s:e, c:f] @ rhs[c:f] is added into rows s:e of the lane's (N, K)
-      sum: after the tile's last block they hold their sum over columns s
-      and up;
-    - for the block's columns c' at or past e, rhs[s:e]^T @ G[s:e, c':f] is
-      G[c':f, s:e] @ rhs[s:e] transposed: those rows below the tile summed
-      over its columns, added into the lane's sum. The small K x B operand
-      is on the left (the equivalent G^T @ rhs[s:e] packs the transposed
-      block).
+    - G[s:e, s:] @ rhs[s:] is added into rows s:e of the lane's (N, K) sum:
+      their sum over columns s and up;
+    - rhs[s:e]^T @ G[s:e, e:] is G[e:, s:e] @ rhs[s:e] transposed: the rows
+      below the tile summed over its columns, added into the lane's sum.
+      The small K x (e - s) operand is on the left (the equivalent
+      G^T @ rhs[s:e] packs the transposed tile).
 
     Each lane returns its sum, and lane 1's is added to lane 0's, which is
-    the result, so the arithmetic depends on the tile height and block
-    width only. Memory is O(2 * _TILE_ROWS * _BLOCK_COLS), whatever N,
-    besides the O(N (D + K)) operands and sums.
+    the result, so the arithmetic depends on the tile height only. Memory
+    is O(_TILE_ROWS * N) per lane besides the O(N (D + K)) operands and
+    sums; imputer.velocity() never passes more than 1024 rows.
     """
     x = np.asarray(x, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -138,17 +123,13 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
 
     def lane(_: int, starts: range) -> np.ndarray:
         acc = np.zeros((n, k))
-        block_buf = np.empty(min(_TILE_ROWS, n) * min(_BLOCK_COLS, n))
+        tile_buf = np.empty(min(_TILE_ROWS, n) * n)
         for s in starts:
             e = min(s + _TILE_ROWS, n)
-            for c in range(s, n, _BLOCK_COLS):
-                f = min(c + _BLOCK_COLS, n)
-                out = block_buf[: (e - s) * (f - c)].reshape(e - s, f - c)
-                g = _gram_tile(left[s:e], right[:, c:f], out=out)
-                acc[s:e] += g @ rhs[c:f]
-                lo = max(c, e)
-                if lo < f:
-                    acc[lo:f] += (rhs[s:e].T @ g[:, lo - c :]).T
+            out = tile_buf[: (e - s) * (n - s)].reshape(e - s, n - s)
+            g = _gram_tile(left[s:e], right[:, s:], out=out)
+            acc[s:e] += g @ rhs[s:]
+            acc[e:] += (rhs[s:e].T @ g[:, e - s :]).T
         return acc
 
     prod, *others = lanes.run(lane, range(0, n, _TILE_ROWS))
@@ -157,24 +138,19 @@ def gram_matmul(x: np.ndarray, rhs: np.ndarray, bandwidth: float) -> np.ndarray:
     return prod
 
 
-def check_median_memory(n: int) -> None:
-    """MemoryError naming n unless the n(n-1)/2 float64 pairwise distances
-    of the median heuristic over n rows fit in physical memory."""
-    pairs = n * (n - 1) // 2
-    check_memory(8 * pairs, f"median bandwidth over {n} rows ({pairs} pairwise distances)")
-
-
 def median_bandwidth(x: np.ndarray) -> float:
     """Median pairwise distance divided by sqrt(2), floored at 1e-6.
 
-    The distances are checked against physical memory (check_median_memory)
-    before they are built, and np.median(overwrite_input=True) reorders
-    them in place, so the peak is the one array of n(n-1)/2 distances.
+    The n(n-1)/2 float64 distances are checked against physical memory
+    (a MemoryError naming n) before they are built, and
+    np.median(overwrite_input=True) reorders them in place, so the peak is
+    the one array of distances.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 points")
-    check_median_memory(n)
+    pairs = n * (n - 1) // 2
+    check_memory(8 * pairs, f"median bandwidth over {n} rows ({pairs} pairwise distances)")
     med = float(np.median(pdist(x), overwrite_input=True))
     return max(med / np.sqrt(2.0), 1e-6)

@@ -166,11 +166,11 @@ def incomplete_rows_table(m, n_complete, d, seed):
 class TestVelocityAcrossTiles:
     """The default tile height over one tile, a tile plus one row (two
     lanes), a tile per lane, a one-row third tile, and a ragged last tile
-    past one column block, against the dense N x N oracle."""
+    past 512 rows, against the dense N x N oracle."""
 
     @pytest.mark.parametrize("m", [128, 129, 256, 257, 601])
     def test_matches_dense_oracle(self, m):
-        assert kernel_mod._TILE_ROWS == 128 and kernel_mod._BLOCK_COLS == 512
+        assert kernel_mod._TILE_ROWS == 128
         x, mask = incomplete_rows_table(m, 23, 5, seed=m)
         net = init_network(5, 16, seed=m)
         for h in (1.5, median_bandwidth(x)):
@@ -193,31 +193,35 @@ class TestVelocityAcrossTiles:
             assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_step_memory_is_tile_rows_plus_linear(self):
-        # Doubles a step holds per incomplete row. Per lane: its 2D-wide sum
-        # (lane 0's is the product). Shared: the 2D-wide right-hand side, the
-        # two (D + 2)-wide Gram operands, the rows' values, free mask and
-        # velocity, and the row index. Per lane, independent of the row
-        # count: one _TILE_ROWS x _BLOCK_COLS Gram block, a tile-high upper
-        # product and a block-wide transposed product, 2D doubles each per
-        # row or column. numpy's fixed-size ufunc buffers get 2**17 bytes. An
-        # m x m array, a 2D x m temporary, a full-width Gram tile or a copy
-        # of a block would break the bound. BLAS packing buffers are not
+        # Doubles a step past _KERNEL_BATCH incomplete rows holds. Per row:
+        # the rows' values, free mask and velocity, the 2D-wide right-hand
+        # side and product, the row index and the permutation. Per row of a
+        # batch, at most _KERNEL_BATCH of them: its values and 2D-wide self
+        # term, its two (D + 2)-wide Gram operands, the x-wide temporaries
+        # of building them and their norm column, and each lane's 2D-wide
+        # sum. Per lane: one _TILE_ROWS x _KERNEL_BATCH Gram tile, a
+        # tile-high upper product and a batch-wide transposed product, 2D
+        # doubles each per row or column. The last two parts are the same
+        # at both row counts. numpy's fixed-size ufunc buffers get 2**17
+        # bytes. An m x m array, a batch x batch Gram or a 2D x m temporary
+        # at 6000 rows would break the bound. BLAS packing buffers are not
         # traced.
-        d, m = 4, 2000
-        tile, block = kernel_mod._TILE_ROWS, kernel_mod._BLOCK_COLS
-        per_lane_row = 2 * d
-        shared_row = 2 * d + 2 * (d + 2) + 3 * d + 1
-        per_lane_fixed = tile * block + 2 * d * (tile + block)
-        assert m > (LANES + 1) * tile and m > block
-        x, mask = incomplete_rows_table(m, 0, d, seed=3)
-        tracemalloc.start()
-        try:
-            velocity(x, mask, gaussian_score, 1.5, 1.0, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        per_row = LANES * per_lane_row + shared_row
-        assert peak < 8 * (per_row * m + LANES * per_lane_fixed) + 2**17
+        d = 4
+        tile, batch = kernel_mod._TILE_ROWS, imputer_mod._KERNEL_BATCH
+        per_row = 7 * d + 2
+        per_batch_row = 3 * d + 2 * (d + 2) + d + 2 + LANES * 2 * d
+        per_lane = tile * batch + 2 * d * (tile + batch)
+        fixed = per_batch_row * batch + LANES * per_lane
+        for m in (2000, 6000):
+            assert m > batch
+            x, mask = incomplete_rows_table(m, 0, d, seed=3)
+            tracemalloc.start()
+            try:
+                velocity(x, mask, gaussian_score, 1.5, 1.0, np.random.default_rng(0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (per_row * m + fixed) + 2**17
 
 
 def drawn_batches(seed, mask, batch):
@@ -249,10 +253,15 @@ class TestRandomBatches:
             exact = dense_velocity(x, mask, scores, h, ner_weight)
             assert np.abs(v - exact).max() > 1e-3 * np.abs(exact).max()
 
-    @pytest.mark.parametrize("m, sizes", [(1025, [513, 512]), (2049, [683, 683, 683])])
+    @pytest.mark.parametrize(
+        "m, sizes",
+        [(1025, [513, 512]), (2049, [683] * 3), (1024, [1024]), (4999, [1000] * 4 + [999])],
+    )
     def test_one_product_per_batch(self, monkeypatch, m, sizes):
-        # At the default _KERNEL_BATCH, ceil(m / 1024) batches of at least
-        # 512 rows cover every incomplete row once.
+        # At the default _KERNEL_BATCH, one exact product up to 1024 rows,
+        # then ceil(m / 1024) batches of at least 512 rows cover every
+        # incomplete row once. No product sees more than _KERNEL_BATCH
+        # rows, which bounds gram_matmul's tiles at _TILE_ROWS x 1024.
         x, mask = incomplete_rows_table(m, 5, 2, seed=m)
         seen, gram_matmul = [], kernel_mod.gram_matmul
 
@@ -263,6 +272,7 @@ class TestRandomBatches:
         monkeypatch.setattr(kernel_mod, "gram_matmul", spy)
         velocity(x, mask, gaussian_score, 1.5, 1.0, np.random.default_rng(0))
         assert [len(rows) for rows in seen] == sizes
+        assert max(len(rows) for rows in seen) <= imputer_mod._KERNEL_BATCH
         covered = np.sort(np.concatenate(seen), axis=0)
         assert np.array_equal(covered, np.sort(x[5:], axis=0))
 

@@ -135,43 +135,36 @@ class TestOneGram:
     @pytest.mark.parametrize("tile", [1, 7, 256])
     def test_tiles_from_shared_operands_equal_gram(self, monkeypatch, tile):
         # With an identity right-hand side, gram_matmul returns the entries
-        # of the upper-triangular tiles' column blocks built from operands
-        # made once, unchanged, and below each tile's diagonal block the same
-        # entries transposed; one-row tiles of one to three columns, blocks
-        # narrower than a tile and ragged last blocks included. (A diagonal
-        # block is built whole, so it is symmetric only to round-off: its
-        # (i, j) and (j, i) sums run in different orders.) The reference is
-        # built block by block, as a column slice's BLAS product can differ
-        # in the last bit from a wider one's, and under the one-thread pin
-        # the lanes build their blocks with.
+        # of the upper-triangular tiles built from operands made once,
+        # unchanged, and below each tile's diagonal block the same entries
+        # transposed; one-row tiles of one to three columns and a ragged
+        # last tile included. (A diagonal block is built whole, so it is
+        # symmetric only to round-off: its (i, j) and (j, i) sums run in
+        # different orders.) The reference is built one whole tile at a
+        # time, as a column slice's BLAS product can differ in the last bit
+        # from a wider one's, and under the one-thread pin the lanes build
+        # their tiles with.
         monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
         rng = np.random.default_rng(53)
         n = 601
         x = rng.standard_normal((n, 11)) + 1.0
-        for block in (kernel_mod._BLOCK_COLS, 100):
-            monkeypatch.setattr(kernel_mod, "_BLOCK_COLS", block)
-            for h in (0.25, 1.5):
-                g = gram(x, h)
-                left, right = _gram_operands(x, h)
-                for s in range(0, n, tile):
-                    e = min(s + tile, n)
-                    for c in range(s, n, block):
-                        f = min(c + block, n)
-                        out = np.empty((e - s, f - c))
-                        with lanes._pinned():
-                            ref = _gram_tile(left[s:e], right[:, c:f], out=out)
-                        assert np.array_equal(g[s:e, c:f], ref)
-                        lo = max(c, e)
-                        assert np.array_equal(g[lo:f, s:e], ref[:, lo - c:].T)
+        for h in (0.25, 1.5):
+            g = gram(x, h)
+            left, right = _gram_operands(x, h)
+            for s in range(0, n, tile):
+                e = min(s + tile, n)
+                out = np.empty((e - s, n - s))
+                with lanes._pinned():
+                    ref = _gram_tile(left[s:e], right[:, s:], out=out)
+                assert np.array_equal(g[s:e, s:], ref)
+                assert np.array_equal(g[e:, s:e], ref[:, e - s:].T)
 
 
 class TestGramMatmul:
     @pytest.mark.parametrize("tile", [1, 7, 256, 10_000])
     def test_matches_dense_product(self, monkeypatch, tile):
-        # One tile, many, ragged last tiles and one-row tiles, each built in
-        # column blocks of 1, 7, 512 or 10_000 (blocks narrower than a tile,
-        # ragged last blocks and one block a tile), against the literal
-        # dense G @ rhs.
+        # One tile, many, ragged last tiles and one-row tiles, against the
+        # literal dense G @ rhs.
         monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
         rng = np.random.default_rng(59)
         for n, d, k in ((601, 11, 22), (300, 3, 1), (2, 2, 5)):
@@ -179,43 +172,24 @@ class TestGramMatmul:
             rhs = rng.standard_normal((n, k))
             for h in (0.25, 1.5):
                 ref = literal_gram(x, x, h) @ rhs
-                for block in (1, 7, 512, 10_000):
-                    monkeypatch.setattr(kernel_mod, "_BLOCK_COLS", block)
-                    got = gram_matmul(x, rhs, h)
-                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+                got = gram_matmul(x, rhs, h)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("tile", [7, 128])
-    def test_one_block_per_tile_is_the_whole_tile(self, monkeypatch, tile):
-        # Up to _BLOCK_COLS rows every tile is one column block, so the
-        # product has the bits of tiles built whole, at any width past N.
-        monkeypatch.setattr(kernel_mod, "_TILE_ROWS", tile)
-        rng = np.random.default_rng(60)
-        cases = [
-            (rng.standard_normal((n, 11)), rng.standard_normal((n, 22)), h)
-            for n in (1, 129, 300, kernel_mod._BLOCK_COLS)
-            for h in (0.5, 2.0)
-        ]
-        blocked = [gram_matmul(*case) for case in cases]
-        monkeypatch.setattr(kernel_mod, "_BLOCK_COLS", 10_000)
-        for case, got in zip(cases, blocked):
-            assert np.array_equal(got, gram_matmul(*case))
-
-    def test_workspace_does_not_grow_with_n(self):
+    def test_workspace_is_one_tile_high_per_lane(self):
         # Doubles traced per row: the two (D + 2)-wide operands, the x-wide
         # temporaries of building them, their norm column, and each lane's
-        # (N, K) sum (lane 0's is the product). Per lane, whatever N: one
-        # _TILE_ROWS x _BLOCK_COLS block, a K x _BLOCK_COLS transposed
-        # product and a _TILE_ROWS x K upper product. numpy's fixed-size
-        # ufunc buffers get 2**17 bytes. A full-width tile (_TILE_ROWS x N a
-        # lane) breaks the bound at both sizes. BLAS packing buffers are not
-        # traced.
+        # (N, K) sum (lane 0's is the product). Per lane: one _TILE_ROWS x N
+        # Gram tile, a K x N transposed product and a _TILE_ROWS x K upper
+        # product. numpy's fixed-size ufunc buffers get 2**17 bytes. An
+        # N x N array breaks the bound at both sizes. BLAS packing buffers
+        # are not traced.
         d, k = 11, 22
-        tile, block = kernel_mod._TILE_ROWS, kernel_mod._BLOCK_COLS
+        tile = kernel_mod._TILE_ROWS
         per_row = 2 * (d + 2) + d + 2 + LANES * k
-        per_lane = tile * block + k * block + tile * k
         rng = np.random.default_rng(61)
         for n in (3000, 12_000):
-            assert n > LANES * tile and n > block
+            assert n > LANES * tile
+            per_lane = tile * n + k * n + tile * k
             x, rhs = rng.standard_normal((n, d)), rng.standard_normal((n, k))
             tracemalloc.start()
             try:
@@ -224,7 +198,7 @@ class TestGramMatmul:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * (per_row * n + LANES * per_lane) + 2**17
-            assert 8 * LANES * tile * n > 8 * (per_row * n + LANES * per_lane) + 2**17
+            assert 8 * n * n > 8 * (per_row * n + LANES * per_lane) + 2**17
 
     def test_zero_rows(self):
         out = gram_matmul(np.empty((0, 3)), np.empty((0, 4)), 1.0)
