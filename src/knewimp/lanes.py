@@ -25,9 +25,12 @@ Where no OpenBLAS thread setter is found (another BLAS, or no
 /proc/self/maps to find it by), run's lanes run one after the other on the
 caller.
 
-The lanes pay on a 2-core machine because about 40% of a DSM epoch and of a
-Gram product is single-threaded ufunc work (Swish, sigmoid, the clamp and
-exp of a Gram block), which a second BLAS thread does not speed up.
+The lanes pay on a 2-core machine because a large share of a DSM epoch and
+of a Gram product is single-threaded ufunc work (Swish, sigmoid, the clamp
+and exp of a Gram block), which a second BLAS thread does not speed up:
+with two BLAS threads, 39% of a 256-row float32 DSM chunk at H = 256 runs
+outside its matrix products (43% in float64), and a float32 DSM epoch of
+1024 rows took 8.9 ms on two lanes against 9.7 ms as one chunk.
 """
 
 from __future__ import annotations

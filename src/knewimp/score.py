@@ -3,9 +3,17 @@
 The network maps a data row to an estimate of the gradient of the log
 density at that row. Training perturbs the data with Gaussian noise of
 scale sigma and regresses the network output at the noised point onto the
-conditional score -noise / sigma^2. Gradients are computed by hand so the
-whole stack stays in float64 numpy and can be checked against finite
-differences. The package's argument checks live here too: check_count
+conditional score -noise / sigma^2. Gradients are computed by hand in
+numpy. The network computes in float32: init_network and load_network
+make float32 parameters, and forward and dsm_loss_and_grad cast their
+float64 input to the network's dtype, so the GEMMs of width H run at
+float32 speed while forward still returns float64 scores. Every function
+follows the dtype of the network it is given: a float64 network runs the
+same operations in float64, which is how the tests pin the arithmetic
+against plain expressions and finite differences. A finite float64 value
+beyond float32's range is not silently scored as inf: forward and
+load_network refuse it, and training data that holds one diverges. The
+package's argument checks live here too: check_count
 (integers), check_positive (finite and > 0), check_finite (arrays
 without NaN or ±inf) and check_memory (an array that fits in the
 machine's physical memory).
@@ -23,8 +31,9 @@ whatever N is. Up to _CHUNK_ROWS rows there is one chunk and results are
 bit-identical to the plain expressions; past it they agree to round-off.
 Each lane of a DSM evaluation takes its buffers from a dict that the
 caller passes, and makes them the first time under a key of its lane and
-the evaluation's shape; train() makes one dict per call and passes it
-every epoch, so the first epoch allocates and the later ones reuse. Per
+the evaluation's shape and dtype; train() makes one dict per call and
+passes it every epoch, so the first epoch allocates and the later ones
+reuse. Per
 lane, five chunk-high (rows, H) buffers hold the forward activations (the
 two Swish outputs share one, and the backward pass recomputes the first
 from z1 and s1), and the backward pass writes each of its values into one
@@ -46,23 +55,25 @@ import numpy as np
 
 from . import lanes
 
-# Rows per forward/backward chunk. Median DSM epoch over 12 interleaved
-# rounds at 4898 x 11, H = 256 (2-core VM, OpenBLAS 0.3.31), two lanes:
-# 63.5 / 62.4 / 63.3 ms at 128 / 256 / 512 rows, against 90.9 ms for one
-# lane of 512 rows with two BLAS threads. 256 rows give two lanes the
-# chunk-high buffers one lane had at 512.
+# Rows per forward/backward chunk. Median float32 DSM epoch (a batch of
+# 1024 rows of 4898 x 11, H = 256) over 6 interleaved rounds (2-core VM,
+# OpenBLAS 0.3.31), two lanes: 14.8 / 8.9 / 8.2 ms at 128 / 256 / 512
+# rows, against 9.7 ms for one 1024-row chunk with two BLAS threads. 512
+# ties 256 within the quartiles (7.96-9.45 against 8.62-9.23 ms); 256 rows
+# give two lanes the chunk-high buffers one lane had at 512.
 _CHUNK_ROWS = 256
 
 # Rows per DSM training epoch. At 4898 x 11, H = 256 (2-core VM, OpenBLAS
-# 0.3.31), a round of 200 epochs took 10.0-13.5 s full-batch and 2.2-3.1 s
-# at 1024 rows. 512 rows saved about 2 s more per seed, but 1024 keeps
-# every table of up to 1024 rows full-batch and bit-identical.
+# 0.3.31), 200 float32 epochs took 6.1-6.9 s full-batch and 1.8 s at 1024
+# rows. 1024 keeps every table of up to 1024 rows full-batch and
+# bit-identical.
 _BATCH_ROWS = 1024
 
 # Elements per Adam block: the scratch pair is at most this long, whatever
-# the parameter sizes. One step at D = 11, H = 256 (2-core VM, numpy 2.4,
-# medians in 3 processes each) took 613-661 us in blocks of 32768, 689-774
-# us in blocks of 8192 and 614-711 us with two scratch arrays per parameter.
+# the parameter sizes. One float32 step at D = 11, H = 256 (2-core VM,
+# numpy 2.4, medians of 200 steps) took 396 us in blocks of 32768, 584 us
+# in blocks of 8192 and 414 us with a pair as long as the largest
+# parameter.
 _ADAM_BLOCK = 32768
 
 
@@ -88,6 +99,14 @@ def check_finite(name: str, values: np.ndarray) -> None:
     NaN, no ±inf)."""
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be complete (no NaN or infinite entries)")
+
+
+def _cast(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """values as an array of dtype, not copied if it already is one. A
+    finite value beyond dtype's range becomes ±inf without a warning; each
+    caller's own finiteness check reports it."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=dtype)
 
 
 def check_memory(nbytes: int, what: str) -> None:
@@ -131,6 +150,10 @@ class ScoreNetwork:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
+
     def copy(self) -> "ScoreNetwork":
         return ScoreNetwork(
             weights=[w.copy() for w in self.weights],
@@ -143,7 +166,8 @@ class ScoreNetwork:
 
 def init_network(d: int, hidden: int, seed: int) -> ScoreNetwork:
     """Uniform fan-in initialization U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
-    zero biases. seed must be an integer >= 0."""
+    zero biases, in float32: the weights are a float64 draw rounded to
+    float32. seed must be an integer >= 0."""
     check_count("d", d)
     check_count("hidden", hidden)
     check_count("seed", seed, least=0)
@@ -152,21 +176,23 @@ def init_network(d: int, hidden: int, seed: int) -> ScoreNetwork:
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32))
+        biases.append(np.zeros(fan_out, dtype=np.float32))
     return ScoreNetwork(weights=weights, biases=biases)
 
 
 def sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Logistic function 1 / (1 + exp(-z)), elementwise.
+    """Logistic function 1 / (1 + exp(-z)), elementwise, in z's float
+    dtype (float64 for integer z).
 
-    exp(-z) overflows to inf for z below about -709, which yields the
-    correct limit sigmoid = 0, so the overflow warning is silenced. out,
-    when given, must be a float64 array of z's shape, and it is filled and
-    returned (it may be z itself); otherwise a new array is.
+    exp(-z) overflows to inf for z below about -709 in float64 (-88.7 in
+    float32), which yields the correct limit sigmoid = 0, so the overflow
+    warning is silenced. out, when given, must be an array of z's shape and
+    dtype, and it is filled and returned (it may be z itself); otherwise a
+    new array is.
     """
     if out is None:
-        out = np.empty(np.shape(z))
+        out = np.empty(np.shape(z), dtype=np.result_type(z, 1.0))
     np.negative(z, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
@@ -178,12 +204,11 @@ def _forward(
     net: ScoreNetwork,
     x: np.ndarray,
     act: Sequence[np.ndarray],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One forward pass that writes each hidden pre-activation z, its
     sigmoid s and its Swish a = z * s into the (N, H) buffers
-    act = (z1, s1, a1, z2, s2, a2), and the output into out (a new (N, D)
-    array without it), which it returns.
+    act = (z1, s1, a1, z2, s2, a2), and returns the output, a new (N, D)
+    array of the network's dtype.
 
     Each value is formed in the same operation order as x @ W + b and
     z * sigmoid(z), so the result is bit-identical to the allocating form.
@@ -201,7 +226,7 @@ def _forward(
     z2 += b[1]
     sigmoid(z2, out=s2)
     np.multiply(z2, s2, out=a2)
-    out = np.matmul(a2, w[2], out=out)
+    out = np.matmul(a2, w[2])
     out += b[2]
     return out
 
@@ -217,26 +242,29 @@ def _swish_grad(z: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
 def forward(net: ScoreNetwork, x: np.ndarray) -> np.ndarray:
     """Row-wise score estimates for a batch x of shape (N, D).
 
-    The hidden layers run _CHUNK_ROWS rows at a time; each lane allocates
-    three (min(N, _CHUNK_ROWS), H) buffers for this call. Each chunk's
-    output is written into its slice of the (N, D) result, so the lanes
+    x is cast to the network's dtype first, and an entry that is not
+    finite there (NaN, ±inf, or a float64 beyond float32's range for a
+    float32 network) is a ValueError. The hidden layers run _CHUNK_ROWS
+    rows at a time; each lane allocates three (min(N, _CHUNK_ROWS), H)
+    buffers of the network's dtype for this call. Each chunk's output is
+    written into its slice of the float64 (N, D) result, so the lanes
     write disjoint rows.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _cast(x, net.dtype)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"expected (N, {net.input_dim}) input, got {x.shape}")
-    check_finite("network input", x)
+    check_finite(f"network input in {net.dtype}", x)
     n = x.shape[0]
     shape = (min(n, _CHUNK_ROWS), net.weights[0].shape[1])
     out = np.empty((n, net.layer_dims[-1]))
 
     def lane(_: int, starts: range) -> None:
-        za, s, zb = np.empty(shape), np.empty(shape), np.empty(shape)
+        za, s, zb = (np.empty(shape, dtype=net.dtype) for _ in range(3))
         for start in starts:
             chunk = x[start : start + _CHUNK_ROWS]
             m = chunk.shape[0]
             za_m, s_m, zb_m = za[:m], s[:m], zb[:m]
-            _forward(net, chunk, (za_m, s_m, za_m, zb_m, s_m, zb_m), out=out[start : start + m])
+            out[start : start + m] = _forward(net, chunk, (za_m, s_m, za_m, zb_m, s_m, zb_m))
 
     lanes.run(lane, range(0, n, _CHUNK_ROWS))
     return out
@@ -252,7 +280,7 @@ class _LaneBuffers:
 
     def __init__(self, net: ScoreNetwork, rows: int, chunks: int) -> None:
         h = net.weights[0].shape[1]
-        self.act = tuple(np.empty((rows, h)) for _ in range(5))
+        self.act = tuple(np.empty((rows, h), dtype=net.dtype) for _ in range(5))
         self.g_w, self.g_b = _gradient_set(net)
         self.scratch = _gradient_set(net) if chunks > 1 else None
 
@@ -278,12 +306,12 @@ def _dsm_chunk(
     g_b. A non-finite sum is returned before the backward pass runs.
     """
     z1, s1, a, z2, s2 = (b[: x_clean.shape[0]] for b in buf.act)
-    x_noised = x_clean + noise
-    target = np.negative(noise)
-    target /= sigma * sigma
     # Overflow here is the divergence signal itself; it is detected on the
     # squared sum, so the transient warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
+        x_noised = x_clean + noise
+        target = np.negative(noise)
+        target /= sigma * sigma
         resid = _forward(net, x_noised, (z1, s1, a, z2, s2, a))
         resid -= target
         sq = float(np.multiply(resid, resid, out=target).sum())
@@ -328,33 +356,34 @@ def dsm_loss_and_grad(
 
         loss = 1/2 * mean_i || f(x_i + e_i) + e_i / sigma^2 ||^2
 
-    sigma must be finite and > 0, as in DsmConfig. Returns (loss, weight
-    gradients, bias gradients), index-aligned with net.weights /
-    net.biases. The rows run in chunks of _CHUNK_ROWS on
-    lanes.run's lanes: a lane writes its first chunk's gradients straight
-    into its gradient set and adds each later chunk's to it, and returns
-    its chunks' summed squared residuals with its buffers. Lane 1's sums
-    are then added to lane 0's, which are the result; the loss divides the
-    summed squares by N. A lane stops at a chunk whose sum is not finite,
-    and TrainingDivergence is raised once both have stopped. buffers, when
-    given, is a dict in which each lane keeps its _LaneBuffers under
-    (lane, N, chunk rows, D, H), made on first use, so a call of another
-    shape never gets arrays sized for this one. A call that finds its
-    lanes' entries allocates only a chunk's (rows, D) noised input, target
-    and output, and the returned gradients are arrays of the dict,
-    overwritten by the next call of this shape. Calls running at once must
-    not share a dict.
+    sigma must be finite and > 0, as in DsmConfig. x_clean and noise are
+    cast to the network's dtype, and the gradients are arrays of that dtype;
+    a value beyond its range becomes inf, so the loss is not finite and
+    TrainingDivergence is raised. Returns (loss, weight gradients, bias
+    gradients), index-aligned with net.weights / net.biases. The rows run in
+    chunks of _CHUNK_ROWS on lanes.run's lanes: a lane writes its first
+    chunk's gradients straight into its gradient set and adds each later
+    chunk's to it, and returns its chunks' summed squared residuals with its
+    buffers. Lane 1's sums are then added to lane 0's, which are the result;
+    the loss divides the summed squares by N. A lane stops at a chunk whose
+    sum is not finite, and TrainingDivergence is raised once both have
+    stopped. buffers, when given, is a dict in which each lane keeps its
+    _LaneBuffers under (lane, N, chunk rows, D, H, dtype), made on first
+    use, so a call of another shape or dtype never gets arrays made for this
+    one. A call that finds its lanes' entries allocates only a chunk's
+    (rows, D) noised input, target and output, and the returned gradients
+    are arrays of the dict, overwritten by the next call of this shape.
+    Calls running at once must not share a dict.
     """
     check_positive("sigma", sigma)
-    x_clean = np.asarray(x_clean, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
+    x_clean, noise = _cast(x_clean, net.dtype), _cast(noise, net.dtype)
     if noise.shape != x_clean.shape:
         raise ValueError(f"noise shape {noise.shape} != data shape {x_clean.shape}")
     n = x_clean.shape[0]
     if n < 1:
         raise ValueError("DSM needs at least one row")
     cache = {} if buffers is None else buffers
-    shape = (n, min(n, _CHUNK_ROWS), *net.weights[0].shape)
+    shape = (n, min(n, _CHUNK_ROWS), *net.weights[0].shape, net.dtype)
 
     def lane(k: int, starts: range) -> tuple[float, _LaneBuffers]:
         key = (k, *shape)
@@ -406,7 +435,8 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         size = min(_ADAM_BLOCK, max((p.size for p in params), default=0))
-        self._scratch = np.empty(size), np.empty(size)
+        dtype = params[0].dtype if params else np.float64
+        self._scratch = np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         self.t += 1
@@ -458,7 +488,9 @@ def train(
     gradients from one buffers dict made here and passed every epoch. The
     batch, the noise, those lane buffers and Adam's state are allocated
     once per call and reused every epoch, so memory is O(B (D + H)) beside
-    the O(N) index draw and the parameter-sized sets, whatever N is.
+    the O(N) index draw and the parameter-sized sets, whatever N is. The
+    batch and the noise are float64, drawn as for any network, and
+    dsm_loss_and_grad casts them to the network's dtype.
     """
     check_count("seed", seed, least=0)
     x = np.asarray(x, dtype=np.float64)
@@ -499,14 +531,16 @@ def save_network(path: str, net: ScoreNetwork) -> None:
 
 
 def load_network(path: str) -> ScoreNetwork:
-    """Read a save_network() checkpoint. Anything but a [D, H, H, D]
-    network with finite parameters and a layer_dims header that says so
-    raises ValueError naming the file."""
+    """Read a save_network() checkpoint as a float32 network: a float32
+    checkpoint loads bit-exactly, a float64 one as its float32 rounding.
+    Anything but a [D, H, H, D] network with parameters finite in float32
+    and a layer_dims header that says so raises ValueError naming the
+    file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+        weights = [_cast(w, np.float32) for w in payload["weights"]]
+        biases = [_cast(b, np.float32) for b in payload["biases"]]
         header = payload["layer_dims"]
         d, h = weights[0].shape
     except (ValueError, KeyError, TypeError, IndexError) as exc:
@@ -517,5 +551,5 @@ def load_network(path: str) -> ScoreNetwork:
     if header != [d, h, h, d]:
         raise ValueError(f"{path}: checkpoint shape header does not match tensors")
     if not all(np.isfinite(a).all() for a in weights + biases):
-        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
+        raise ValueError(f"{path}: checkpoint holds parameters that are not finite in float32")
     return ScoreNetwork(weights=weights, biases=biases)

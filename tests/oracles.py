@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from knewimp.score import ScoreNetwork
+
 BRUTE_FORCE_LIMIT = 8
 
 
@@ -112,6 +114,16 @@ def wasserstein2_bruteforce(truth_rows, imputed_rows):
         total = sum(cost[i, j] for i, j in enumerate(perm))
         best = min(best, total)
     return best / m
+
+
+def float64_network(net):
+    """A float64 copy of net. The package runs a float64 network in
+    float64 throughout, so the oracles below pin its arithmetic bit for
+    bit and finite differences resolve its gradients."""
+    return ScoreNetwork(
+        weights=[w.astype(np.float64) for w in net.weights],
+        biases=[b.astype(np.float64) for b in net.biases],
+    )
 
 
 def _swish(z):

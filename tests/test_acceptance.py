@@ -25,7 +25,7 @@ from knewimp.score import DsmConfig, dsm_loss_and_grad, forward, init_network
 from knewimp.tabular import (
     from_complete, initialize_missing, load_csv, mean_impute, standardize, write_csv,
 )
-from oracles import grad_gram_second, wasserstein2_bruteforce
+from oracles import float64_network, grad_gram_second, wasserstein2_bruteforce
 
 DEFAULT_DCFG = DsmConfig()          # sigma 0.1, epochs 200, lr 1e-3
 DEFAULT_KCFG = KernelConfig()       # bandwidth 0.5
@@ -42,7 +42,7 @@ def report(criterion: int, description: str, passed: bool, detail: str = "") -> 
 def test_criterion_1_dsm_gradient_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(101)
-    net = init_network(3, 8, seed=202)
+    net = float64_network(init_network(3, 8, seed=202))
     x = rng.standard_normal((5, 3))
     noise = 0.1 * rng.standard_normal((5, 3))
     _, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)

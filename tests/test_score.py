@@ -118,7 +118,7 @@ class TestForward:
         assert np.all(forward(net, x) == 0.0)
 
     def test_row_independence(self):
-        net = init_network(4, 8, seed=1)
+        net = oracles.float64_network(init_network(4, 8, seed=1))
         x = np.random.default_rng(1).standard_normal((6, 4))
         full = forward(net, x)
         for i in range(6):
@@ -162,7 +162,7 @@ class TestDsmLossAndGrad:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        net = init_network(3, 8, seed=5)
+        net = oracles.float64_network(init_network(3, 8, seed=5))
         x = rng.standard_normal((5, 3))
         noise = 0.1 * rng.standard_normal((5, 3))
         loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
@@ -340,6 +340,28 @@ class TestCheckpoint:
         x = np.random.default_rng(10).standard_normal((7, 4))
         assert np.array_equal(forward(load_network(path), x), forward(net, x))
 
+    def test_float32_round_trip_is_bit_exact(self, tmp_path):
+        net = random_network(np.random.default_rng(95), 3, 8)
+        path = str(tmp_path / "net.json")
+        save_network(path, net)
+        for a, b in zip(load_network(path).parameters(), net.parameters()):
+            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
+
+    def test_float64_checkpoint_loads_as_its_float32_rounding(self, tmp_path):
+        rng = np.random.default_rng(96)
+        net = oracles.float64_network(init_network(3, 8, seed=0))
+        for p in net.parameters():
+            p[...] = rng.standard_normal(p.shape)
+        path = str(tmp_path / "net.json")
+        save_network(path, net)
+        for a, b in zip(load_network(path).parameters(), net.parameters()):
+            assert a.dtype == np.float32 and np.array_equal(a, b.astype(np.float32))
+
+    def test_parameter_beyond_float32_refused(self, tmp_path):
+        path = write_checkpoint(tmp_path, _replaced("weights", 1, np.full((4, 4), 1e39).tolist()))
+        with pytest.raises(ValueError, match="bad.json: .* not finite in float32"):
+            load_network(path)
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_malformed_checkpoint_names_the_file(self, tmp_path, case):
         path = write_checkpoint(tmp_path, MALFORMED_CHECKPOINTS[case])
@@ -365,7 +387,7 @@ class TestBitExactOracle:
         rng = np.random.default_rng(50)
         for _ in range(60):
             n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
-            net = random_network(rng, d, hidden)
+            net = oracles.float64_network(random_network(rng, d, hidden))
             x = 2.0 * rng.standard_normal((n, d))
             noise = 0.1 * rng.standard_normal((n, d))
             loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
@@ -378,7 +400,7 @@ class TestBitExactOracle:
         rng = np.random.default_rng(51)
         for _ in range(60):
             n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
-            net = random_network(rng, d, hidden)
+            net = oracles.float64_network(random_network(rng, d, hidden))
             x = 3.0 * rng.standard_normal((n, d))
             assert np.array_equal(forward(net, x), oracles.forward_trace(net, x)[0])
 
@@ -402,7 +424,7 @@ class TestBitExactOracle:
     def test_train_matches_literal_loop(self):
         rng = np.random.default_rng(53)
         x = rng.standard_normal((40, 3))
-        net = random_network(rng, 3, 16)
+        net = oracles.float64_network(random_network(rng, 3, 16))
         cfg = DsmConfig(epochs=5)
         trained, history = train(net, x, cfg, seed=11)
 
@@ -422,6 +444,12 @@ class TestBitExactOracle:
             assert np.array_equal(p, r)
 
 
+def close(got, want, rtol):
+    """Largest difference within rtol of want's largest magnitude."""
+    scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
+    return float(np.abs(got - want).max()) <= rtol * scale
+
+
 class TestChunking:
     """Rows run in chunks of score._CHUNK_ROWS. Against the full-batch
     formulas in oracles.py the result is bit-identical when one chunk covers
@@ -430,19 +458,13 @@ class TestChunking:
 
     RTOL = 1e-12
 
-    @classmethod
-    def close(cls, got, want):
-        """Largest difference within RTOL of want's largest magnitude."""
-        scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
-        return float(np.abs(got - want).max()) <= cls.RTOL * scale
-
     @pytest.mark.parametrize("chunk", [1, 7, 10_000])
     def test_loss_and_gradients(self, monkeypatch, chunk):
         monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
         rng = np.random.default_rng(60 + chunk)
         for _ in range(25):
             n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
-            net = random_network(rng, d, hidden)
+            net = oracles.float64_network(random_network(rng, d, hidden))
             x = 2.0 * rng.standard_normal((n, d))
             noise = 0.1 * rng.standard_normal((n, d))
             loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
@@ -454,7 +476,7 @@ class TestChunking:
                 assert all(np.array_equal(g, ref) for g, ref in pairs)
             else:
                 assert loss == pytest.approx(ref_loss, rel=self.RTOL, abs=0.0)
-                assert all(self.close(g, ref) for g, ref in pairs)
+                assert all(close(g, ref, self.RTOL) for g, ref in pairs)
 
     @pytest.mark.parametrize("chunk", [1, 7, 10_000])
     def test_forward(self, monkeypatch, chunk):
@@ -462,18 +484,18 @@ class TestChunking:
         rng = np.random.default_rng(70 + chunk)
         for _ in range(25):
             n, d, hidden = (int(rng.integers(1, k + 1)) for k in (50, 6, 32))
-            net = random_network(rng, d, hidden)
+            net = oracles.float64_network(random_network(rng, d, hidden))
             x = 3.0 * rng.standard_normal((n, d))
             got, want = forward(net, x), oracles.forward_trace(net, x)[0]
             if n <= chunk:
                 assert np.array_equal(got, want)
             else:
-                assert got.shape == want.shape and self.close(got, want)
+                assert got.shape == want.shape and close(got, want, self.RTOL)
 
     def test_train_agrees_across_chunk_heights(self, monkeypatch):
         rng = np.random.default_rng(80)
         x = rng.standard_normal((45, 3))
-        net = random_network(rng, 3, 16)
+        net = oracles.float64_network(random_network(rng, 3, 16))
         runs = []
         for chunk in (1, 7, 45):
             monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
@@ -482,7 +504,7 @@ class TestChunking:
         for got_net, got_hist in others:
             np.testing.assert_allclose(got_hist, ref_hist, rtol=self.RTOL, atol=0.0)
             for p, ref in zip(got_net.parameters(), ref_net.parameters()):
-                assert self.close(p, ref)
+                assert close(p, ref, self.RTOL)
 
     @staticmethod
     def assert_others_left_alone(buffers, net, x):
@@ -508,6 +530,13 @@ class TestChunking:
         buffers = {}
         dsm_loss_and_grad(init_network(3, 8, seed=0), x, 0.1 * x, 0.1, buffers)
         self.assert_others_left_alone(buffers, init_network(3, 16, seed=0), x)
+
+    def test_buffers_for_another_dtype_rejected(self):
+        x = np.random.default_rng(85).standard_normal((10, 3))
+        net = init_network(3, 8, seed=0)
+        buffers = {}
+        dsm_loss_and_grad(net, x, 0.1 * x, 0.1, buffers)
+        self.assert_others_left_alone(buffers, oracles.float64_network(net), x)
 
     def test_buffers_for_another_chunk_height_rejected(self, monkeypatch):
         net = init_network(3, 8, seed=0)
@@ -548,6 +577,94 @@ class TestChunking:
             with pytest.raises(TrainingDivergence) as info:
                 train(net, x, DsmConfig(epochs=3), seed=0)
         assert str(info.value) == "training diverged at epoch 0"
+
+
+class TestFloat32:
+    """init_network and load_network make float32 networks, which compute
+    in float32 and return float64 scores. Each result is held to the
+    float64 oracles on a float64 copy of the same parameters."""
+
+    RTOL = 1e-5
+
+    def test_init_is_the_float64_draw_rounded(self):
+        net = init_network(5, 32, seed=3)
+        rng = np.random.default_rng(3)
+        for w, fan_in, fan_out in zip(net.weights, (5, 32, 32), (32, 32, 5)):
+            bound = 1.0 / np.sqrt(fan_in)
+            draw = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            assert w.dtype == np.float32 and np.array_equal(w, draw.astype(np.float32))
+        assert all(b.dtype == np.float32 and not b.any() for b in net.biases)
+
+    def test_forward_within_the_float64_oracle(self):
+        # Up to 600 rows: several chunks on both lanes.
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            n, d, hidden = (int(rng.integers(1, k + 1)) for k in (600, 6, 64))
+            net = random_network(rng, d, hidden)
+            x = 3.0 * rng.standard_normal((n, d))
+            got = forward(net, x)
+            want = oracles.forward_trace(oracles.float64_network(net), x)[0]
+            assert net.dtype == np.float32 and got.dtype == np.float64
+            assert got.shape == want.shape and close(got, want, self.RTOL)
+
+    def test_loss_and_gradients_within_the_float64_oracle(self):
+        rng = np.random.default_rng(92)
+        for _ in range(20):
+            n, d, hidden = (int(rng.integers(1, k + 1)) for k in (600, 6, 64))
+            net = random_network(rng, d, hidden)
+            x = 2.0 * rng.standard_normal((n, d))
+            noise = 0.1 * rng.standard_normal((n, d))
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
+            ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(
+                oracles.float64_network(net), x, noise, 0.1
+            )
+            assert loss == pytest.approx(ref_loss, rel=self.RTOL, abs=0.0)
+            for g, ref in zip(g_w + g_b, ref_w + ref_b):
+                assert g.dtype == np.float32 and g.shape == ref.shape
+                assert close(g, ref, self.RTOL)
+
+    def test_train_is_bit_equal_per_seed(self):
+        # 600 rows: three chunks, so both lanes run.
+        x = np.random.default_rng(93).standard_normal((600, 3))
+        net = init_network(3, 16, seed=1)
+        cfg = DsmConfig(epochs=8)
+        (a_net, a_hist), (b_net, b_hist) = (train(net, x, cfg, seed=9) for _ in range(2))
+        assert a_hist == b_hist
+        for p, q in zip(a_net.parameters(), b_net.parameters()):
+            assert p.dtype == np.float32 and np.array_equal(p, q)
+        assert train(net, x, cfg, seed=10)[1] != a_hist
+
+    # Chunks of 1 and 7 against one chunk of 45 measured at most 9.6e-8 of
+    # the largest parameter or loss here, and 1.2e-7 over seeds 80-89.
+    CHUNK_RTOL = 1e-6
+
+    def test_train_agrees_across_chunk_heights(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal((45, 3))
+        net = random_network(rng, 3, 16)
+        runs = []
+        for chunk in (1, 7, 45):
+            monkeypatch.setattr(score_mod, "_CHUNK_ROWS", chunk)
+            runs.append(train(net, x, DsmConfig(epochs=5), seed=12))
+        (ref_net, ref_hist), *others = runs
+        for got_net, got_hist in others:
+            np.testing.assert_allclose(got_hist, ref_hist, rtol=self.CHUNK_RTOL, atol=0.0)
+            for p, ref in zip(got_net.parameters(), ref_net.parameters()):
+                assert p.dtype == np.float32 and close(p, ref, self.CHUNK_RTOL)
+
+    def test_forward_refuses_input_beyond_float32(self):
+        # 1e39 is a finite float64 and inf in float32.
+        net = init_network(2, 4, seed=0)
+        with pytest.raises(ValueError, match="network input in float32 must be complete"):
+            forward(net, np.array([[0.5, 1e39]]))
+
+    def test_training_data_beyond_float32_diverges(self):
+        x = np.random.default_rng(94).standard_normal((10, 2))
+        x[3, 1] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergence, match="epoch 0"):
+                train(init_network(2, 4, seed=0), x, DsmConfig(epochs=3), seed=0)
 
 
 class TestMinibatch:
@@ -647,10 +764,11 @@ class TestMinibatch:
 
 class TestMemory:
     """Hidden-layer memory is bounded by the chunk height, not by N: at
-    5000 rows and 256 hidden units one N x H float64 array alone is 10 MB.
-    The bounds count buffers per lane at the module's constants; 5000 rows
-    make 20 chunks for forward(), and a training batch of _BATCH_ROWS rows
-    makes 4, so both lanes run."""
+    5000 rows and 256 hidden units one N x H float32 array alone is 5 MB.
+    The bounds count buffers per lane at the module's constants, F bytes
+    an element for the network's own arrays and 8 for float64 ones; 5000
+    rows make 20 chunks for forward(), and a training batch of _BATCH_ROWS
+    rows makes 4, so both lanes run."""
 
     N, D, H = 5000, 8, 256
 
@@ -665,6 +783,7 @@ class TestMemory:
 
     def setup_method(self):
         self.net = init_network(self.D, self.H, seed=0)
+        self.F = self.net.dtype.itemsize
         self.x = np.random.default_rng(90).standard_normal((self.N, self.D))
         self.params = sum(p.size for p in self.net.parameters())
         self.chunk = score_mod._CHUNK_ROWS
@@ -677,27 +796,28 @@ class TestMemory:
         # Per lane: five chunk-high (rows, H) buffers serve the forward and
         # the backward pass, beside the lane's noised input, target and
         # output chunks and two parameter-sized sets (its gradient sum and
-        # a later chunk's gradients). Shared: the (B, D) gathered batch and
-        # noise, the index draw (at most one int64 per row), three
-        # parameter-sized sets (the network copy and Adam's m and v) and
-        # Adam's two block-sized scratch arrays. Half a chunk-high buffer
-        # covers the small temporaries, so a sixth buffer in either lane
-        # fails.
+        # a later chunk's gradients). Shared: the float64 (B, D) gathered
+        # batch and noise and their casts to the network's dtype, the index
+        # draw (at most one int64 per row), three parameter-sized sets (the
+        # network copy and Adam's m and v) and Adam's two block-sized
+        # scratch arrays. Half a chunk-high buffer covers the small
+        # temporaries, so a sixth buffer in either lane fails.
         cfg = DsmConfig(epochs=2)
         peak = self.peak_bytes(lambda: train(self.net, self.x, cfg, seed=0))
         per_lane = 5 * self.chunk_h + 3 * self.chunk * self.D + 2 * self.params
-        shared = 2 * self.batch * self.D + self.N + 3 * self.params + 2 * self.adam_block
-        bound = 8 * (LANES * per_lane + shared) + 8 * self.chunk_h // 2
+        shared = 2 * self.batch * self.D + 3 * self.params + 2 * self.adam_block
+        float64 = 2 * self.batch * self.D + self.N
+        bound = self.F * (LANES * per_lane + shared + self.chunk_h // 2) + 8 * float64
         assert peak <= bound, (peak, bound)
 
     def test_adam_allocates_m_v_and_two_blocks(self):
         # The 256 x 256 weight is two Adam blocks. A scratch pair per
-        # parameter would be two more parameter-sized sets (1.1 MB here);
-        # the blocks need two arrays of 256 KB.
+        # parameter would be two more parameter-sized sets (0.56 MB here);
+        # the blocks need two arrays of 128 KB.
         params = self.net.parameters()
         assert max(p.size for p in params) > self.adam_block
         peak = self.peak_bytes(lambda: Adam(params, lr=1e-3))
-        assert peak <= 8 * (2 * self.params + 2 * self.adam_block) + 16384, peak
+        assert peak <= self.F * (2 * self.params + 2 * self.adam_block) + 16384, peak
 
     def test_train_peak_grows_by_the_index_draw_alone(self):
         # From 5000 to 20 000 rows the peak may grow by one int64 per row
@@ -712,9 +832,11 @@ class TestMemory:
         assert growth <= (8 + self.D) * 3 * self.N, growth
 
     def test_forward_peak(self):
-        # Three chunk-high hidden buffers per lane and the (N, D) output.
+        # Three chunk-high hidden buffers per lane, the float64 (N, D)
+        # output, and the input's cast to the network's dtype with its
+        # finiteness mask.
         peak = self.peak_bytes(lambda: forward(self.net, self.x))
-        bound = 8 * ((3 * LANES + 1) * self.chunk_h + 2 * self.N * self.D)
+        bound = self.F * (3 * LANES + 1) * self.chunk_h + 16 * self.N * self.D
         assert peak <= bound, (peak, bound)
 
 
