@@ -63,8 +63,6 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, help="Euler steps per round")
     p.add_argument("--loops", type=int, help="train/simulate rounds")
     p.add_argument("--epochs", type=int, help="training epochs per round")
-    p.add_argument("--sigma", type=float, help="DSM noise scale")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
     p.add_argument("--hidden", type=int, help="score network hidden width")
     p.add_argument("--bandwidth", type=float, help="RBF kernel bandwidth")
     p.add_argument(
@@ -171,7 +169,7 @@ def _build_configs(args: argparse.Namespace) -> dict:
     if args.hidden is not None:
         check_count("--hidden", args.hidden)
     return {
-        "dcfg": DsmConfig(**_given(sigma=args.sigma, epochs=args.epochs, lr=args.lr)),
+        "dcfg": DsmConfig(**_given(epochs=args.epochs)),
         "kcfg": KernelConfig(**_given(
             bandwidth=args.bandwidth, use_median_heuristic=args.median_bandwidth,
         )),
@@ -216,16 +214,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     _check_out_dir("--save-net", args.save_net)
     ds = load_csv(args.input, has_header=args.has_header)
     ds_std, stats = standardize(ds)
-    net0 = None
-    if args.load_net:
-        net0 = load_network(args.load_net)
-        # The checkpoint fixes the width, so knewimp() gets no hidden to check.
-        width = net0.layer_dims[1]
-        if model.pop("hidden", width) != width:
-            raise ValueError(
-                f"{args.load_net}: --hidden gives hidden width {args.hidden}, "
-                f"the checkpoint has hidden width {width}"
-            )
+    net0 = load_network(args.load_net) if args.load_net else None
     result = knewimp(ds_std, **model, seed=args.seed, initial_net=net0)
     if args.save_net:
         save_network(args.save_net, result.network)

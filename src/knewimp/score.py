@@ -2,12 +2,14 @@
 
 The network maps a data row to an estimate of the gradient of the log
 density at that row. Training perturbs the data with Gaussian noise of
-scale sigma and regresses the network output at the noised point onto the
-conditional score -noise / sigma^2. Gradients are computed by hand in
-numpy. The network computes in float32: init_network and load_network
-make float32 parameters, and forward and dsm_loss_and_grad cast their
-float64 input to the network's dtype, so the GEMMs of width H run at
-float32 speed while forward still returns float64 scores. Every function
+scale _SIGMA and regresses the network output at the noised point onto the
+conditional score -noise / _SIGMA^2, one Adam step of rate _LR per epoch.
+Both are constants, not settings, so the noise and its target cannot
+disagree. Gradients are computed by hand in numpy. The network computes in
+float32: init_network and load_network make float32 parameters, and
+forward and dsm_loss_and_grad cast their float64 input to the network's
+dtype, so the GEMMs of width H run at float32 speed while forward still
+returns float64 scores. Every function
 follows the dtype of the network it is given: a float64 network runs the
 same operations in float64, which is how the tests pin the arithmetic
 against plain expressions and finite differences. A finite float64 value
@@ -76,6 +78,12 @@ _BATCH_ROWS = 1024
 # parameter.
 _ADAM_BLOCK = 32768
 
+# DSM noise scale: small, so the noised density's score is close to the data's.
+_SIGMA = 0.1
+
+# Adam learning rate: Adam's usual default (Kingma & Ba, ICLR 2015).
+_LR = 1e-3
+
 
 class TrainingDivergence(RuntimeError):
     """Raised when the DSM loss stops being finite during training."""
@@ -119,16 +127,13 @@ def check_memory(nbytes: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class DsmConfig:
-    """Denoising-score-matching training settings."""
+    """Denoising-score-matching training settings: the number of epochs.
+    The noise scale and the learning rate are score._SIGMA and score._LR."""
 
-    sigma: float = 0.1
     epochs: int = 200
-    lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        check_positive("sigma", self.sigma)
         check_count("epochs", self.epochs)
-        check_positive("lr", self.lr)
 
 
 @dataclass
@@ -293,7 +298,6 @@ def _dsm_chunk(
     net: ScoreNetwork,
     x_clean: np.ndarray,
     noise: np.ndarray,
-    sigma: float,
     n: int,
     buf: _LaneBuffers,
     g_w: list[np.ndarray],
@@ -311,7 +315,7 @@ def _dsm_chunk(
     with np.errstate(over="ignore", invalid="ignore"):
         x_noised = x_clean + noise
         target = np.negative(noise)
-        target /= sigma * sigma
+        target /= _SIGMA * _SIGMA
         resid = _forward(net, x_noised, (z1, s1, a, z2, s2, a))
         resid -= target
         sq = float(np.multiply(resid, resid, out=target).sum())
@@ -346,18 +350,17 @@ def dsm_loss_and_grad(
     net: ScoreNetwork,
     x_clean: np.ndarray,
     noise: np.ndarray,
-    sigma: float,
     buffers: Optional[dict] = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """DSM loss and its exact parameter gradients.
 
     The network is evaluated at the noised point x_clean + noise and its
-    output regressed onto -noise / sigma^2:
+    output regressed onto -noise / _SIGMA^2:
 
-        loss = 1/2 * mean_i || f(x_i + e_i) + e_i / sigma^2 ||^2
+        loss = 1/2 * mean_i || f(x_i + e_i) + e_i / _SIGMA^2 ||^2
 
-    sigma must be finite and > 0, as in DsmConfig. x_clean and noise are
-    cast to the network's dtype, and the gradients are arrays of that dtype;
+    train() draws noise at scale _SIGMA. x_clean and noise are cast to the
+    network's dtype, and the gradients are arrays of that dtype;
     a value beyond its range becomes inf, so the loss is not finite and
     TrainingDivergence is raised. Returns (loss, weight gradients, bias
     gradients), index-aligned with net.weights / net.biases. The rows run in
@@ -375,7 +378,6 @@ def dsm_loss_and_grad(
     are arrays of the dict, overwritten by the next call of this shape.
     Calls running at once must not share a dict.
     """
-    check_positive("sigma", sigma)
     x_clean, noise = _cast(x_clean, net.dtype), _cast(noise, net.dtype)
     if noise.shape != x_clean.shape:
         raise ValueError(f"noise shape {noise.shape} != data shape {x_clean.shape}")
@@ -394,7 +396,7 @@ def dsm_loss_and_grad(
         for i, start in enumerate(starts):
             rows = slice(start, start + _CHUNK_ROWS)
             c_w, c_b = own.scratch if i else (own.g_w, own.g_b)
-            sq += _dsm_chunk(net, x_clean[rows], noise[rows], sigma, n, own, c_w, c_b)
+            sq += _dsm_chunk(net, x_clean[rows], noise[rows], n, own, c_w, c_b)
             if not np.isfinite(sq):
                 break
             if i:
@@ -474,7 +476,8 @@ def train(
     cfg: DsmConfig,
     seed: int,
 ) -> tuple[ScoreNetwork, list[float]]:
-    """Minibatch DSM training with fresh noise each epoch.
+    """Minibatch DSM training with fresh noise of scale _SIGMA each epoch
+    and Adam at rate _LR.
 
     Returns an updated copy of the network and the per-epoch loss history;
     the input network is left untouched. seed, an integer >= 0, drives
@@ -498,7 +501,7 @@ def train(
     rng = np.random.default_rng(seed)
     net = net.copy()
     params = net.parameters()
-    opt = Adam(params, cfg.lr)
+    opt = Adam(params, _LR)
     n = x.shape[0]
     rows = min(n, _BATCH_ROWS)
     buffers: dict = {}
@@ -509,9 +512,9 @@ def train(
         if batch is not x:
             np.take(x, rng.choice(n, size=rows, replace=False), axis=0, out=batch)
         rng.standard_normal(out=noise)
-        noise *= cfg.sigma
+        noise *= _SIGMA
         try:
-            loss, g_w, g_b = dsm_loss_and_grad(net, batch, noise, cfg.sigma, buffers=buffers)
+            loss, g_w, g_b = dsm_loss_and_grad(net, batch, noise, buffers=buffers)
         except TrainingDivergence as exc:
             raise TrainingDivergence(f"training diverged at epoch {epoch}") from exc
         history.append(loss)

@@ -27,7 +27,7 @@ from knewimp.tabular import (
 )
 from oracles import float64_network, grad_gram_second, wasserstein2_bruteforce
 
-DEFAULT_DCFG = DsmConfig()          # sigma 0.1, epochs 200, lr 1e-3
+DEFAULT_DCFG = DsmConfig()          # epochs 200
 DEFAULT_KCFG = KernelConfig()       # bandwidth 0.5
 DEFAULT_WCFG = WgfConfig()          # ner_weight 1, step 0.1, 500 steps, 2 loops
 
@@ -45,7 +45,7 @@ def test_criterion_1_dsm_gradient_oracle():
     net = float64_network(init_network(3, 8, seed=202))
     x = rng.standard_normal((5, 3))
     noise = 0.1 * rng.standard_normal((5, 3))
-    _, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
+    _, g_w, g_b = dsm_loss_and_grad(net, x, noise)
 
     def loss_at():
         out = forward(net, x + noise)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -236,7 +237,7 @@ class TestImpute:
         code, out, _ = self.run_pipeline(tmp_path, complete_csv, extra=["--load-net", net_path])
         assert code == 2  # FAST passes --hidden 16
         err = capsys.readouterr().err
-        assert f"knewimp impute: {net_path}: --hidden" in err
+        assert err.startswith("knewimp impute: hidden width 16")  # knewimp()'s own rule
         assert "hidden width 16" in err and "hidden width 8" in err
         assert not os.path.exists(out)
 
@@ -259,7 +260,6 @@ class TestImpute:
     @pytest.mark.parametrize("command", ["impute", "experiment"])
     @pytest.mark.parametrize("extra", [
         ["--lambda", "nan"], ["--bandwidth", "inf"], ["--step-size", "inf"],
-        ["--sigma", "inf"], ["--lr", "nan"],
     ], ids=lambda extra: extra[0].lstrip("-") + "=" + extra[1])
     def test_non_finite_model_flags_are_usage_errors(self, tmp_path, capsys, command, extra):
         # Refused before any file is read or any network trained: the input
@@ -286,6 +286,17 @@ class TestImpute:
         assert err.startswith("usage: knewimp impute")
         message = err.splitlines()[-1]
         assert "--bandwidth" in message and "--median-bandwidth" in message
+
+    @pytest.mark.parametrize("extra", [["--sigma", "0.1"], ["--lr", "0.01"]],
+                             ids=lambda extra: extra[0].lstrip("-"))
+    def test_removed_dsm_flags_are_usage_errors(self, tmp_path, capsys, extra):
+        # The DSM noise scale and learning rate are constants of knewimp.score.
+        with pytest.raises(SystemExit) as exc:
+            main(["impute", "--input", str(tmp_path / "absent.csv"),
+                  "--output", str(tmp_path / "im.csv"), *extra])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not (tmp_path / "im.csv").exists()
 
 
 class TestEvaluate:
@@ -652,8 +663,11 @@ class TestConfigFile:
         ({"has_header": "no"}, "has_header"),
         ({"observed_fraction": 0.5}, "observed_fraction"),
         ({"overlay_rate": 0.2}, "overlay_rate"),
+        ({"sigma": 0.1}, "sigma"),
+        ({"lr": 0.001}, "lr"),
     ], ids=["non-integer", "unknown-key", "flag-spelling", "non-boolean-switch",
-            "removed-observed-fraction", "removed-overlay-rate"])
+            "removed-observed-fraction", "removed-overlay-rate", "removed-sigma",
+            "removed-lr"])
     def test_bad_config_key_or_value_is_usage_error(
         self, tmp_path, complete_csv, capsys, config, key
     ):
@@ -707,21 +721,24 @@ class TestConfigFile:
 
     def test_config_values_read_as_flags(self):
         config = {
-            "steps": "3", "lr": 1, "median_bandwidth": True, "has_header": False,
+            "steps": "3", "step_size": 1, "median_bandwidth": True, "has_header": False,
             "rate": 0.5, "mechanism": "mar",
         }
         checked = _check_config(build_parser(), config)
         assert checked == {
-            "steps": 3, "lr": 1.0, "median_bandwidth": True, "has_header": False,
+            "steps": 3, "step_size": 1.0, "median_bandwidth": True, "has_header": False,
             "rate": 0.5, "mechanism": "mar",
         }
-        assert type(checked["steps"]) is int and type(checked["lr"]) is float
+        assert type(checked["steps"]) is int and type(checked["step_size"]) is float
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_commands():
     """The knewimp command lines of README's CLI block, with backslash
     continuations joined, as argument lists without the program name."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("knewimp ")]
@@ -735,3 +752,18 @@ def test_readme_walkthrough_parses():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README's `knewimp {shlex.join(argv)}` is not a valid command")
+
+
+def test_readme_names_every_option():
+    """No doc drift in either direction: README names every option of the
+    parser and its subcommands, and each --flag of its "Useful knobs"
+    paragraph is one of them."""
+    readme = README.read_text(encoding="utf-8")
+    parser = build_parser()
+    options = {flag for p in (parser, *parser.commands.values()) for action in p._actions
+               if action.dest != "help" for flag in action.option_strings}
+    unnamed = [flag for flag in options if not re.search(rf"{flag}(?![\w-])", readme)]
+    assert sorted(unnamed) == []
+    knobs = readme.split("Useful knobs", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", knobs))
+    assert named and sorted(named - options) == []

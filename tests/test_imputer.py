@@ -752,12 +752,10 @@ def test_wgf_config_validation():
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 @pytest.mark.parametrize("make", [
-    lambda v: DsmConfig(sigma=v),
-    lambda v: DsmConfig(lr=v),
     lambda v: KernelConfig(bandwidth=v),
     lambda v: WgfConfig(step_size=v),
     lambda v: WgfConfig(ner_weight=v),
-], ids=["sigma", "lr", "bandwidth", "step_size", "ner_weight"])
+], ids=["bandwidth", "step_size", "ner_weight"])
 def test_non_finite_settings_rejected(make, value):
     with pytest.raises(ValueError, match="must be finite"):
         make(value)

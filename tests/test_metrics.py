@@ -202,6 +202,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no missing cells"):
             evaluate(ds, truth)
 
+    def test_imputed_shape_must_match(self):
+        truth = np.ones((3, 2))
+        ds = from_complete(truth, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError) as exc:
+            evaluate(ds, np.ones((3, 3)))
+        assert "(3, 2)" in str(exc.value) and "(3, 3)" in str(exc.value)
+
     def test_truth_required(self):
         ds = self.make_ds()
         ds_no_truth = from_complete(ds.truth, ds.mask)

@@ -149,7 +149,7 @@ class TestDsmLossAndGrad:
         for w in net.weights:
             w[:] = 0.0
         noise = np.array([[0.02, -0.01]])
-        loss, _, _ = dsm_loss_and_grad(net, np.zeros((1, 2)), noise, 0.1)
+        loss, _, _ = dsm_loss_and_grad(net, np.zeros((1, 2)), noise)
         assert loss == pytest.approx(0.5 * (2.0**2 + 1.0**2), rel=1e-12)
 
     def test_zero_network_zero_noise_loss(self):
@@ -157,7 +157,7 @@ class TestDsmLossAndGrad:
         for w in net.weights:
             w[:] = 0.0
         x = np.random.default_rng(3).standard_normal((4, 3))
-        loss, _, _ = dsm_loss_and_grad(net, x, np.zeros_like(x), 0.1)
+        loss, _, _ = dsm_loss_and_grad(net, x, np.zeros_like(x))
         assert loss == 0.0
 
     def test_gradients_match_finite_differences(self):
@@ -165,7 +165,7 @@ class TestDsmLossAndGrad:
         net = oracles.float64_network(init_network(3, 8, seed=5))
         x = rng.standard_normal((5, 3))
         noise = 0.1 * rng.standard_normal((5, 3))
-        loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
+        loss, g_w, g_b = dsm_loss_and_grad(net, x, noise)
         step = 1e-5
         for grads, arrays in ((g_w, net.weights), (g_b, net.biases)):
             for g, arr in zip(grads, arrays):
@@ -174,9 +174,9 @@ class TestDsmLossAndGrad:
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + step
-                    up = loss_only(net, x, noise, 0.1)
+                    up = loss_only(net, x, noise, score_mod._SIGMA)
                     flat[idx] = orig - step
-                    down = loss_only(net, x, noise, 0.1)
+                    down = loss_only(net, x, noise, score_mod._SIGMA)
                     flat[idx] = orig
                     numeric = (up - down) / (2.0 * step)
                     denom = max(abs(numeric), 1e-8)
@@ -185,19 +185,12 @@ class TestDsmLossAndGrad:
     def test_shape_mismatch(self):
         net = init_network(3, 8, seed=0)
         with pytest.raises(ValueError):
-            dsm_loss_and_grad(net, np.zeros((2, 3)), np.zeros((3, 3)), 0.1)
+            dsm_loss_and_grad(net, np.zeros((2, 3)), np.zeros((3, 3)))
 
     def test_empty_batch_rejected(self):
         net = init_network(3, 8, seed=0)
         with pytest.raises(ValueError, match="at least one row"):
-            dsm_loss_and_grad(net, np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
-
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_sigma_rejected(self, sigma):
-        # The rule of DsmConfig.sigma: at sigma = inf the target would be 0.
-        net = init_network(3, 8, seed=0)
-        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
-            dsm_loss_and_grad(net, np.zeros((2, 3)), np.zeros((2, 3)), sigma)
+            dsm_loss_and_grad(net, np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 class TestAdam:
@@ -390,8 +383,10 @@ class TestBitExactOracle:
             net = oracles.float64_network(random_network(rng, d, hidden))
             x = 2.0 * rng.standard_normal((n, d))
             noise = 0.1 * rng.standard_normal((n, d))
-            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
-            ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(net, x, noise, 0.1)
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise)
+            ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(
+                net, x, noise, score_mod._SIGMA
+            )
             assert loss == ref_loss
             for g, ref in zip(g_w + g_b, ref_w + ref_b):
                 assert g.shape == ref.shape and np.array_equal(g, ref)
@@ -435,10 +430,10 @@ class TestBitExactOracle:
         noise_rng = np.random.default_rng(11)
         ref_history = []
         for t in range(1, cfg.epochs + 1):
-            noise = cfg.sigma * noise_rng.standard_normal(x.shape)
-            loss, g_w, g_b = oracles.dsm_loss_and_grad(ref, x, noise, cfg.sigma)
+            noise = score_mod._SIGMA * noise_rng.standard_normal(x.shape)
+            loss, g_w, g_b = oracles.dsm_loss_and_grad(ref, x, noise, score_mod._SIGMA)
             ref_history.append(loss)
-            oracles.adam_step(params, g_w + g_b, m, v, t, cfg.lr)
+            oracles.adam_step(params, g_w + g_b, m, v, t, score_mod._LR)
         assert history == ref_history
         for p, r in zip(trained.parameters(), params):
             assert np.array_equal(p, r)
@@ -467,8 +462,10 @@ class TestChunking:
             net = oracles.float64_network(random_network(rng, d, hidden))
             x = 2.0 * rng.standard_normal((n, d))
             noise = 0.1 * rng.standard_normal((n, d))
-            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
-            ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(net, x, noise, 0.1)
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise)
+            ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(
+                net, x, noise, score_mod._SIGMA
+            )
             pairs = list(zip(g_w + g_b, ref_w + ref_b))
             assert all(g.shape == ref.shape for g, ref in pairs)
             if n <= chunk:
@@ -514,8 +511,8 @@ class TestChunking:
         before = {key: (own, [a.copy() for a in own.act + tuple(own.g_w + own.g_b)])
                   for key, own in buffers.items()}
         noise = 0.1 * np.ones_like(x)
-        want_loss, want_w, want_b = dsm_loss_and_grad(net, x, noise, 0.1)
-        loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1, buffers)
+        want_loss, want_w, want_b = dsm_loss_and_grad(net, x, noise)
+        loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, buffers)
         assert loss == want_loss
         assert all(np.array_equal(g, w) for g, w in zip(g_w + g_b, want_w + want_b))
         assert len(buffers) > len(before)
@@ -528,14 +525,14 @@ class TestChunking:
     def test_buffers_for_another_network_rejected(self):
         x = np.random.default_rng(83).standard_normal((10, 3))
         buffers = {}
-        dsm_loss_and_grad(init_network(3, 8, seed=0), x, 0.1 * x, 0.1, buffers)
+        dsm_loss_and_grad(init_network(3, 8, seed=0), x, 0.1 * x, buffers)
         self.assert_others_left_alone(buffers, init_network(3, 16, seed=0), x)
 
     def test_buffers_for_another_dtype_rejected(self):
         x = np.random.default_rng(85).standard_normal((10, 3))
         net = init_network(3, 8, seed=0)
         buffers = {}
-        dsm_loss_and_grad(net, x, 0.1 * x, 0.1, buffers)
+        dsm_loss_and_grad(net, x, 0.1 * x, buffers)
         self.assert_others_left_alone(buffers, oracles.float64_network(net), x)
 
     def test_buffers_for_another_chunk_height_rejected(self, monkeypatch):
@@ -543,7 +540,7 @@ class TestChunking:
         x = np.random.default_rng(84).standard_normal((20, 3))
         buffers = {}
         monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 7)
-        dsm_loss_and_grad(net, x, 0.1 * x, 0.1, buffers)
+        dsm_loss_and_grad(net, x, 0.1 * x, buffers)
         monkeypatch.setattr(score_mod, "_CHUNK_ROWS", 8)
         self.assert_others_left_alone(buffers, net, x)
 
@@ -559,8 +556,8 @@ class TestChunking:
             net = random_network(rng, d, hidden)
             x = rng.standard_normal((n, d))
             noise = 0.1 * rng.standard_normal((n, d))
-            want_loss, want_w, want_b = dsm_loss_and_grad(net, x, noise, 0.1)
-            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1, buffers)
+            want_loss, want_w, want_b = dsm_loss_and_grad(net, x, noise)
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, buffers)
             assert loss == want_loss
             assert all(np.array_equal(g, w) for g, w in zip(g_w + g_b, want_w + want_b))
 
@@ -614,9 +611,9 @@ class TestFloat32:
             net = random_network(rng, d, hidden)
             x = 2.0 * rng.standard_normal((n, d))
             noise = 0.1 * rng.standard_normal((n, d))
-            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise, 0.1)
+            loss, g_w, g_b = dsm_loss_and_grad(net, x, noise)
             ref_loss, ref_w, ref_b = oracles.dsm_loss_and_grad(
-                oracles.float64_network(net), x, noise, 0.1
+                oracles.float64_network(net), x, noise, score_mod._SIGMA
             )
             assert loss == pytest.approx(ref_loss, rel=self.RTOL, abs=0.0)
             for g, ref in zip(g_w + g_b, ref_w + ref_b):
@@ -685,15 +682,15 @@ class TestMinibatch:
         trains on every row."""
         ref = net.copy()
         params = ref.parameters()
-        opt = Adam(params, cfg.lr)
+        opt = Adam(params, score_mod._LR)
         rng = np.random.default_rng(seed)
         history = []
         for _ in range(cfg.epochs):
             batch = x
             if batch_rows is not None:
                 batch = x[rng.choice(x.shape[0], size=batch_rows, replace=False)]
-            noise = cfg.sigma * rng.standard_normal(batch.shape)
-            loss, g_w, g_b = dsm_loss_and_grad(ref, batch, noise, cfg.sigma)
+            noise = score_mod._SIGMA * rng.standard_normal(batch.shape)
+            loss, g_w, g_b = dsm_loss_and_grad(ref, batch, noise)
             history.append(loss)
             opt.step(params, g_w + g_b)
         return ref, history
@@ -718,9 +715,9 @@ class TestMinibatch:
         real = score_mod.dsm_loss_and_grad
         calls = []
 
-        def recording(net, x_clean, noise, sigma, buffers=None):
+        def recording(net, x_clean, noise, buffers=None):
             calls.append((x_clean.copy(), buffers))
-            return real(net, x_clean, noise, sigma, buffers=buffers)
+            return real(net, x_clean, noise, buffers=buffers)
 
         monkeypatch.setattr(score_mod, "dsm_loss_and_grad", recording)
         return calls
