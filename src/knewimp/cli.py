@@ -64,14 +64,7 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loops", type=int, help="train/simulate rounds")
     p.add_argument("--epochs", type=int, help="training epochs per round")
     p.add_argument("--hidden", type=int, help="score network hidden width")
-    p.add_argument("--bandwidth", type=float, help="RBF kernel bandwidth")
-    p.add_argument(
-        "--median-bandwidth",
-        dest="median_bandwidth",
-        action="store_const",
-        const=True,
-        help="take the bandwidth once per round, from the round's starting matrix",
-    )
+    p.add_argument("--bandwidth", type=float, help="fixed RBF kernel bandwidth (default: median)")
 
 
 def _add_mechanism_options(p: argparse.ArgumentParser) -> None:
@@ -163,16 +156,14 @@ def _given(**fields) -> dict:
 
 def _build_configs(args: argparse.Namespace) -> dict:
     """knewimp() keyword arguments from the model flags; an unset field keeps
-    the default of the object that owns it."""
-    if args.bandwidth is not None and args.median_bandwidth:
-        raise ValueError("--bandwidth and --median-bandwidth both set the bandwidth; give one")
+    the default of the object that owns it. --bandwidth h is a fixed h, so
+    it turns the median off."""
     if args.hidden is not None:
         check_count("--hidden", args.hidden)
     return {
         "dcfg": DsmConfig(**_given(epochs=args.epochs)),
-        "kcfg": KernelConfig(**_given(
-            bandwidth=args.bandwidth, use_median_heuristic=args.median_bandwidth,
-        )),
+        "kcfg": KernelConfig() if args.bandwidth is None else KernelConfig(
+            bandwidth=args.bandwidth, use_median_heuristic=False),
         "wcfg": WgfConfig(**_given(
             ner_weight=args.ner_weight, step_size=args.step_size, num_steps=args.steps,
             num_loops=args.loops,

@@ -274,9 +274,8 @@ def knewimp(
         net = initial_net
         width = net.layer_dims[1]
         if hidden not in (None, width):
-            raise ValueError(
-                f"hidden width {hidden} disagrees with initial_net's hidden width {width}"
-            )
+            raise ValueError(f"hidden width {hidden} disagrees with the warm-start "
+                             f"network's hidden width {width}")
     if net.input_dim != ds.n_cols:
         raise ValueError(
             f"network expects {net.input_dim} columns, dataset has {ds.n_cols}"

@@ -11,12 +11,12 @@ There is one Gram computation, gram_matmul(x, rhs, h) = G(x, x) @ rhs. It
 builds G in upper-triangular tiles of rows, computes each entry once and
 never holds G. The tiles run on lanes.run's two lanes.
 
-The bandwidth of median mode is SVGD's median heuristic: median_bandwidth
-takes np.median of scipy's pdist distances, in place, over sqrt(2). Its
-n(n-1)/2 distances are O(n^2), so it sizes them against physical memory
-first (through score.check_memory). The flow never holds them for all N
-rows: euler_impute passes median_bandwidth a seeded subsample of 2000 rows
-when N is larger.
+The default bandwidth is worked out from the rows by SVGD's median
+heuristic (median mode): median_bandwidth takes np.median of scipy's pdist
+distances, in place, over sqrt(2). Its n(n-1)/2 distances are O(n^2), so
+it sizes them against physical memory first (through score.check_memory).
+The flow never holds them for all N rows: euler_impute passes
+median_bandwidth a seeded subsample of 2000 rows when N is larger.
 """
 
 from __future__ import annotations
@@ -42,22 +42,26 @@ _TILE_ROWS = 128
 class KernelConfig:
     """RBF kernel settings.
 
-    bandwidth: the length scale h > 0.
-    use_median_heuristic: when set, h is taken once per round, from the
-    round's starting matrix (median pairwise distance / sqrt(2)), and
-    bandwidth must keep its default: any other bandwidth is a ValueError
-    naming both fields, since the median would override it.
+    use_median_heuristic (default): h is taken once per round, from the
+    round's starting matrix (median pairwise distance / sqrt(2)); bandwidth
+    then stands in only for a round of one row, which has no pairwise
+    distance.
+    bandwidth: the length scale h > 0. A fixed h is written
+    KernelConfig(bandwidth=h, use_median_heuristic=False). With the median
+    on, bandwidth must keep its default: any other bandwidth, such as
+    KernelConfig(bandwidth=0.7) alone, is a ValueError naming both fields,
+    since the median would override it.
     """
 
     bandwidth: float = 0.5
-    use_median_heuristic: bool = False
+    use_median_heuristic: bool = True
 
     def __post_init__(self) -> None:
         check_positive("bandwidth", self.bandwidth)
         if self.use_median_heuristic and self.bandwidth != KernelConfig.bandwidth:
             raise ValueError(
                 f"bandwidth={self.bandwidth} would be ignored with "
-                "use_median_heuristic=True; set one or the other"
+                "use_median_heuristic=True; a fixed bandwidth needs use_median_heuristic=False"
             )
 
 

@@ -28,7 +28,7 @@ from knewimp.tabular import (
 from oracles import float64_network, grad_gram_second, wasserstein2_bruteforce
 
 DEFAULT_DCFG = DsmConfig()          # epochs 200
-DEFAULT_KCFG = KernelConfig()       # bandwidth 0.5
+DEFAULT_KCFG = KernelConfig()       # median bandwidth
 DEFAULT_WCFG = WgfConfig()          # ner_weight 1, step 0.1, 500 steps, 2 loops
 
 
@@ -200,7 +200,8 @@ def test_criterion_6_mode_seeking_contraction():
     x0 = np.array([[1.3]])
     mask = np.zeros((1, 1))
     cfg = WgfConfig(ner_weight=0.0, step_size=0.1, num_steps=200, num_loops=1)
-    x = euler_impute(x0, mask, lambda x: -x, KernelConfig(bandwidth=1.0), cfg, 0)
+    fixed_h = KernelConfig(bandwidth=1.0, use_median_heuristic=False)
+    x = euler_impute(x0, mask, lambda x: -x, fixed_h, cfg, 0)
     bound = 0.9**200 * abs(x0[0, 0]) + 1e-12
     report(
         6,

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import knewimp.cli as cli_mod
 from knewimp import metrics
 from knewimp.cli import _build_configs, _check_config, build_parser, main
 from knewimp.imputer import WgfConfig, knewimp
@@ -239,6 +240,7 @@ class TestImpute:
         err = capsys.readouterr().err
         assert err.startswith("knewimp impute: hidden width 16")  # knewimp()'s own rule
         assert "hidden width 16" in err and "hidden width 8" in err
+        assert "initial_net" not in err  # a library argument the CLI user never gave
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("extra", [
@@ -273,19 +275,13 @@ class TestImpute:
         assert err.startswith(f"usage: knewimp {command}")
         assert "must be finite" in err.splitlines()[-1]
 
-    def test_both_bandwidth_flags_are_usage_error(self, tmp_path, capsys):
-        # Refused before any file is read: the input does not even exist.
+    def test_median_bandwidth_flag_is_usage_error(self, tmp_path, capsys):
+        # The median is the default bandwidth; --bandwidth h fixes one.
         with pytest.raises(SystemExit) as exc:
-            main([
-                "impute", "--input", str(tmp_path / "absent.csv"),
-                "--output", str(tmp_path / "im.csv"), "--bandwidth", "2",
-                "--median-bandwidth",
-            ])
+            main(["impute", "--input", str(tmp_path / "absent.csv"),
+                  "--output", str(tmp_path / "im.csv"), "--median-bandwidth"])
         assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: knewimp impute")
-        message = err.splitlines()[-1]
-        assert "--bandwidth" in message and "--median-bandwidth" in message
+        assert "unrecognized arguments: --median-bandwidth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--sigma", "0.1"], ["--lr", "0.01"]],
                              ids=lambda extra: extra[0].lstrip("-"))
@@ -578,9 +574,26 @@ class TestModelDefaults:
         args = build_parser().parse_args(["impute", "--input", "a.csv", "--output", "b.csv"])
         model = _build_configs(args)
         assert model == {"dcfg": DsmConfig(), "kcfg": KernelConfig(), "wcfg": WgfConfig()}
+        assert model["kcfg"].use_median_heuristic is True
         # None: knewimp() picks 256 for a fresh network, the checkpoint's
         # width for a warm start (tests/test_imputer.py::TestHiddenWidth).
         assert inspect.signature(knewimp).parameters["hidden"].default is None
+
+
+    @pytest.mark.parametrize("config, flags", [
+        ({}, ["--bandwidth", "0.5"]), ({"bandwidth": 0.5}, []),
+    ], ids=["flag", "config-key"])
+    def test_bandwidth_is_a_fixed_h(self, tmp_path, monkeypatch, config, flags):
+        # Even the median's stand-in value 0.5 turns the median off.
+        built = []
+        real = cli_mod._build_configs
+        monkeypatch.setattr(cli_mod, "_build_configs",
+                            lambda args: built.append(real(args)) or built[-1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(cfg), "impute", "--input", str(tmp_path / "absent.csv"),
+                     "--output", str(tmp_path / "im.csv"), *flags]) == 2  # no such input
+        assert built[0]["kcfg"] == KernelConfig(bandwidth=0.5, use_median_heuristic=False)
 
 
 class TestParserDefaults:
@@ -665,9 +678,10 @@ class TestConfigFile:
         ({"overlay_rate": 0.2}, "overlay_rate"),
         ({"sigma": 0.1}, "sigma"),
         ({"lr": 0.001}, "lr"),
+        ({"median_bandwidth": True}, "median_bandwidth"),
     ], ids=["non-integer", "unknown-key", "flag-spelling", "non-boolean-switch",
             "removed-observed-fraction", "removed-overlay-rate", "removed-sigma",
-            "removed-lr"])
+            "removed-lr", "removed-median-bandwidth"])
     def test_bad_config_key_or_value_is_usage_error(
         self, tmp_path, complete_csv, capsys, config, key
     ):
@@ -701,33 +715,11 @@ class TestConfigFile:
         assert list(work.iterdir()) == []
         assert not (tmp_path / "elsewhere").exists()
 
-    @pytest.mark.parametrize("config, flags", [
-        ({"bandwidth": 2.0, "median_bandwidth": True}, []),
-        ({"median_bandwidth": True}, ["--bandwidth", "2"]),
-    ], ids=["both-keys", "key-and-flag"])
-    def test_both_bandwidth_settings_are_usage_error(self, tmp_path, capsys, config, flags):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "--config", str(cfg), "impute", "--input", str(tmp_path / "absent.csv"),
-                "--output", str(tmp_path / "im.csv"), *flags,
-            ])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: knewimp impute")
-        message = err.splitlines()[-1]
-        assert "--bandwidth" in message and "--median-bandwidth" in message
-
     def test_config_values_read_as_flags(self):
-        config = {
-            "steps": "3", "step_size": 1, "median_bandwidth": True, "has_header": False,
-            "rate": 0.5, "mechanism": "mar",
-        }
+        config = {"steps": "3", "step_size": 1, "has_header": True, "rate": 0.5, "mechanism": "mar"}
         checked = _check_config(build_parser(), config)
         assert checked == {
-            "steps": 3, "step_size": 1.0, "median_bandwidth": True, "has_header": False,
-            "rate": 0.5, "mechanism": "mar",
+            "steps": 3, "step_size": 1.0, "has_header": True, "rate": 0.5, "mechanism": "mar",
         }
         assert type(checked["steps"]) is int and type(checked["step_size"]) is float
 
@@ -752,6 +744,22 @@ def test_readme_walkthrough_parses():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README's `knewimp {shlex.join(argv)}` is not a valid command")
+
+
+def test_readme_states_the_impute_defaults():
+    """README's impute comment states the defaults of the objects that own
+    them, and names the median bandwidth exactly when it is the default."""
+    readme = README.read_text(encoding="utf-8")
+    comment = readme.split("# fill them back in (defaults: ", 1)[1].split(")", 1)[0]
+    comment = " ".join(comment.replace("#", " ").split())
+    wcfg, kcfg = WgfConfig(), KernelConfig()
+    stated = [
+        f"lambda {wcfg.ner_weight}", f"{wcfg.num_steps} steps of size {wcfg.step_size}",
+        f"{wcfg.num_loops} rounds", f"{DsmConfig().epochs} training epochs",
+        "median bandwidth" if kcfg.use_median_heuristic else f"bandwidth {kcfg.bandwidth}",
+    ]
+    assert [s for s in stated if s not in comment] == []
+    assert ("median" in comment) == kcfg.use_median_heuristic
 
 
 def test_readme_names_every_option():

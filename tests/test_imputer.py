@@ -35,7 +35,7 @@ from oracles import (
     mixture_conditional_mean,
 )
 
-KCFG = KernelConfig(bandwidth=1.0)
+KCFG = KernelConfig(bandwidth=1.0, use_median_heuristic=False)
 
 
 def zero_score(x):
@@ -315,7 +315,7 @@ def test_median_over_a_seeded_subsample(monkeypatch):
 
     monkeypatch.setattr(kernel_mod, "median_bandwidth", spy)
     x0, mask = incomplete_rows_table(20, 2480, 3, seed=38)
-    kcfg = KernelConfig(use_median_heuristic=True)
+    kcfg = KernelConfig()
     cfg = WgfConfig(num_steps=1, num_loops=1)
     for seed in (1, 1, 2):
         euler_impute(x0, mask, zero_score, kcfg, cfg, seed)
@@ -350,7 +350,7 @@ def bayes_floor_ratio():
     truth = np.random.default_rng(2024).standard_normal((n, d)) @ np.linalg.cholesky(cov).T
     mask = simulate(truth, MissingSpec(mechanism=Mechanism.MCAR, rate=0.3, seed=2025))
     floor = mae(truth, gaussian_conditional_mean(truth, mask, cov), mask)
-    kcfg = KernelConfig(use_median_heuristic=True)
+    kcfg = KernelConfig()
     result = knewimp(from_complete(truth, mask), DsmConfig(), kcfg, WgfConfig(), seed=0)
     return mae(truth, result.imputed, mask) / floor
 
@@ -441,7 +441,7 @@ def test_exact_score_flow_beats_the_linear_floor(mixture):
     # true score, lands below the best linear imputer (0.431 < 0.458; the
     # mixture floor is 0.395): the flow itself can use the non-linear law.
     x0 = initialize_missing(mixture.ds, seed=0)
-    kcfg = KernelConfig(use_median_heuristic=True)
+    kcfg = KernelConfig()
     wcfg = WgfConfig(num_steps=1000, step_size=0.1, num_loops=1)
     ratio = mixture.ratio(euler_impute(x0, mixture.mask, mixture.score, kcfg, wcfg, 0))
     assert ratio < mixture.linear_floor, (ratio, mixture.linear_floor)
@@ -452,7 +452,7 @@ def test_learned_flow_near_the_mixture_floor(mixture):
     # the mixture floor (0.470 against a linear floor of 0.458). This is a
     # regression guard; the target for quality work is the learned flow
     # below the linear floor, as the exact-score flow already is.
-    kcfg = KernelConfig(use_median_heuristic=True)
+    kcfg = KernelConfig()
     result = knewimp(mixture.ds, DsmConfig(), kcfg, WgfConfig(), seed=0)
     ratio = mixture.ratio(result.imputed) / mixture.mixture_floor
     assert ratio <= 1.25, f"MAE is {ratio:.3f} x the mixture floor"
@@ -487,13 +487,15 @@ class TestBandwidth:
         mask = (rng.random((40, 3)) > 0.4).astype(float)
         score = partial(forward, init_network(3, 16, seed=17))
         cfg = WgfConfig(step_size=0.1, num_steps=10, num_loops=1)
-        median = euler_impute(x0, mask, score, KernelConfig(use_median_heuristic=True), cfg, 0)
-        fixed = euler_impute(x0, mask, score, KernelConfig(bandwidth=median_bandwidth(x0)), cfg, 0)
+        median = euler_impute(x0, mask, score, KernelConfig(), cfg, 0)
+        fixed_h = KernelConfig(bandwidth=median_bandwidth(x0), use_median_heuristic=False)
+        fixed = euler_impute(x0, mask, score, fixed_h, cfg, 0)
         assert np.array_equal(median, fixed)
         # One row has no pairwise distance: the fixed bandwidth stands in.
         x1, mask1 = x0[:1], np.zeros((1, 3))
-        median = euler_impute(x1, mask1, score, KernelConfig(use_median_heuristic=True), cfg, 0)
-        fixed = euler_impute(x1, mask1, score, KernelConfig(), cfg, 0)
+        median = euler_impute(x1, mask1, score, KernelConfig(), cfg, 0)
+        fixed_h = KernelConfig(use_median_heuristic=False)
+        fixed = euler_impute(x1, mask1, score, fixed_h, cfg, 0)
         assert np.array_equal(median, fixed)
 
 
@@ -557,7 +559,7 @@ def make_dataset(n=120, rho=0.8, rate=0.3, seed=0):
 class TestKnewimp:
     FAST = dict(
         dcfg=DsmConfig(epochs=60),
-        kcfg=KernelConfig(bandwidth=0.5),
+        kcfg=KernelConfig(bandwidth=0.5, use_median_heuristic=False),
         wcfg=WgfConfig(step_size=0.1, num_steps=80, num_loops=2),
         hidden=32,
     )
@@ -752,7 +754,7 @@ def test_wgf_config_validation():
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 @pytest.mark.parametrize("make", [
-    lambda v: KernelConfig(bandwidth=v),
+    lambda v: KernelConfig(bandwidth=v, use_median_heuristic=False),
     lambda v: WgfConfig(step_size=v),
     lambda v: WgfConfig(ner_weight=v),
 ], ids=["bandwidth", "step_size", "ner_weight"])

@@ -339,7 +339,7 @@ def test_median_bandwidth_once_per_round(monkeypatch):
     truth = rng.standard_normal((30, 3))
     ds = from_complete(truth, (rng.random((30, 3)) > 0.3).astype(float))
     wcfg = WgfConfig(num_steps=5, num_loops=2)
-    kcfg = KernelConfig(use_median_heuristic=True)
+    kcfg = KernelConfig()
     knewimp(ds, DsmConfig(epochs=2), kcfg, wcfg, hidden=8, seed=0)
     assert calls == [(30, 3), (30, 3)]
 
@@ -348,10 +348,13 @@ def test_fixed_bandwidth_with_median_refused():
     # The median would override any bandwidth but the default, silently.
     with pytest.raises(ValueError, match=r"bandwidth=0\.7 .*use_median_heuristic"):
         KernelConfig(bandwidth=0.7, use_median_heuristic=True)
-    assert KernelConfig(use_median_heuristic=True).bandwidth == 0.5
-    assert KernelConfig(bandwidth=0.7).bandwidth == 0.7
+    # The median is the default, so a fixed h alone is refused too.
+    with pytest.raises(ValueError, match=r"bandwidth=0\.7 .*use_median_heuristic"):
+        KernelConfig(bandwidth=0.7)
+    assert KernelConfig() == KernelConfig(bandwidth=0.5, use_median_heuristic=True)
+    assert KernelConfig(bandwidth=0.7, use_median_heuristic=False).bandwidth == 0.7
 
 
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
-        KernelConfig(bandwidth=-1.0)
+        KernelConfig(bandwidth=-1.0, use_median_heuristic=False)

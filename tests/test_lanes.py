@@ -232,8 +232,9 @@ class TestThreadCountRestored:
         truth = rng.standard_normal((300, 3))
         ds = from_complete(truth, (rng.random((300, 3)) > 0.4).astype(float))
         assert (ds.mask == 0.0).any(axis=1).sum() > 128  # two Gram tiles
-        knewimp(ds, DsmConfig(epochs=2), KernelConfig(bandwidth=1.0),
-                WgfConfig(num_steps=2, num_loops=1), hidden=16, seed=0)
+        kcfg = KernelConfig(bandwidth=1.0, use_median_heuristic=False)
+        knewimp(ds, DsmConfig(epochs=2), kcfg, WgfConfig(num_steps=2, num_loops=1),
+                hidden=16, seed=0)
         assert blas_threads() == [2] * n
 
     def test_after_divergence_in_the_second_lane(self, blas_threads, monkeypatch):
